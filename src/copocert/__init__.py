@@ -74,7 +74,7 @@ from .structure_graph import (
     reconstruct_pattern,
     to_dot,
 )
-from .zeros import MinimalZeroList, Zero, minimal_zeros, zeros_with_support
+from .zeros import MinimalZeroList, Zero, minimal_zeros
 
 __all__ = [
     "AffineSolutionSet",
@@ -131,7 +131,6 @@ __all__ = [
     "to_dot",
     "verify_pair_scaling_equivalence",
     "write_records",
-    "zeros_with_support",
 ]
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .copositivity import is_copositive
 from .errors import (
     CandidateBudgetError,
     CensusInvariantError,
@@ -41,7 +40,6 @@ from .errors import (
 from .extremality import extremality_certificate
 from .linalg import ONE, SymMatrix
 from .scaling import ScalingDecomposition, extract_pattern, has_sign_pattern_scaling
-from .zeros import minimal_zeros
 
 MAX_ORDER = 6
 DEFAULT_CANDIDATE_BUDGET = 60000
@@ -153,18 +151,14 @@ def _is_canonical(offdiag, getters) -> bool:
     return not any(g(offdiag) < offdiag for g in getters)
 
 
-def _classify(cand: Candidate) -> CensusRecord:
-    A = cand.matrix()
-    verdict = is_copositive(A)
-    supports: tuple[tuple[int, ...], ...] = ()
-    extremal = False
-    if verdict.copositive:
-        zeros = minimal_zeros(A, certified_copositive=True)
-        cert = extremality_certificate(A, certified_copositive=True, zeros=zeros)
-        supports = tuple(sorted(tuple(z.sorted_support()) for z in zeros.zeros))
-        extremal = cert.extremal
-    return CensusRecord(cand.order, cand.offdiag, verdict.copositive,
-                        extremal, supports, 0)
+def _classify(cand: Candidate, orbit: int) -> CensusRecord:
+    try:
+        cert = extremality_certificate(cand.matrix())
+    except NotCopositiveError:
+        return CensusRecord(cand.order, cand.offdiag, False, False, (), orbit)
+    supports = tuple(sorted(z.sorted_support() for z in cert.minimal_zeros))
+    return CensusRecord(cand.order, cand.offdiag, True, cert.extremal,
+                        supports, orbit)
 
 
 def _write_checkpoint(path: str, order: int, next_index: int,
@@ -232,10 +226,7 @@ def run_census(n: int, allow_large: bool = False,
                 orbit = 1
             else:
                 orbit = len({g(cand.offdiag) for g in getters})
-            record = _classify(cand)
-            record = CensusRecord(record.order, record.canonical_offdiag,
-                                  record.copositive, record.extremal,
-                                  record.minimal_supports, orbit)
+            record = _classify(cand, orbit)
             if record.extremal:
                 for s in record.minimal_supports:
                     if len(s) != 2:
@@ -336,15 +327,11 @@ def verify_pair_scaling_equivalence(A: SymMatrix) -> EquivalenceReport:
     precondition; the two predicates are computed by disjoint code paths
     (zero enumeration vs scaling extraction plus pattern extremality).
     """
-    verdict = is_copositive(A)
-    if not verdict.copositive:
-        raise NotCopositiveError(violator=verdict.violator)
-    zeros = minimal_zeros(A, certified_copositive=True)
-    cert = extremality_certificate(A, certified_copositive=True, zeros=zeros)
+    cert = extremality_certificate(A)
     if not cert.extremal:
         raise NotExtremalError(
             f"input is not extremal, nullity {cert.nullity}")
-    supports = tuple(sorted(tuple(z.sorted_support()) for z in zeros.zeros))
+    supports = tuple(sorted(z.sorted_support() for z in cert.minimal_zeros))
     pair = all(len(s) == 2 for s in supports)
     decomposition = None
     pattern_nullity = None

@@ -310,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="enumerate minimal zeros")
     p.add_argument("path", help="matrix file")
-    p.add_argument("--minimal", action="store_true", default=True,
-                   help="list minimal zeros (the default and only mode)")
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("extremal", help="certify extremality via nullity")

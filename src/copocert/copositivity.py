@@ -19,6 +19,13 @@ enumerating supports:
   are always feasible (u_i = 1, mu = A_ii), so the candidate set is never
   empty and contains every vertex value.
 
+The same scan yields the minimal zeros of a copositive matrix, because a zero
+with support S is exactly a positive solution of S's system with value 0.
+There mu is affine on the solution set and every positive solution has
+mu >= 0, so if mu were not constant some positive point near the zero would
+have mu < 0; hence mu = 0 on the whole set, which is then the sum-normalized
+kernel of A_S, of dimension dim ker A_S - 1.
+
 Membership testing is co-NP-complete in general; the 2^n - 1 support scan is
 deliberate and fine for the orders this package targets (n <= 8).
 """
@@ -44,11 +51,17 @@ class CopositivityVerdict:
     negative stationary value found, so the field then holds that certified
     negative value (an upper bound for the true minimum, attained by the
     violator).
+
+    ``zeros`` pairs each value-0 stationary point whose support contains no
+    earlier one's with the dimension of its support's solution set, in scan
+    order; it is empty when the matrix is not copositive.  On a copositive
+    matrix these points are the sum-normalized minimal zeros.
     """
 
     copositive: bool
     violator: Vector | None
     simplex_minimum: Fraction
+    zeros: tuple[tuple[Vector, int], ...] = ()
 
 
 def _embed(values, support, n):
@@ -59,13 +72,14 @@ def _embed(values, support, n):
 
 
 def stationary_candidates(A: SymMatrix):
-    """Yield ``(value, point)`` for every support whose stationarity system
-    has a solution that is strictly positive on the support.
+    """Yield ``(value, point, dimension)`` for every support whose
+    stationarity system has a solution that is strictly positive on the
+    support; ``dimension`` is that system's solution-set dimension.
 
-    Supports are scanned by cardinality, then lexicographically.  Values are
-    recomputed with the quadratic form itself rather than read off the
-    multiplier, so each candidate is an attained simplex value by
-    construction.
+    Supports are scanned by cardinality, then lexicographically, so strict
+    subsets come before their supersets.  Values are recomputed with the
+    quadratic form itself rather than read off the multiplier, so each
+    candidate is an attained simplex value by construction.
     """
     n = A.n
     for k in range(1, n + 1):
@@ -82,14 +96,14 @@ def stationary_candidates(A: SymMatrix):
             if point is None:
                 continue
             x = _embed(point[:k], support, n)
-            yield eval_quadratic(A, x), x
+            yield eval_quadratic(A, x), x, sol.dimension
 
 
 def min_on_simplex(A: SymMatrix) -> tuple[Fraction, Vector]:
     """Exact minimum of ``x^T A x`` over the standard simplex, with minimizer."""
     best = None
     arg = None
-    for value, point in stationary_candidates(A):
+    for value, point, _ in stationary_candidates(A):
         if best is None or value < best:
             best, arg = value, point
     return best, arg
@@ -117,19 +131,26 @@ def is_copositive(A: SymMatrix) -> CopositivityVerdict:
     """Exact membership test with a witness on failure.
 
     Stops at the first negative stationary value (census throughput); when
-    the matrix is copositive the full scan has run and the reported minimum
-    is exact.
+    the matrix is copositive the full scan has run, the reported minimum is
+    exact and the minimal zeros have been collected on the way.
     """
     hit = _prefilter_violator(A)
     if hit is not None:
         return CopositivityVerdict(False, hit[0], hit[1])
     best = None
-    for value, point in stationary_candidates(A):
+    zeros = []
+    supports = []
+    for value, point, dimension in stationary_candidates(A):
         if value < 0:
             return CopositivityVerdict(False, point, value)
         if best is None or value < best:
             best = value
-    return CopositivityVerdict(True, None, best)
+        if value == 0:
+            support = frozenset(i for i, c in enumerate(point) if c)
+            if not any(s < support for s in supports):
+                supports.append(support)
+                zeros.append((point, dimension))
+    return CopositivityVerdict(True, None, best, tuple(zeros))
 
 
 def _split_simplex(corners, depth, seen, A):

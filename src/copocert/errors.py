@@ -26,9 +26,8 @@ class DuplicateMinimalSupportError(CopocertError):
     """Two non-proportional zeros share a minimal support.
 
     Minimal zeros of a copositive matrix are unique per support up to positive
-    scaling, so this state indicates either non-copositive input passed with a
-    certification flag or an internal bug; it is surfaced instead of guessed
-    away.
+    scaling, so this state indicates an internal bug; it is surfaced instead
+    of guessed away.
     """
 
     code = "DuplicateMinimalSupport"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotCopositiveError
 from .linalg import (
     ZERO,
     SymMatrix,
@@ -28,7 +27,6 @@ from .linalg import (
     upper_index,
     upper_size,
 )
-from .copositivity import is_copositive
 from .zeros import MinimalZeroList, minimal_zeros
 
 
@@ -81,19 +79,13 @@ def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
     return ExtremalitySystem(n, tuple(gates), tuple(rows))
 
 
-def extremality_certificate(A: SymMatrix, certified_copositive=False,
-                            zeros: MinimalZeroList | None = None) -> ExtremalityCertificate:
+def extremality_certificate(A: SymMatrix) -> ExtremalityCertificate:
     """Decide extremality of a copositive matrix via the system's nullity.
 
-    ``zeros`` may carry a precomputed minimal zero list for the same matrix
-    (the census pipeline reuses its own); otherwise it is computed here.
+    Raises NotCopositiveError (from ``minimal_zeros``) when A is not
+    copositive.
     """
-    if not certified_copositive:
-        verdict = is_copositive(A)
-        if not verdict.copositive:
-            raise NotCopositiveError(violator=verdict.violator)
-    if zeros is None:
-        zeros = minimal_zeros(A, certified_copositive=True)
+    zeros = minimal_zeros(A)
     system = build_system(A, zeros)
     n = A.n
     size = upper_size(n)

@@ -56,20 +56,27 @@ def scale(S: SymMatrix, D: DiagonalScaling) -> SymMatrix:
     return SymMatrix(S.n, tuple(entries))
 
 
-def has_sign_pattern_scaling(A: SymMatrix) -> bool:
-    """Whether A = D S D for some positive diagonal D and sign pattern S.
+def _scaling_failure(A: SymMatrix) -> str | None:
+    """Why A is not a diagonal scaling of a sign pattern, or None.
 
     Checked without leaving the rationals: positive diagonal, and each
     off-diagonal entry either zero or matching the diagonal product in square.
     """
-    if any(d <= 0 for d in A.diagonal()):
-        return False
+    for i in range(A.n):
+        if A.get(i, i) <= 0:
+            return f"diagonal entry {i + 1} is {A.get(i, i)}, must be positive"
     for i in range(A.n):
         for j in range(i + 1, A.n):
             a = A.get(i, j)
             if a != 0 and a * a != A.get(i, i) * A.get(j, j):
-                return False
-    return True
+                return (f"entry ({i + 1},{j + 1}): {a}^2 != "
+                        f"{A.get(i, i)} * {A.get(j, j)}")
+    return None
+
+
+def has_sign_pattern_scaling(A: SymMatrix) -> bool:
+    """Whether A = D S D for some positive diagonal D and sign pattern S."""
+    return _scaling_failure(A) is None
 
 
 def _rational_sqrt(q: Rational) -> Rational | None:
@@ -97,17 +104,9 @@ def extract_pattern(A: SymMatrix) -> ScalingDecomposition:
     explicit D is returned and the reconstruction D S D = A is verified;
     a single irrational factor makes the whole scaling implicit.
     """
-    for i in range(A.n):
-        if A.get(i, i) <= 0:
-            raise ScalingConditionError(
-                f"diagonal entry {i + 1} is {A.get(i, i)}, must be positive")
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            a = A.get(i, j)
-            if a != 0 and a * a != A.get(i, i) * A.get(j, j):
-                raise ScalingConditionError(
-                    f"entry ({i + 1},{j + 1}): {a}^2 != "
-                    f"{A.get(i, i)} * {A.get(j, j)}")
+    failure = _scaling_failure(A)
+    if failure is not None:
+        raise ScalingConditionError(failure)
     entries = [ZERO] * upper_size(A.n)
     pos = 0
     for i in range(A.n):

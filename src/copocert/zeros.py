@@ -14,19 +14,17 @@ the form over the nonnegative orthant (the minimum is 0 by copositivity), so
 the first-order conditions give (A u)_i >= 0 with equality wherever u_i > 0,
 i.e. A_S u_S = 0; conversely A_S u_S = 0 with u_S > 0 makes
 ``u^T A u = u_S^T A_S u_S = 0``.  This equivalence needs copositivity, which
-is why the public entry points check it (or accept an explicit caller
-certification).
+is why ``minimal_zeros`` checks it.  The zeros themselves are read off the
+copositivity scan (see ``copositivity``), which visits every support once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import DuplicateMinimalSupportError, NotCopositiveError
-from .linalg import ZERO, AffineSolutionSet, SymMatrix, Vector, eval_quadratic, kernel_basis
-from .lp import strictly_positive_point
+from .linalg import ZERO, SymMatrix, Vector
 from .copositivity import is_copositive
 
 
@@ -69,95 +67,26 @@ class MinimalZeroList:
         return len(self.zeros)
 
 
-def _check_pair_zero_structure(A, support, coords):
-    # For unit diagonal entries on a two-point support, the kernel of
-    # [[1, a], [a, 1]] meets the open quadrant only when a = -1, where it is
-    # spanned by (1, 1); the two coordinates therefore must be equal.
-    i, j = sorted(support)
-    if A.get(i, i) == 1 and A.get(j, j) == 1:
-        assert A.get(i, j) == -1, "support-2 zero of a unit-diagonal matrix requires entry -1"
-        assert coords[i] == coords[j], "support-2 zero of a unit-diagonal matrix must be balanced"
-
-
-def _support_zero(A: SymMatrix, support) -> tuple[Zero | None, int]:
-    """Zero with support exactly ``support``, plus the kernel dimension of A_S."""
-    idx = sorted(support)
-    sub = A.principal(idx)
-    kern = kernel_basis(sub.rows(), sub.n)
-    if not kern:
-        return None, 0
-    point = strictly_positive_point(AffineSolutionSet.subspace(sub.n, kern))
-    if point is None:
-        return None, len(kern)
-    coords = [ZERO] * A.n
-    for v, i in zip(point, idx):
-        coords[i] = v
-    zero = Zero.from_coordinates(coords)
-    assert eval_quadratic(A, zero.coordinates) == 0
-    if len(idx) == 2:
-        _check_pair_zero_structure(A, idx, zero.coordinates)
-    return zero, len(kern)
-
-
-def zeros_with_support(A: SymMatrix, support, check_copositive=False) -> Zero | None:
-    """The sum-normalized zero supported exactly on ``support``, if any.
-
-    The kernel characterization above is only valid for copositive input;
-    pass ``check_copositive=True`` to have that re-verified here.
-    """
-    support = set(support)
-    if not support or not all(0 <= i < A.n for i in support):
-        raise ValueError("support must be a nonempty subset of the index range")
-    if check_copositive:
-        verdict = is_copositive(A)
-        if not verdict.copositive:
-            raise NotCopositiveError(violator=verdict.violator)
-    zero, _ = _support_zero(A, support)
-    return zero
-
-
-def minimal_zeros(A: SymMatrix, certified_copositive=False) -> MinimalZeroList:
+def minimal_zeros(A: SymMatrix) -> MinimalZeroList:
     """All minimal zeros of a copositive matrix, sum-normalized.
 
-    Supports are scanned by cardinality then lexicographically, so strict
-    subsets are always seen before their supersets and the minimality filter
-    is a simple containment check.  Every zero of A has its support
-    containing some support returned here.
+    They are collected by the copositivity scan, which visits supports by
+    cardinality then lexicographically, so strict subsets are always seen
+    before their supersets.  Every zero of A has its support containing some
+    support returned here.
     """
-    if not certified_copositive:
-        verdict = is_copositive(A)
-        if not verdict.copositive:
-            raise NotCopositiveError(violator=verdict.violator)
-    accepted: list[Zero] = []
-    for k in range(1, A.n + 1):
-        for support in combinations(range(A.n), k):
-            sset = frozenset(support)
-            if any(z.support < sset for z in accepted):
-                continue
-            zero, kernel_dim = _support_zero(A, support)
-            if zero is None:
-                continue
-            if kernel_dim > 1:
-                # a strictly positive kernel point plus a second independent
-                # kernel direction yields non-proportional zeros on one
-                # minimal support, contradicting finiteness
-                raise DuplicateMinimalSupportError(
-                    f"support {tuple(i + 1 for i in support)} carries a "
-                    f"{kernel_dim}-dimensional zero space")
-            accepted.append(zero)
-    return MinimalZeroList(A, tuple(accepted))
-
-
-def pair_zero(i: int, j: int, n: int) -> Zero:
-    """The balanced two-point vector with weight 1/2 at positions i and j.
-
-    It is a zero of any matrix with unit diagonal entries at i, j and
-    coupling -1; the caller asserts that context.
-    """
-    if not (0 <= i < j < n):
-        raise IndexError("need 0 <= i < j < n")
-    half = Fraction(1, 2)
-    coords = [ZERO] * n
-    coords[i] = half
-    coords[j] = half
-    return Zero(tuple(coords), frozenset((i, j)))
+    verdict = is_copositive(A)
+    if not verdict.copositive:
+        raise NotCopositiveError(violator=verdict.violator)
+    zeros = []
+    for point, dimension in verdict.zeros:
+        zero = Zero.from_coordinates(point)
+        if dimension:
+            # a strictly positive kernel point plus a second independent
+            # kernel direction yields non-proportional zeros on one
+            # minimal support, contradicting finiteness
+            raise DuplicateMinimalSupportError(
+                f"support {tuple(i + 1 for i in zero.sorted_support())} "
+                f"carries a {dimension + 1}-dimensional zero space")
+        zeros.append(zero)
+    return MinimalZeroList(A, tuple(zeros))

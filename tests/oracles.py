@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the code
 under test: grid scans instead of stationary-point enumeration, brute-force
 matrix permutation instead of precomputed position maps, a counting formula
-instead of explicit deduplication, and vertex enumeration instead of the
-simplex method.
+instead of explicit deduplication, vertex enumeration instead of the
+simplex method, and kernels of principal submatrices instead of the
+stationary systems the copositivity scan solves.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import math
 from fractions import Fraction
 
 from copocert.census import Candidate
-from copocert.linalg import AffineSolutionSet, SymMatrix, eval_quadratic, solve_affine
+from copocert.linalg import (
+    AffineSolutionSet,
+    SymMatrix,
+    eval_quadratic,
+    kernel_basis,
+    solve_affine,
+)
+from copocert.zeros import Zero
 
 
 def simplex_grid(n: int, denom: int):
@@ -85,18 +93,18 @@ def brute_canonical(c: Candidate) -> tuple[tuple[int, ...], int]:
     return min(images), len(images)
 
 
-def subspace_positive_point_exists(solset: AffineSolutionSet) -> bool:
-    """Whether a linear subspace contains a strictly positive vector.
+def subspace_positive_point(solset: AffineSolutionSet):
+    """A strictly positive vector in a linear subspace, or ``None``.
 
     Vertex enumeration of {x in span(kernel) : x >= 0, sum x = 1}: a positive
     vector exists iff the polytope is nonempty and the union of its vertex
-    supports covers every coordinate (the vertex average is then positive).
+    supports covers every coordinate; the vertex average is then positive.
     Exponential in the coordinate count; an oracle for small instances only.
     """
     assert solset.particular is None or all(c == 0 for c in solset.particular)
     kernel = solset.kernel
     if not kernel:
-        return False
+        return None
     ncols = len(kernel[0])
     k = len(kernel)
     sum_row = tuple(sum(kv[i] for i in range(ncols)) for kv in kernel)
@@ -114,11 +122,52 @@ def subspace_positive_point_exists(solset: AffineSolutionSet) -> bool:
         if all(c >= 0 for c in x):
             vertices.append(x)
     if not vertices:
-        return False
+        return None
     covered = set()
     for x in vertices:
         covered |= {i for i, c in enumerate(x) if c > 0}
-    return covered == set(range(ncols))
+    if covered != set(range(ncols)):
+        return None
+    return tuple(sum(col) / len(vertices) for col in zip(*vertices))
+
+
+def subspace_positive_point_exists(solset: AffineSolutionSet) -> bool:
+    """Whether a linear subspace contains a strictly positive vector."""
+    return subspace_positive_point(solset) is not None
+
+
+def zero_with_support(A: SymMatrix, support) -> Zero | None:
+    """The sum-normalized zero of a copositive A supported exactly on
+    ``support``, if any, found as a positive point of ker A_S.
+
+    Kernel basis plus vertex enumeration, independent of the stationary
+    scan that ``minimal_zeros`` reads its zeros from.
+    """
+    idx = sorted(set(support))
+    if not idx or not all(0 <= i < A.n for i in idx):
+        raise ValueError("support must be a nonempty subset of the index range")
+    sub = A.principal(idx)
+    kernel = kernel_basis(sub.rows(), sub.n)
+    point = subspace_positive_point(AffineSolutionSet.subspace(sub.n, kernel))
+    if point is None:
+        return None
+    coords = [Fraction(0)] * A.n
+    for v, i in zip(point, idx):
+        coords[i] = v
+    return Zero.from_coordinates(coords)
+
+
+def kernel_minimal_supports(A: SymMatrix) -> list[tuple[int, ...]]:
+    """Inclusion-minimal supports S on which ker A_S meets the open orthant,
+    by cardinality then lexicographically."""
+    found = []
+    for k in range(1, A.n + 1):
+        for support in itertools.combinations(range(A.n), k):
+            if any(set(f) < set(support) for f in found):
+                continue
+            if zero_with_support(A, support) is not None:
+                found.append(support)
+    return found
 
 
 def random_symmetric(rng, n: int, num_range=(-6, 6), den_range=(1, 3),

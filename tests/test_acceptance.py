@@ -177,7 +177,7 @@ def test_criterion_5_graph_dimension_equals_nullity(criterion, census):
                 if any(len(s) != 2 for s in record.minimal_supports):
                     continue
                 A = record_matrix(record)
-                cert = extremality_certificate(A, certified_copositive=True)
+                cert = extremality_certificate(A)
                 report = component_analysis(
                     build_graph(A, cert.minimal_zeros))
                 assert dimension_via_graph(report) == cert.nullity
@@ -194,8 +194,7 @@ def test_criterion_6_pair_supports_census(criterion, census):
             for record in records:
                 if not record.copositive:
                     continue
-                zeros = minimal_zeros(record_matrix(record),
-                                      certified_copositive=True)
+                zeros = minimal_zeros(record_matrix(record))
                 assert zeros.supports() == record.minimal_supports
                 for zero in zeros:
                     support = zero.sorted_support()
@@ -221,7 +220,7 @@ def test_criterion_7_equivalence_across_extremal_census(criterion, census):
             A = record_matrix(record)
             report = verify_pair_scaling_equivalence(A)
             assert report.pair_supports and report.scaled_extremal_pattern
-            zeros = minimal_zeros(A, certified_copositive=True)
+            zeros = minimal_zeros(A)
             graph_report = component_analysis(build_graph(A, zeros))
             assert reconstruct_pattern(graph_report) == A
 
@@ -237,8 +236,8 @@ def test_criterion_8_scaling_invariance(criterion, census):
             A = scale(sigma, D)
             zeros = minimal_zeros(A)
             assert zeros.supports() == record.minimal_supports
-            cert = extremality_certificate(A, certified_copositive=True,
-                                           zeros=zeros)
+            cert = extremality_certificate(A)
+            assert cert.minimal_zeros == zeros
             assert cert.extremal == record.extremal == True
             assert has_sign_pattern_scaling(A)
             dec = extract_pattern(A)

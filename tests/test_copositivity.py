@@ -173,20 +173,45 @@ class TestIsCopositive:
             is_copositive(A).copositive
 
 
+class TestVerdictZeros:
+    def test_horn_zeros_in_scan_order(self):
+        verdict = is_copositive(horn_matrix())
+        half = F(1, 2)
+        expected = []
+        for i, j in ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)):
+            point = [F(0)] * 5
+            point[i] = point[j] = half
+            expected.append((tuple(point), 0))
+        assert verdict.zeros == tuple(expected)
+
+    def test_supersets_of_zero_supports_skipped(self):
+        # the zero matrix has value 0 on every support; only singletons
+        # are kept
+        verdict = is_copositive(SymMatrix.from_rows([[0, 0], [0, 0]]))
+        assert verdict.zeros == (((F(1), F(0)), 0), ((F(0), F(1)), 0))
+
+    def test_empty_when_not_copositive(self):
+        # value 0 on the support {3} comes before the negative pair {1, 2}
+        A = SymMatrix.from_rows([[1, -2, 0], [-2, 1, 0], [0, 0, 0]])
+        verdict = is_copositive(A)
+        assert not verdict.copositive and verdict.zeros == ()
+
+
 class TestStationaryCandidates:
     def test_candidate_points_lie_on_simplex(self):
         A = horn_matrix()
         count = 0
-        for value, point in stationary_candidates(A):
+        for value, point, dimension in stationary_candidates(A):
             count += 1
             assert sum(point) == 1
             assert all(c >= 0 for c in point)
             assert eval_quadratic(A, point) == value
+            assert dimension >= 0
         assert count >= 5
 
     def test_singletons_always_present(self):
         A = SymMatrix.from_rows([[2, 5], [5, 3]])
-        values = [v for v, _ in stationary_candidates(A)]
+        values = [v for v, _, _ in stationary_candidates(A)]
         assert F(2) in values and F(3) in values
 
 

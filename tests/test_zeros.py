@@ -5,11 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from copocert.errors import NotCopositiveError
-from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
-from copocert.zeros import Zero, minimal_zeros, pair_zero, zeros_with_support
+from copocert import copositivity
+from copocert.census import Candidate
+from copocert.errors import DuplicateMinimalSupportError, NotCopositiveError
+from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix, kernel_basis
+from copocert.zeros import Zero, minimal_zeros
 
-from oracles import random_positive_diagonal, random_symmetric
+from oracles import (
+    kernel_minimal_supports,
+    random_positive_diagonal,
+    random_symmetric,
+    zero_with_support,
+)
 
 F = Fraction
 
@@ -31,15 +38,6 @@ class TestZeroType:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             Zero.from_coordinates((F(0), F(0)))
-
-    def test_pair_zero(self):
-        z = pair_zero(0, 2, 4)
-        assert z.coordinates == (F(1, 2), F(0), F(1, 2), F(0))
-        assert z.sorted_support() == (0, 2)
-
-    def test_pair_zero_validates(self):
-        with pytest.raises(IndexError):
-            pair_zero(2, 2, 4)
 
 
 class TestMinimalZeros:
@@ -94,11 +92,6 @@ class TestMinimalZeros:
             minimal_zeros(SymMatrix.from_rows([[0, -1], [-1, 0]]))
         assert err.value.violator is not None
 
-    def test_certified_skips_gate(self):
-        A = horn_matrix()
-        assert supports_of(minimal_zeros(A, certified_copositive=True)) == \
-            supports_of(minimal_zeros(A))
-
     def test_antichain_and_invariants(self):
         rng = random.Random(59)
         interesting = 0
@@ -134,28 +127,93 @@ class TestMinimalZeros:
             [[d[i] * A.get(i, j) * d[j] for j in range(5)] for i in range(5)])
         assert supports_of(minimal_zeros(B)) == supports_of(minimal_zeros(A))
 
+    def test_degenerate_minimal_support_raises(self, monkeypatch):
+        # on copositive input a minimal-zero support has a 0-dimensional
+        # stationary solution set; report a 1-dimensional one to see the
+        # invariant surface as an error rather than an assert
+        scan = copositivity.stationary_candidates
+
+        def widened(A):
+            for value, point, dimension in scan(A):
+                yield value, point, dimension + (value == 0)
+
+        monkeypatch.setattr(copositivity, "stationary_candidates", widened)
+        with pytest.raises(DuplicateMinimalSupportError,
+                           match=r"support \(1, 2\) carries a "
+                                 r"2-dimensional zero space"):
+            minimal_zeros(horn_matrix())
+
 
 class TestZerosWithSupport:
+    """The kernel oracle that the cross-check below compares against."""
+
     def test_present_support(self):
-        z = zeros_with_support(horn_matrix(), (0, 1))
+        z = zero_with_support(horn_matrix(), (0, 1))
         assert z is not None and z.coordinates == (F(1, 2), F(1, 2), 0, 0, 0)
 
     def test_absent_support(self):
-        assert zeros_with_support(horn_matrix(), (0, 2)) is None
+        assert zero_with_support(horn_matrix(), (0, 2)) is None
 
     def test_non_minimal_support_still_answers(self):
         # the query is per-support and does not impose minimality
         A = SymMatrix.from_rows([[0, 0], [0, 0]])
-        z = zeros_with_support(A, (0, 1))
+        z = zero_with_support(A, (0, 1))
         assert z is not None and z.sorted_support() == (0, 1)
 
     def test_validates_support(self):
         with pytest.raises(ValueError):
-            zeros_with_support(horn_matrix(), ())
+            zero_with_support(horn_matrix(), ())
         with pytest.raises(ValueError):
-            zeros_with_support(horn_matrix(), (0, 9))
+            zero_with_support(horn_matrix(), (0, 9))
 
-    def test_copositivity_check_flag(self):
-        with pytest.raises(NotCopositiveError):
-            zeros_with_support(SymMatrix.from_rows([[0, -1], [-1, 0]]),
-                               (0, 1), check_copositive=True)
+
+def psd_with_wide_zeros(rng, n, rank):
+    """B B^T with B of shape n x rank and every column orthogonal to a
+    positive w, so w is a zero of full support."""
+    w = [F(rng.randint(1, 5)) for _ in range(n)]
+    ww = sum(x * x for x in w)
+    cols = []
+    for _ in range(rank):
+        b = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        t = sum(x * y for x, y in zip(b, w)) / ww
+        cols.append([x - t * y for x, y in zip(b, w)])
+    return SymMatrix.from_rows(
+        [[sum(c[i] * c[j] for c in cols) for j in range(n)] for i in range(n)])
+
+
+class TestKernelCrossCheck:
+    """minimal_zeros against the kernel oracle: the supports are the
+    inclusion-minimal S where ker A_S meets the open orthant, and each
+    zero spans ker A_S."""
+
+    @staticmethod
+    def check(A):
+        zl = minimal_zeros(A)
+        assert supports_of(zl) == sorted(kernel_minimal_supports(A))
+        for zero in zl:
+            idx = zero.sorted_support()
+            sub = A.principal(idx)
+            kernel = kernel_basis(sub.rows(), sub.n)
+            assert len(kernel) == 1
+            u = [zero.coordinates[i] for i in idx]
+            assert all(c == 0 for c in sub.apply(u))
+        return zl
+
+    def test_census_classes(self, census):
+        checked = 0
+        for n in (1, 2, 3, 4, 5):
+            for record in census(n):
+                if record.copositive:
+                    self.check(Candidate(n, record.canonical_offdiag).matrix())
+                    checked += 1
+        assert checked == 332
+
+    def test_psd_with_wide_zeros(self):
+        rng = random.Random(71)
+        wide = 0
+        for _ in range(24):
+            n = rng.randint(3, 5)
+            A = psd_with_wide_zeros(rng, n, rng.randint(max(1, n - 2), n - 1))
+            zl = self.check(A)
+            wide += any(len(z.support) >= 3 for z in zl)
+        assert wide >= 12
