@@ -5,7 +5,7 @@ witness or falsifier, enumerates minimal zeros, certifies extremality
 through the nullity of the minimal-zero linear system, analyses the entry
 graph that the pair-supported case induces, extracts diagonal-scaling
 decompositions, and runs a census of unit-diagonal {-1,0,1} matrices up to
-simultaneous permutation.  All arithmetic is exact (fractions.Fraction);
+simultaneous permutation.  All arithmetic is exact (integers and Fractions);
 no floating point is used anywhere in a verdict.
 """
 
@@ -14,9 +14,7 @@ from .census import (
     CensusRecord,
     EquivalenceReport,
     PairSupportReport,
-    canonical_form,
     check_pair_supports,
-    iterate_candidates,
     read_records,
     run_census,
     verify_pair_scaling_equivalence,
@@ -25,7 +23,6 @@ from .census import (
 from .copositivity import (
     CopositivityVerdict,
     is_copositive,
-    min_on_simplex,
     subdivision_falsifier,
 )
 from .errors import (
@@ -54,7 +51,6 @@ from .linalg import (
     eval_quadratic,
     horn_matrix,
     kernel_basis,
-    rank_nullity,
     solve_affine,
 )
 from .scaling import (
@@ -107,7 +103,6 @@ __all__ = [
     "Zero",
     "build_graph",
     "build_system",
-    "canonical_form",
     "check_pair_supports",
     "component_analysis",
     "dimension_via_graph",
@@ -117,11 +112,8 @@ __all__ = [
     "has_sign_pattern_scaling",
     "horn_matrix",
     "is_copositive",
-    "iterate_candidates",
     "kernel_basis",
-    "min_on_simplex",
     "minimal_zeros",
-    "rank_nullity",
     "read_records",
     "reconstruct_pattern",
     "run_census",

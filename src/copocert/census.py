@@ -23,13 +23,12 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import operator
 import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import (
     CandidateBudgetError,
@@ -104,15 +103,6 @@ class CensusRecord:
                    sups, int(fields[5]))
 
 
-def iterate_candidates(n: int) -> Iterator[Candidate]:
-    """All 3^(n(n-1)/2) candidates, lexicographic in (-1, 0, 1)."""
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
-    m = n * (n - 1) // 2
-    for off in itertools.product(ALPHABET, repeat=m):
-        yield Candidate(n, off)
-
-
 def _getter(src: tuple[int, ...]):
     if len(src) >= 2:
         return operator.itemgetter(*src)
@@ -135,16 +125,6 @@ def _permutation_getters(n: int):
         src = tuple(index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs)
         getters.append(_getter(src))
     return tuple(getters)
-
-
-def canonical_form(c: Candidate) -> tuple[Candidate, int]:
-    """Lexicographic minimum over the permutation orbit, plus the orbit size."""
-    if c.order == 1:
-        return c, 1
-    images = {g(c.offdiag) for g in _permutation_getters(c.order)}
-    assert math.factorial(c.order) % len(images) == 0, \
-        "orbit size must divide the group order"
-    return Candidate(c.order, min(images)), len(images)
 
 
 def _is_canonical(offdiag, getters) -> bool:
@@ -215,18 +195,16 @@ def run_census(n: int, allow_large: bool = False,
             raise ValueError("resume requires a checkpoint path")
         if os.path.exists(checkpoint):
             start, records = _load_checkpoint(checkpoint, n)
-    getters = _permutation_getters(n) if n > 1 else ()
-    stream = enumerate(iterate_candidates(n))
-    if start:
-        stream = itertools.islice(stream, start, None)
+    getters = _permutation_getters(n)
+    others = getters[1:]
     done = start
-    for idx, cand in stream:
-        if n == 1 or _is_canonical(cand.offdiag, getters[1:]):
-            if n == 1:
-                orbit = 1
-            else:
-                orbit = len({g(cand.offdiag) for g in getters})
-            record = _classify(cand, orbit)
+    # raw tuples; a Candidate is built only for class representatives
+    for offdiag in itertools.islice(
+            itertools.product(ALPHABET, repeat=m), start, None):
+        done += 1
+        if _is_canonical(offdiag, others):
+            orbit = len({g(offdiag) for g in getters})
+            record = _classify(Candidate(n, offdiag), orbit)
             if record.extremal:
                 for s in record.minimal_supports:
                     if len(s) != 2:
@@ -235,15 +213,16 @@ def run_census(n: int, allow_large: bool = False,
                             f"minimal support {tuple(i + 1 for i in s)} of "
                             f"cardinality {len(s)}, expected 2")
             records.append(record)
-        done = idx + 1
         if checkpoint and done % _CHECKPOINT_EVERY == 0:
             _write_checkpoint(checkpoint, n, done, records)
         if progress and done % 10000 == 0:
             progress(done, total)
-    assert done == total, "candidate stream must be exhausted"
+    if done != total:
+        raise CensusInvariantError("candidate stream must be exhausted")
     offdiags = [r.canonical_offdiag for r in records]
-    assert offdiags == sorted(offdiags), \
-        "lex sweep must emit class representatives in sorted order"
+    if offdiags != sorted(offdiags):
+        raise CensusInvariantError(
+            "lex sweep must emit class representatives in sorted order")
     if checkpoint and os.path.exists(checkpoint):
         os.unlink(checkpoint)
     return records

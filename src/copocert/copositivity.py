@@ -77,19 +77,23 @@ def stationary_candidates(A: SymMatrix):
     support; ``dimension`` is that system's solution-set dimension.
 
     Supports are scanned by cardinality, then lexicographically, so strict
-    subsets come before their supersets.  Values are recomputed with the
-    quadratic form itself rather than read off the multiplier, so each
-    candidate is an attained simplex value by construction.
+    subsets come before their supersets.  Each system is built on integers
+    from ``A = M / d``: the rows ``A_S u - mu 1 = 0`` are multiplied by
+    ``d``, a row scaling that leaves the solution set unchanged.  Values are
+    recomputed with the quadratic form (on integer numerators) rather than
+    read off the multiplier, so each candidate is an attained simplex value
+    by construction.
     """
     n = A.n
+    M, d = A.integer_form
     for k in range(1, n + 1):
+        # unknowns: u over the support, then the multiplier
+        sum_row = [1] * k + [0]
+        rhs = [0] * k + [1]
         for support in combinations(range(n), k):
-            # unknowns: u over the support, then the multiplier
-            rows = []
-            for i in support:
-                rows.append([A.get(i, j) for j in support] + [-ONE])
-            rows.append([ONE] * k + [ZERO])
-            sol = solve_affine(rows, [ZERO] * k + [ONE], ncols=k + 1)
+            rows = [[M[i][j] for j in support] + [-d] for i in support]
+            rows.append(sum_row)
+            sol = solve_affine(rows, rhs, ncols=k + 1)
             if not sol.feasible:
                 continue
             point = strictly_positive_point(sol, positive=range(k))
@@ -97,16 +101,6 @@ def stationary_candidates(A: SymMatrix):
                 continue
             x = _embed(point[:k], support, n)
             yield eval_quadratic(A, x), x, sol.dimension
-
-
-def min_on_simplex(A: SymMatrix) -> tuple[Fraction, Vector]:
-    """Exact minimum of ``x^T A x`` over the standard simplex, with minimizer."""
-    best = None
-    arg = None
-    for value, point, _ in stationary_candidates(A):
-        if best is None or value < best:
-            best, arg = value, point
-    return best, arg
 
 
 def _prefilter_violator(A: SymMatrix):

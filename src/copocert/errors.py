@@ -76,7 +76,15 @@ class CandidateBudgetError(CopocertError):
     code = "ResourceGuard"
 
 
-class CensusInvariantError(CopocertError):
+class InvariantError(CopocertError):
+    """An internal self-check failed: exact division, LP optimality, or a
+    certificate that does not re-verify.  Raised explicitly, so the checks
+    also hold under ``python -O``; it always indicates a bug."""
+
+    code = "InvariantViolated"
+
+
+class CensusInvariantError(InvariantError):
     """A census record violates a structural invariant (diagnostic abort)."""
 
     code = "CensusInvariant"

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .linalg import (
-    ZERO,
     SymMatrix,
-    Vector,
-    canonical_vector,
+    _primitive_int_row,
     dot,
     is_proportional,
     kernel_basis,
@@ -35,13 +34,13 @@ class ExtremalitySystem:
     """The assembled constraint rows, one per fired gate.
 
     ``gates[r] = (j, k)`` records that row ``r`` encodes ``(X u^j)_k = 0``;
-    rows are cleared to primitive integer coefficients before elimination to
-    control growth.
+    row ``r`` holds the primitive integer multiple of u^j at the unknowns
+    X_kl, so elimination takes it as it is.
     """
 
     order: int
     gates: tuple[tuple[int, int], ...]
-    rows: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __len__(self):
         return len(self.rows)
@@ -63,19 +62,21 @@ def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
     n = A.n
     if Z.matrix.n != n:
         raise ValueError("zero list order does not match matrix order")
+    M, _ = A.integer_form
     gates = []
     rows = []
     for j, zero in enumerate(Z.zeros):
-        image = A.apply(zero.coordinates)
+        p = _primitive_int_row(zero.coordinates)
+        support = [l for l, c in enumerate(p) if c]
         for k in range(n):
-            if image[k] != 0:
+            # (A u)_k = 0 exactly iff (M p)_k = 0
+            if sum(M[k][l] * p[l] for l in support):
                 continue
-            row = [ZERO] * upper_size(n)
-            for l, ul in enumerate(zero.coordinates):
-                if ul != 0:
-                    row[upper_index(n, k, l)] += ul
+            row = [0] * upper_size(n)
+            for l in support:
+                row[upper_index(n, k, l)] = p[l]
             gates.append((j, k))
-            rows.append(canonical_vector(row))
+            rows.append(tuple(row))
     return ExtremalitySystem(n, tuple(gates), tuple(rows))
 
 
@@ -89,15 +90,15 @@ def extremality_certificate(A: SymMatrix) -> ExtremalityCertificate:
     system = build_system(A, zeros)
     n = A.n
     size = upper_size(n)
-    for row in system.rows:
-        assert dot(row, A.upper) == 0, "input matrix must satisfy its own system"
+    if any(dot(row, A.upper) != 0 for row in system.rows):
+        raise InvariantError("input matrix must satisfy its own system")
     kern = kernel_basis(list(system.rows), size)
     nullity = len(kern)
-    if not A.is_zero():
-        assert nullity >= 1, "a nonzero matrix lies in its own solution space"
+    if nullity == 0 and not A.is_zero():
+        raise InvariantError("a nonzero matrix lies in its own solution space")
     extremal = nullity == 1
     basis = tuple(SymMatrix.from_upper(n, v) for v in kern)
-    if extremal:
-        assert is_proportional(basis[0].upper, A.upper), \
-            "one-dimensional solution space must be spanned by a multiple of the matrix"
+    if extremal and not is_proportional(basis[0].upper, A.upper):
+        raise InvariantError("one-dimensional solution space must be "
+                             "spanned by a multiple of the matrix")
     return ExtremalityCertificate(nullity, extremal, basis, system, zeros)

@@ -1,19 +1,26 @@
 """Exact rational linear algebra: symmetric matrices, kernels, affine solves.
 
-All arithmetic uses ``fractions.Fraction``; nothing here ever rounds, so rank
-and nullity results are decisions, not estimates.  Elimination is
-fraction-free: rows are first scaled to primitive integer vectors, then
-reduced with the Bareiss two-row determinant update, which keeps every
-intermediate entry an integer and bounds coefficient growth.  The pivot is
-always the first nonzero entry in column order, so echelon forms, kernel
-bases and downstream certificates are reproducible run to run.
+Nothing here ever rounds, so rank and nullity results are decisions, not
+estimates.  The core runs on integers.  A ``SymMatrix`` caches its entries as
+integer numerators over one common denominator (``integer_form``); rational
+rows are scaled to primitive integer rows only where they enter
+``solve_affine`` or ``kernel_basis``, integer rows go in as given.
+Elimination is the fraction-free Bareiss two-row determinant update, and
+back-substitution carries integer numerators over the last pivot, so one
+``Fraction`` is built per coordinate at the end.  The pivot is always the
+first nonzero entry in column order, so echelon forms, kernel bases and
+downstream certificates are reproducible run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
+
+from .errors import InvariantError
 
 Vector = tuple[Fraction, ...]
 
@@ -28,17 +35,23 @@ def as_vector(entries) -> Vector:
 def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
 def _primitive_int_row(row) -> list[int]:
     """Scale a rational row to integers with gcd 1 (zero rows stay zero)."""
-    denom = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-    ints = [int(Fraction(x) * denom) for x in row]
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    denom = lcm(*(x.denominator for x in row)) if row else 1
+    ints = [x.numerator * (denom // x.denominator) for x in row]
     g = gcd(*ints) if ints else 0
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _int_rows(rows) -> list:
+    """Integer rows as given, else every row scaled to primitive integers."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return [_primitive_int_row(r) for r in rows]
 
 
 def canonical_vector(entries) -> Vector:
@@ -48,9 +61,7 @@ def canonical_vector(entries) -> Vector:
     """
     ints = _primitive_int_row(entries)
     lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    return tuple(Fraction(-x if lead < 0 else x) for x in ints)
 
 
 def _bareiss_echelon(int_rows, ncols):
@@ -59,7 +70,7 @@ def _bareiss_echelon(int_rows, ncols):
     Returns ``(rows, pivots)`` where ``pivots`` is a list of ``(row, col)``
     pairs.  Only columns ``< ncols`` are eligible as pivots; trailing columns
     (an augmented right-hand side) ride along.  Division in the Bareiss update
-    is exact; this is asserted rather than assumed.
+    is exact; this is checked rather than assumed.
     """
     mat = [list(r) for r in int_rows]
     m = len(mat)
@@ -79,9 +90,9 @@ def _bareiss_echelon(int_rows, ncols):
             row_i = mat[i]
             row_r = mat[r]
             for j in range(c, width):
-                num = piv * row_i[j] - f * row_r[j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                q, rem = divmod(piv * row_i[j] - f * row_r[j], prev)
+                if rem:
+                    raise InvariantError("Bareiss division must be exact")
                 row_i[j] = q
         pivots.append((r, c))
         prev = piv
@@ -92,7 +103,7 @@ def _bareiss_echelon(int_rows, ncols):
 
 
 def _prepare(rows, ncols):
-    int_rows = [_primitive_int_row(r) for r in rows]
+    int_rows = _int_rows(rows)
     if int_rows and ncols is None:
         ncols = len(int_rows[0])
     if ncols is None:
@@ -105,37 +116,34 @@ def _prepare(rows, ncols):
     return int_rows, ncols
 
 
-def rank_nullity(rows, ncols=None) -> tuple[int, int]:
-    """Exact ``(rank, nullity)`` of a rectangular rational matrix."""
-    int_rows, ncols = _prepare(rows, ncols)
-    _, pivots = _bareiss_echelon(int_rows, ncols)
-    return len(pivots), ncols - len(pivots)
+def _back_substitute(ech, pivots, ncols, free=None, rhs_col=None):
+    """``(y, det)`` with ``x = y / det`` the solution whose free coordinates
+    are 0, or 1 at ``free``, for right-hand side column ``rhs_col`` (or 0).
 
-
-def _back_substitute(ech, pivots, x, rhs_col=None):
-    # pivot rows are processed bottom-up; free coordinates of x are already set
+    ``det``, the last Bareiss pivot, is the determinant of the pivot block, so
+    ``y`` is integral by Cramer's rule and every division is exact (checked).
+    """
+    det = ech[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    y = [0] * ncols
+    if free is not None:
+        y[free] = det
+    # pivot rows are processed bottom-up
     for pr, pc in reversed(pivots):
-        s = ZERO
         row = ech[pr]
-        for j in range(pc + 1, len(x)):
-            if row[j] and x[j]:
-                s += row[j] * x[j]
-        top = (Fraction(row[rhs_col]) if rhs_col is not None else ZERO) - s
-        x[pc] = top / row[pc]
-    return x
+        s = det * row[rhs_col] if rhs_col is not None else 0
+        for j in range(pc + 1, ncols):
+            if row[j] and y[j]:
+                s -= row[j] * y[j]
+        y[pc], rem = divmod(s, row[pc])
+        if rem:
+            raise InvariantError("back-substitution division must be exact")
+    return y, det
 
 
 def _kernel_from_echelon(ech, pivots, ncols):
     pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        x = [ZERO] * ncols
-        x[f] = ONE
-        _back_substitute(ech, pivots, x)
-        basis.append(canonical_vector(x))
-    return basis
+    return [canonical_vector(_back_substitute(ech, pivots, ncols, free=f)[0])
+            for f in range(ncols) if f not in pivot_cols]
 
 
 def kernel_basis(rows, ncols=None) -> list[Vector]:
@@ -184,15 +192,14 @@ def solve_affine(rows, rhs, ncols=None) -> AffineSolutionSet:
         return AffineSolutionSet(ncols, tuple([ZERO] * ncols), tuple(ident))
     if ncols is None:
         ncols = len(rows[0])
-    int_rows = [_primitive_int_row(r) for r in aug]
-    ech, pivots = _bareiss_echelon(int_rows, ncols)
+    ech, pivots = _bareiss_echelon(_int_rows(aug), ncols)
     for i in range(len(pivots), len(ech)):
         if ech[i][ncols] != 0:
             return AffineSolutionSet(0, None, ())
-    x = [ZERO] * ncols
-    _back_substitute(ech, pivots, x, rhs_col=ncols)
+    y, det = _back_substitute(ech, pivots, ncols, rhs_col=ncols)
     kern = _kernel_from_echelon(ech, pivots, ncols)
-    return AffineSolutionSet(len(kern), tuple(x), tuple(kern))
+    return AffineSolutionSet(len(kern), tuple(Fraction(v, det) for v in y),
+                             tuple(kern))
 
 
 def upper_size(n: int) -> int:
@@ -256,6 +263,16 @@ class SymMatrix:
         n = len(v)
         return cls(n, tuple(v[i] * v[j] for i in range(n) for j in range(i, n)))
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(M, d)`` with ``A = M / d``: ``d`` is the least common
+        denominator of the entries, ``M`` the full integer matrix by rows."""
+        d = lcm(*(x.denominator for x in self.upper))
+        ints = [x.numerator * (d // x.denominator) for x in self.upper]
+        n = self.n
+        return tuple(tuple(ints[upper_index(n, i, j)] for j in range(n))
+                     for i in range(n)), d
+
     def get(self, i, j) -> Fraction:
         return self.upper[upper_index(self.n, i, j)]
 
@@ -295,18 +312,21 @@ class SymMatrix:
 
 
 def eval_quadratic(A: SymMatrix, x) -> Fraction:
-    """The quadratic form ``x^T A x``, exactly."""
+    """The quadratic form ``x^T A x``, exactly.
+
+    Computed on integers: with ``x = p / q`` and ``A = M / d`` the value is
+    ``p^T M p / (q^2 d)``, one ``Fraction`` in total.
+    """
     if len(x) != A.n:
         raise ValueError("vector length does not match matrix order")
-    total = ZERO
-    for i in range(A.n):
-        if x[i] == 0:
-            continue
-        total += A.get(i, i) * x[i] * x[i]
-        for j in range(i + 1, A.n):
-            if x[j] != 0:
-                total += 2 * A.get(i, j) * x[i] * x[j]
-    return total
+    M, d = A.integer_form
+    q = lcm(*(c.denominator for c in x))
+    p = [(i, c.numerator * (q // c.denominator)) for i, c in enumerate(x) if c]
+    total = 0
+    for i, pi in p:
+        row = M[i]
+        total += pi * sum(row[j] * pj for j, pj in p)
+    return Fraction(total, q * q * d)
 
 
 def is_proportional(u, v) -> bool:

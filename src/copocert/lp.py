@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantError
 from .linalg import ONE, ZERO, AffineSolutionSet, Vector
 
 _OPTIMAL = "optimal"
@@ -103,8 +104,8 @@ def simplex_maximize(rows, b, objective):
     allowed = [True] * ncols
 
     phase1 = [ZERO] * nv + [-ONE] * m
-    status = _optimize(T, rhs, basis, phase1, allowed)
-    assert status == _OPTIMAL  # phase-1 objective is bounded above by zero
+    if _optimize(T, rhs, basis, phase1, allowed) != _OPTIMAL:
+        raise InvariantError("phase-1 objective is bounded above by zero")
     artificial_level = sum(rhs[i] for i in range(m) if basis[i] >= nv)
     if artificial_level > 0:
         return _INFEASIBLE, None, None
@@ -205,7 +206,8 @@ def strictly_positive_point(solset: AffineSolutionSet, positive=None) -> Vector 
         rows[r][2 * p + 1 + r] = -ONE
     objective = [ZERO] * (2 * p) + [-ONE] + [ZERO] * m
     status, x, value = simplex_maximize(rows, b, objective)
-    assert status == _OPTIMAL  # always feasible, objective bounded above by 0
+    if status != _OPTIMAL:
+        raise InvariantError("slack program is feasible and bounded by 0")
     s_star = -value
     if s_star >= 1:
         return None
@@ -214,5 +216,6 @@ def strictly_positive_point(solset: AffineSolutionSet, positive=None) -> Vector 
     for cj, v in zip(coeff, kern):
         if cj:
             point = [a + cj * vb for a, vb in zip(point, v)]
-    assert all(point[i] > 0 for i in pos)
+    if not all(point[i] > 0 for i in pos):
+        raise InvariantError("LP point must be strictly positive on the mask")
     return tuple(point)

@@ -5,7 +5,11 @@ under test: grid scans instead of stationary-point enumeration, brute-force
 matrix permutation instead of precomputed position maps, a counting formula
 instead of explicit deduplication, vertex enumeration instead of the
 simplex method, and kernels of principal submatrices instead of the
-stationary systems the copositivity scan solves.
+stationary systems the copositivity scan solves.  The rational path below
+(``fraction_solve_affine``, ``fraction_quadratic``) is the ``Fraction``
+back-substitution and form evaluation the integer-native core replaced,
+kept as the reference for it.  The helpers at the end were library functions that only
+tests called.
 """
 
 from __future__ import annotations
@@ -14,10 +18,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from copocert.census import Candidate
+from copocert.census import ALPHABET, MAX_ORDER, Candidate, _permutation_getters
+from copocert.copositivity import stationary_candidates
 from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
+    _bareiss_echelon,
+    _prepare,
+    _primitive_int_row,
     eval_quadratic,
     kernel_basis,
     solve_affine,
@@ -186,3 +194,99 @@ def random_positive_diagonal(rng, n: int):
     """Random scaling factors drawn from the rationals in [1/3, 4]."""
     return tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3))
                  for _ in range(n))
+
+
+# --- the all-Fraction elimination path -------------------------------------
+
+def fraction_primitive_int_row(row) -> list[int]:
+    """``_primitive_int_row`` computed through ``Fraction`` products."""
+    denom = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
+    ints = [int(Fraction(x) * denom) for x in row]
+    g = math.gcd(*ints) if ints else 0
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _fraction_canonical(x) -> tuple[Fraction, ...]:
+    ints = fraction_primitive_int_row(x)
+    lead = next((v for v in ints if v != 0), 0)
+    return tuple(Fraction(-v if lead < 0 else v) for v in ints)
+
+
+def _fraction_back_substitute(ech, pivots, x, rhs_col=None):
+    for pr, pc in reversed(pivots):
+        row = ech[pr]
+        s = sum((row[j] * x[j] for j in range(pc + 1, len(x))), Fraction(0))
+        top = (Fraction(row[rhs_col]) if rhs_col is not None else 0) - s
+        x[pc] = top / row[pc]
+    return x
+
+
+def fraction_solve_affine(rows, rhs, ncols) -> AffineSolutionSet:
+    """``solve_affine`` as it was before the integer-native core: every row
+    scaled to a primitive integer row, Bareiss elimination, then
+    back-substitution in ``Fraction`` arithmetic."""
+    aug = [_primitive_int_row(list(r) + [b]) for r, b in zip(rows, rhs)]
+    ech, pivots = _bareiss_echelon(aug, ncols)
+    if any(ech[i][ncols] != 0 for i in range(len(pivots), len(ech))):
+        return AffineSolutionSet(0, None, ())
+    x = _fraction_back_substitute(ech, pivots, [Fraction(0)] * ncols, ncols)
+    pivot_cols = {c for _, c in pivots}
+    kernel = []
+    for f in range(ncols):
+        if f not in pivot_cols:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            kernel.append(_fraction_canonical(
+                _fraction_back_substitute(ech, pivots, v)))
+    return AffineSolutionSet(len(kernel), tuple(x), tuple(kernel))
+
+
+def fraction_quadratic(A: SymMatrix, x) -> Fraction:
+    """``x^T A x`` summed term by term in ``Fraction`` arithmetic."""
+    return sum((A.get(i, j) * x[i] * x[j]
+                for i in range(A.n) for j in range(A.n) if x[i] and x[j]),
+               Fraction(0))
+
+
+def rational_support_system(A: SymMatrix, support):
+    """Rows and right-hand side of ``A_S u - mu 1 = 0, sum u = 1``."""
+    k = len(support)
+    rows = [[A.get(i, j) for j in support] + [Fraction(-1)] for i in support]
+    rows.append([Fraction(1)] * k + [Fraction(0)])
+    return rows, [Fraction(0)] * k + [Fraction(1)]
+
+
+# --- former library functions that only tests used ---------------------------
+
+def min_on_simplex(A: SymMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact minimum of ``x^T A x`` over the standard simplex, with minimizer."""
+    best = None
+    arg = None
+    for value, point, _ in stationary_candidates(A):
+        if best is None or value < best:
+            best, arg = value, point
+    return best, arg
+
+
+def rank_nullity(rows, ncols=None) -> tuple[int, int]:
+    """Exact ``(rank, nullity)`` of a rectangular rational matrix."""
+    int_rows, ncols = _prepare(rows, ncols)
+    _, pivots = _bareiss_echelon(int_rows, ncols)
+    return len(pivots), ncols - len(pivots)
+
+
+def canonical_form(c: Candidate) -> tuple[Candidate, int]:
+    """Lexicographic minimum over the permutation orbit, plus the orbit size."""
+    images = {g(c.offdiag) for g in _permutation_getters(c.order)}
+    assert math.factorial(c.order) % len(images) == 0, \
+        "orbit size must divide the group order"
+    return Candidate(c.order, min(images)), len(images)
+
+
+def iterate_candidates(n: int):
+    """All 3^(n(n-1)/2) candidates, lexicographic in (-1, 0, 1)."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
+    m = n * (n - 1) // 2
+    for off in itertools.product(ALPHABET, repeat=m):
+        yield Candidate(n, off)

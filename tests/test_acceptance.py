@@ -36,7 +36,7 @@ from copocert.structure_graph import (
 )
 from copocert.zeros import minimal_zeros
 
-from oracles import random_positive_diagonal, random_symmetric
+from oracles import canonical_form, random_positive_diagonal, random_symmetric
 
 F = Fraction
 BASELINE_DIR = "tests/baselines"
@@ -212,7 +212,6 @@ def test_criterion_7_equivalence_across_extremal_census(criterion, census):
         assert [r.order for r in pool].count(5) == 3
         horn_off = tuple(horn_matrix().get(i, j)
                          for i in range(5) for j in range(i + 1, 5))
-        from copocert.census import canonical_form
         canon, _ = canonical_form(Candidate(5, horn_off))
         assert canon.offdiag in {r.canonical_offdiag for r in pool
                                  if r.order == 5}

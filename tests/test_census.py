@@ -10,9 +10,7 @@ import copocert.census as census_mod
 from copocert.census import (
     Candidate,
     CensusRecord,
-    canonical_form,
     check_pair_supports,
-    iterate_candidates,
     read_records,
     run_census,
     verify_pair_scaling_equivalence,
@@ -25,7 +23,12 @@ from copocert.errors import (
 )
 from copocert.linalg import SymMatrix, horn_matrix
 
-from oracles import brute_canonical, burnside_class_count
+from oracles import (
+    brute_canonical,
+    burnside_class_count,
+    canonical_form,
+    iterate_candidates,
+)
 
 F = Fraction
 

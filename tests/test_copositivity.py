@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from copocert.copositivity import (
     is_copositive,
-    min_on_simplex,
     stationary_candidates,
     subdivision_falsifier,
 )
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
 
-from oracles import grid_min, permuted_matrix, random_symmetric, simplex_grid
+from oracles import (
+    grid_min,
+    min_on_simplex,
+    permuted_matrix,
+    random_symmetric,
+    simplex_grid,
+)
 
 F = Fraction
 

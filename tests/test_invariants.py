@@ -1,0 +1,130 @@
+"""Explicit self-checks: each raises InvariantError, also under ``python -O``.
+
+Every check holds on correct code, so each test breaks one collaborator with
+monkeypatch (or hands a helper an input its caller never produces) and
+asserts that the check fires instead of a wrong answer going through.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import copocert.census as census_mod
+import copocert.extremality as extremality_mod
+import copocert.linalg as linalg_mod
+import copocert.lp as lp_mod
+from copocert.census import CensusRecord, run_census
+from copocert.cli import main
+from copocert.errors import CensusInvariantError, CopocertError, InvariantError
+from copocert.extremality import ExtremalitySystem, extremality_certificate
+from copocert.linalg import (
+    AffineSolutionSet,
+    SymMatrix,
+    _back_substitute,
+    horn_matrix,
+    kernel_basis,
+    upper_size,
+)
+from copocert.lp import simplex_maximize, strictly_positive_point
+
+F = Fraction
+
+PAIR = SymMatrix.from_rows([[1, -1], [-1, 1]])
+
+
+def test_invariant_error_is_a_copocert_error():
+    assert issubclass(InvariantError, CopocertError)
+    assert issubclass(CensusInvariantError, InvariantError)
+    assert InvariantError.code == "InvariantViolated"
+
+
+class TestLinalg:
+    def test_bareiss_inexact_division(self, monkeypatch):
+        # a remainder from the two-row update means the elimination is wrong
+        monkeypatch.setattr(linalg_mod, "divmod",
+                            lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(InvariantError, match="Bareiss division"):
+            kernel_basis([[1, 2], [3, 4]])
+
+    def test_back_substitution_inexact_division(self):
+        # not a Bareiss echelon: 3 (the last pivot) times x_0 = 1/2 is no
+        # integer, so the exact division check must fire
+        ech = [[2, 0, 1], [0, 3, 3]]
+        with pytest.raises(InvariantError, match="back-substitution"):
+            _back_substitute(ech, [(0, 0), (1, 1)], 2, rhs_col=2)
+
+
+class TestLP:
+    def test_phase_one_not_optimal(self, monkeypatch):
+        monkeypatch.setattr(lp_mod, "_optimize",
+                            lambda *args: lp_mod._UNBOUNDED)
+        with pytest.raises(InvariantError, match="phase-1"):
+            simplex_maximize([(1, 1)], (1,), (1, 0))
+
+    def test_slack_program_not_optimal(self, monkeypatch):
+        monkeypatch.setattr(lp_mod, "simplex_maximize",
+                            lambda rows, b, objective: ("infeasible", None, None))
+        plane = AffineSolutionSet.subspace(3, ((F(1), F(0), F(0)),
+                                               (F(0), F(1), F(0))))
+        with pytest.raises(InvariantError, match="slack program"):
+            strictly_positive_point(plane)
+
+    def test_returned_point_not_positive(self, monkeypatch):
+        # claims slack 1/2 but hands back the origin of the plane
+        def fake(rows, b, objective):
+            return "optimal", tuple([F(0)] * len(objective)), F(-1, 2)
+
+        monkeypatch.setattr(lp_mod, "simplex_maximize", fake)
+        plane = AffineSolutionSet.subspace(3, ((F(1), F(0), F(0)),
+                                               (F(0), F(1), F(0))))
+        with pytest.raises(InvariantError, match="strictly positive"):
+            strictly_positive_point(plane, positive=(0, 1))
+
+
+class TestExtremality:
+    def test_matrix_violates_its_own_system(self, monkeypatch):
+        row = [0] * upper_size(2)
+        row[0] = 1  # X_11 = 0, but A_11 = 1
+        monkeypatch.setattr(
+            extremality_mod, "build_system",
+            lambda A, Z: ExtremalitySystem(2, ((0, 0),), (tuple(row),)))
+        with pytest.raises(InvariantError, match="its own system"):
+            extremality_certificate(PAIR)
+
+    def test_nonzero_matrix_with_trivial_solution_space(self, monkeypatch):
+        monkeypatch.setattr(extremality_mod, "kernel_basis",
+                            lambda rows, ncols: [])
+        with pytest.raises(InvariantError, match="own solution space"):
+            extremality_certificate(PAIR)
+
+    def test_line_not_spanned_by_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(extremality_mod, "kernel_basis",
+                            lambda rows, ncols: [(F(1), F(0), F(0))])
+        with pytest.raises(InvariantError, match="multiple of the matrix"):
+            extremality_certificate(PAIR)
+
+
+class TestCensus:
+    def test_records_out_of_order(self, monkeypatch):
+        # representatives classified in descending order break the sort check
+        def backwards(cand, orbit):
+            off = tuple(-e for e in cand.offdiag)
+            return CensusRecord(cand.order, off, False, False, (), orbit)
+
+        monkeypatch.setattr(census_mod, "_classify", backwards)
+        with pytest.raises(CensusInvariantError, match="sorted order"):
+            run_census(3)
+
+    def test_checkpoint_past_the_end(self, tmp_path):
+        path = tmp_path / "census.checkpoint"
+        path.write_text('{"order": 2, "next_index": 5, "records": []}')
+        with pytest.raises(CensusInvariantError, match="exhausted"):
+            run_census(2, checkpoint=str(path), resume=True)
+
+
+def test_cli_reports_invariant_violation(monkeypatch, capsys, write_matrix):
+    monkeypatch.setattr(extremality_mod, "kernel_basis",
+                        lambda rows, ncols: [])
+    assert main(["extremal", write_matrix(horn_matrix())]) == 1
+    out = capsys.readouterr().out
+    assert "error=InvariantViolated" in out

@@ -17,11 +17,12 @@ from copocert.linalg import (
     horn_matrix,
     is_proportional,
     kernel_basis,
-    rank_nullity,
     solve_affine,
     upper_index,
     upper_size,
 )
+
+from oracles import rank_nullity
 
 F = Fraction
 
