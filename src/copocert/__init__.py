@@ -29,8 +29,8 @@ from .errors import (
     AmbiguousPatternError,
     CandidateBudgetError,
     CensusInvariantError,
+    CheckpointFormatError,
     CopocertError,
-    DuplicateMinimalSupportError,
     InconsistentDiagonalError,
     MatrixFormatError,
     NotCopositiveError,
@@ -79,11 +79,11 @@ __all__ = [
     "CandidateBudgetError",
     "CensusInvariantError",
     "CensusRecord",
+    "CheckpointFormatError",
     "ComponentReport",
     "CopocertError",
     "CopositivityVerdict",
     "DiagonalScaling",
-    "DuplicateMinimalSupportError",
     "EquivalenceReport",
     "ExtremalityCertificate",
     "ExtremalitySystem",

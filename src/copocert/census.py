@@ -33,6 +33,7 @@ from typing import Callable
 from .errors import (
     CandidateBudgetError,
     CensusInvariantError,
+    CheckpointFormatError,
     NotCopositiveError,
     NotExtremalError,
 )
@@ -44,6 +45,7 @@ MAX_ORDER = 6
 DEFAULT_CANDIDATE_BUDGET = 60000
 BUDGET_ENV = "COPOCERT_MAX_CANDIDATES"
 _CHECKPOINT_EVERY = 50000
+_CHECKPOINT_KEYS = {"order", "next_index", "records"}
 
 ALPHABET = (-1, 0, 1)
 
@@ -158,13 +160,55 @@ def _write_checkpoint(path: str, order: int, next_index: int,
 
 
 def _load_checkpoint(path: str, order: int) -> tuple[int, list[CensusRecord]]:
-    with open(path) as handle:
-        state = json.load(handle)
+    """Resume state saved by ``_write_checkpoint``, validated in full.
+
+    Raises CheckpointFormatError unless the file holds exactly the keys
+    written, for the requested order n, with ``next_index`` between 0 and the
+    candidate count 3^(n(n-1)/2), and every record line a well-formed record
+    of that order whose candidate comes after the previous record's and
+    before ``next_index`` in the sweep (a resumed sweep would otherwise
+    classify it twice).
+    """
+    try:
+        with open(path) as handle:
+            state = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}")
+    if not isinstance(state, dict) or set(state) != _CHECKPOINT_KEYS:
+        raise CheckpointFormatError(
+            f"checkpoint must be an object with keys {sorted(_CHECKPOINT_KEYS)}")
     if state["order"] != order:
-        raise ValueError(
+        raise CheckpointFormatError(
             f"checkpoint is for order {state['order']}, requested {order}")
-    return state["next_index"], [CensusRecord.from_line(line)
-                                 for line in state["records"]]
+    next_index, lines = state["next_index"], state["records"]
+    total = 3 ** (order * (order - 1) // 2)
+    if type(next_index) is not int or not 0 <= next_index <= total:
+        raise CheckpointFormatError(
+            f"checkpoint next_index {next_index!r} is outside 0..{total}")
+    if not isinstance(lines, list):
+        raise CheckpointFormatError("checkpoint records must be a list")
+    records = []
+    last = -1  # sweep position of the previous record
+    for k, line in enumerate(lines, start=1):
+        try:
+            record = CensusRecord.from_line(line)
+            Candidate(record.order, record.canonical_offdiag)
+            valid = record.order == order and record.to_line() == line
+        except (AttributeError, ValueError):
+            valid = False
+        if not valid:
+            raise CheckpointFormatError(
+                f"checkpoint record {k} is not an order-{order} record: "
+                f"{line!r}")
+        index = functools.reduce(lambda acc, e: 3 * acc + e + 1,
+                                 record.canonical_offdiag, 0)
+        if not last < index < next_index:
+            raise CheckpointFormatError(
+                f"checkpoint record {k} is out of sweep order or not before "
+                f"next_index {next_index}: {line!r}")
+        last = index
+        records.append(record)
+    return next_index, records
 
 
 def run_census(n: int, allow_large: bool = False,

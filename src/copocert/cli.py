@@ -4,8 +4,9 @@ Every subcommand prints a [machine] block of key=value lines that alone
 determines the verdict, followed by a [human] block of aligned text.  Output
 is deterministic: fixed key order, no timestamps, exact rationals rendered by
 Fraction.__str__.  Exit codes: 0 when the queried property holds, 1 when it
-fails or a precondition is unmet, 2 on input errors, 3 when the census
-resource guard trips.  Index sets are rendered 1-based.
+fails or a precondition is unmet, 2 on input errors (a malformed matrix file
+or census checkpoint), 3 when the census resource guard trips.  Index sets
+are rendered 1-based.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .census import (
 from .copositivity import is_copositive
 from .errors import (
     CandidateBudgetError,
+    CheckpointFormatError,
     CopocertError,
     MatrixFormatError,
 )
@@ -349,7 +351,7 @@ def main(argv=None) -> int:
         parser.error("--resume requires --output")
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, CheckpointFormatError) as exc:
         _emit_error(args.subcommand, exc)
         return 2
     except CandidateBudgetError as exc:

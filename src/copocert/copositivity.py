@@ -9,22 +9,31 @@ enumerating supports:
   support S, and a minimizer restricted to that open face satisfies the
   stationarity conditions of the equality-constrained problem there,
       A_S u = mu * 1,   sum(u) = 1,   u > 0 on S,
-  with the attained value u^T A u equal to mu.  Scanning every nonempty
-  support therefore visits a system solved by the global minimizer.  If that
-  system is degenerate, solutions along any line through the minimizer have
-  affinely varying mu; a nonzero slope would let the value decrease inside
-  the open face, contradicting minimality, so all solutions of the
-  minimizer's system share the minimal value and it does not matter which
-  positive solution the search returns for that support.  Singleton supports
-  are always feasible (u_i = 1, mu = A_ii), so the candidate set is never
+  with the attained value u^T A u equal to mu.  Singleton supports always
+  have the unique solution u_i = 1, mu = A_ii, so the candidate set is never
   empty and contains every vertex value.
 
-The same scan yields the minimal zeros of a copositive matrix, because a zero
-with support S is exactly a positive solution of S's system with value 0.
-There mu is affine on the solution set and every positive solution has
-mu >= 0, so if mu were not constant some positive point near the zero would
-have mu < 0; hence mu = 0 on the whole set, which is then the sum-normalized
-kernel of A_S, of dimension dim ker A_S - 1.
+Only supports whose system has a unique solution are scanned, and this loses
+nothing.  Let (v, nu) span a kernel direction of the system matrix
+[A_S, -1; 1^T, 0], so A_S v = nu * 1 and sum(v) = 0; then v != 0, since
+v = 0 forces nu = 0.  From any positive solution (u, mu), move along
++(v, nu) or -(v, nu), whichever does not increase mu, until a coordinate of
+u reaches 0 (one does, because the entries of v sum to 0).  The end point is
+positive on a proper subset S' of S, solves the system of S', and has value
+at most mu.  By induction on |S|:
+
+  1. the simplex minimum is attained on a support with a unique solution;
+  2. supports are scanned by cardinality, so a support with a
+     positive-dimensional solution set is never the first to show a negative
+     value: a smaller support with a unique solution, scanned earlier, shows
+     one too;
+  3. on a copositive matrix, a value-0 point on a support with a
+     positive-dimensional solution set implies a zero on a proper subset, so
+     no minimal zero comes from such a support.
+
+The same scan therefore yields the minimal zeros of a copositive matrix: a
+zero with support S is exactly a positive solution of S's system with value
+0, and by (3) a minimal one is the unique solution of its support's system.
 
 Membership testing is co-NP-complete in general; the 2^n - 1 support scan is
 deliberate and fine for the orders this package targets (n <= 8).
@@ -52,16 +61,16 @@ class CopositivityVerdict:
     negative value (an upper bound for the true minimum, attained by the
     violator).
 
-    ``zeros`` pairs each value-0 stationary point whose support contains no
-    earlier one's with the dimension of its support's solution set, in scan
-    order; it is empty when the matrix is not copositive.  On a copositive
-    matrix these points are the sum-normalized minimal zeros.
+    ``zeros`` holds each value-0 stationary point whose support contains no
+    earlier one's, in scan order; it is empty when the matrix is not
+    copositive.  On a copositive matrix these points are the sum-normalized
+    minimal zeros.
     """
 
     copositive: bool
     violator: Vector | None
     simplex_minimum: Fraction
-    zeros: tuple[tuple[Vector, int], ...] = ()
+    zeros: tuple[Vector, ...] = ()
 
 
 def _embed(values, support, n):
@@ -72,9 +81,8 @@ def _embed(values, support, n):
 
 
 def stationary_candidates(A: SymMatrix):
-    """Yield ``(value, point, dimension)`` for every support whose
-    stationarity system has a solution that is strictly positive on the
-    support; ``dimension`` is that system's solution-set dimension.
+    """Yield ``(value, point)`` for every support whose stationarity system
+    has a unique solution, strictly positive on the support.
 
     Supports are scanned by cardinality, then lexicographically, so strict
     subsets come before their supersets.  Each system is built on integers
@@ -94,13 +102,13 @@ def stationary_candidates(A: SymMatrix):
             rows = [[M[i][j] for j in support] + [-d] for i in support]
             rows.append(sum_row)
             sol = solve_affine(rows, rhs, ncols=k + 1)
-            if not sol.feasible:
+            if not sol.feasible or sol.dimension:
                 continue
             point = strictly_positive_point(sol, positive=range(k))
             if point is None:
                 continue
             x = _embed(point[:k], support, n)
-            yield eval_quadratic(A, x), x, sol.dimension
+            yield eval_quadratic(A, x), x
 
 
 def _prefilter_violator(A: SymMatrix):
@@ -134,7 +142,7 @@ def is_copositive(A: SymMatrix) -> CopositivityVerdict:
     best = None
     zeros = []
     supports = []
-    for value, point, dimension in stationary_candidates(A):
+    for value, point in stationary_candidates(A):
         if value < 0:
             return CopositivityVerdict(False, point, value)
         if best is None or value < best:
@@ -143,7 +151,7 @@ def is_copositive(A: SymMatrix) -> CopositivityVerdict:
             support = frozenset(i for i, c in enumerate(point) if c)
             if not any(s < support for s in supports):
                 supports.append(support)
-                zeros.append((point, dimension))
+                zeros.append(point)
     return CopositivityVerdict(True, None, best, tuple(zeros))
 
 

@@ -22,17 +22,6 @@ class NotCopositiveError(CopocertError):
         self.violator = violator
 
 
-class DuplicateMinimalSupportError(CopocertError):
-    """Two non-proportional zeros share a minimal support.
-
-    Minimal zeros of a copositive matrix are unique per support up to positive
-    scaling, so this state indicates an internal bug; it is surfaced instead
-    of guessed away.
-    """
-
-    code = "DuplicateMinimalSupport"
-
-
 class NotUnitDiagonalError(CopocertError):
     """The entry graph is only defined for matrices with unit diagonal."""
 
@@ -99,3 +88,9 @@ class MatrixFormatError(CopocertError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+class CheckpointFormatError(CopocertError, ValueError):
+    """A census checkpoint file is unreadable or malformed."""
+
+    code = "CheckpointFormat"

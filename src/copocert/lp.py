@@ -12,7 +12,11 @@ over Fractions applies.  Bland's rule handles ties and degeneracy, so the
 pivot sequence is deterministic and finite.
 
 Solution sets of dimension zero or one are dispatched by direct sign checks
-instead; the simplex only runs for genuinely multi-dimensional sets.
+instead; the simplex only runs for genuinely multi-dimensional sets.  The
+copositivity scan only asks about solution sets of dimension zero, a plain
+sign check; the line intersection and the simplex are kept for the tests and
+for the benchmark tracer (``perfbench/tracer.py``), which wraps
+``simplex_maximize`` by name.
 """
 
 from __future__ import annotations

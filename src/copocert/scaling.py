@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ScalingConditionError
+from .errors import InvariantError, ScalingConditionError
 from .linalg import ONE, ZERO, SymMatrix, upper_size
 
 Rational = Fraction
@@ -117,6 +117,7 @@ def extract_pattern(A: SymMatrix) -> ScalingDecomposition:
     roots = [_rational_sqrt(A.get(i, i)) for i in range(A.n)]
     if all(r is not None for r in roots):
         D = DiagonalScaling(tuple(roots))
-        assert scale(pattern, D) == A, "explicit scaling must reproduce A"
+        if scale(pattern, D) != A:
+            raise InvariantError("explicit scaling must reproduce A")
         return ScalingDecomposition(pattern, D)
     return ScalingDecomposition(pattern, None)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .errors import (
     AmbiguousPatternError,
     InconsistentDiagonalError,
+    InvariantError,
     NotUnitDiagonalError,
     SupportCardinalityError,
 )
@@ -87,17 +88,21 @@ def build_graph(A: SymMatrix, Z: MinimalZeroList) -> StructureGraph:
                 f"support {tuple(s + 1 for s in support)} has cardinality "
                 f"{len(support)}, expected 2")
         i, j = support
-        assert zero.coordinates[i] == zero.coordinates[j], \
-            "pair-supported zero of a unit-diagonal matrix must be balanced"
+        if zero.coordinates[i] != zero.coordinates[j]:
+            raise InvariantError(
+                "pair-supported zero of a unit-diagonal matrix must be balanced")
         image = A.apply(zero.coordinates)
         for k in range(A.n):
             if image[k] != 0:
                 continue
             a, b = _vertex(i, k), _vertex(j, k)
-            assert a != b, "two-term equations never relate an entry to itself"
+            if a == b:
+                raise InvariantError(
+                    "two-term equations never relate an entry to itself")
             edges.add((a, b) if a < b else (b, a))
             fired += 1
-    assert fired == len(edges), "distinct gates always yield distinct edges"
+    if fired != len(edges):
+        raise InvariantError("distinct gates always yield distinct edges")
     return StructureGraph(A.n, tuple(sorted(edges)))
 
 

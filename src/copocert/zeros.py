@@ -4,8 +4,9 @@ A zero of a copositive A is a nonzero nonnegative vector u with
 ``u^T A u = 0``; its support is the set of strictly positive coordinates.  A
 zero is minimal when no other zero has a support strictly contained in its
 own.  Up to positive scaling there are finitely many minimal zeros, and each
-support carries at most one; a violation of that uniqueness is surfaced as an
-error rather than resolved silently.
+support carries at most one.  That uniqueness is structural here: the
+copositivity scan only visits supports whose stationarity system has a
+unique solution, and every minimal zero's support is one of them.
 
 Support characterization used throughout: for copositive A, the zeros with
 support exactly S are precisely the embeddings of strictly positive vectors
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .errors import DuplicateMinimalSupportError, NotCopositiveError
+from .errors import NotCopositiveError
 from .linalg import ZERO, SymMatrix, Vector
 from .copositivity import is_copositive
 
@@ -78,15 +79,5 @@ def minimal_zeros(A: SymMatrix) -> MinimalZeroList:
     verdict = is_copositive(A)
     if not verdict.copositive:
         raise NotCopositiveError(violator=verdict.violator)
-    zeros = []
-    for point, dimension in verdict.zeros:
-        zero = Zero.from_coordinates(point)
-        if dimension:
-            # a strictly positive kernel point plus a second independent
-            # kernel direction yields non-proportional zeros on one
-            # minimal support, contradicting finiteness
-            raise DuplicateMinimalSupportError(
-                f"support {tuple(i + 1 for i in zero.sorted_support())} "
-                f"carries a {dimension + 1}-dimensional zero space")
-        zeros.append(zero)
-    return MinimalZeroList(A, tuple(zeros))
+    return MinimalZeroList(
+        A, tuple(Zero.from_coordinates(point) for point in verdict.zeros))

@@ -8,8 +8,10 @@ simplex method, and kernels of principal submatrices instead of the
 stationary systems the copositivity scan solves.  The rational path below
 (``fraction_solve_affine``, ``fraction_quadratic``) is the ``Fraction``
 back-substitution and form evaluation the integer-native core replaced,
-kept as the reference for it.  The helpers at the end were library functions that only
-tests called.
+kept as the reference for it.  ``lp_is_copositive`` is the support scan as it
+was before it skipped systems with a positive-dimensional solution set: the
+exact LP decides positivity on every feasible support.  The helpers at the
+end were library functions that only tests called.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ import math
 from fractions import Fraction
 
 from copocert.census import ALPHABET, MAX_ORDER, Candidate, _permutation_getters
-from copocert.copositivity import stationary_candidates
+from copocert.copositivity import (
+    CopositivityVerdict,
+    _prefilter_violator,
+    stationary_candidates,
+)
 from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
@@ -30,6 +36,7 @@ from copocert.linalg import (
     kernel_basis,
     solve_affine,
 )
+from copocert.lp import strictly_positive_point
 from copocert.zeros import Zero
 
 
@@ -256,13 +263,67 @@ def rational_support_system(A: SymMatrix, support):
     return rows, [Fraction(0)] * k + [Fraction(1)]
 
 
+# --- the support scan with the exact LP on every feasible support ------------
+
+def lp_stationary_candidates(A: SymMatrix):
+    """Yield ``(value, point, dimension)`` for every support whose stationarity
+    system has a solution strictly positive on the support, whatever the
+    dimension of its solution set; supports by cardinality, then
+    lexicographically."""
+    n = A.n
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            sol = solve_affine(*rational_support_system(A, support), k + 1)
+            if not sol.feasible:
+                continue
+            point = strictly_positive_point(sol, positive=range(k))
+            if point is None:
+                continue
+            x = [Fraction(0)] * n
+            for v, i in zip(point, support):
+                x[i] = v
+            yield eval_quadratic(A, x), tuple(x), sol.dimension
+
+
+def lp_is_copositive(A: SymMatrix) -> CopositivityVerdict:
+    """``is_copositive`` over ``lp_stationary_candidates``, with the same
+    prefilter; ``zeros`` pairs each kept point with its support's
+    solution-set dimension."""
+    hit = _prefilter_violator(A)
+    if hit is not None:
+        return CopositivityVerdict(False, hit[0], hit[1])
+    best = None
+    zeros = []
+    supports = []
+    for value, point, dimension in lp_stationary_candidates(A):
+        if value < 0:
+            return CopositivityVerdict(False, point, value)
+        if best is None or value < best:
+            best = value
+        if value == 0:
+            support = frozenset(i for i, c in enumerate(point) if c)
+            if not any(s < support for s in supports):
+                supports.append(support)
+                zeros.append((point, dimension))
+    return CopositivityVerdict(True, None, best, tuple(zeros))
+
+
+def random_psd(rng, n: int, rank: int) -> SymMatrix:
+    """``B B^T`` for a random integer ``n x rank`` matrix B with entries in
+    [-2, 2]: positive semidefinite, of rank at most ``rank``."""
+    B = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
+    return SymMatrix.from_rows(
+        [[sum(a * b for a, b in zip(B[i], B[j])) for j in range(n)]
+         for i in range(n)])
+
+
 # --- former library functions that only tests used ---------------------------
 
 def min_on_simplex(A: SymMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact minimum of ``x^T A x`` over the standard simplex, with minimizer."""
     best = None
     arg = None
-    for value, point, _ in stationary_candidates(A):
+    for value, point in stationary_candidates(A):
         if best is None or value < best:
             best, arg = value, point
     return best, arg

@@ -18,6 +18,7 @@ from copocert.census import (
 )
 from copocert.errors import (
     CandidateBudgetError,
+    CheckpointFormatError,
     NotCopositiveError,
     NotExtremalError,
 )
@@ -230,6 +231,27 @@ class TestRunCensus:
         census_mod._write_checkpoint(path, 2, 1, [])
         with pytest.raises(ValueError):
             run_census(3, checkpoint=path, resume=True)
+
+    @pytest.mark.parametrize("content", [
+        '[1, 2]',
+        '{"order": 2, "next_index": 1}',
+        '{"order": 2, "next_index": -1, "records": []}',
+        '{"order": 2, "next_index": "1", "records": []}',
+        '{"order": 2, "next_index": 1, "records": "2 -1 1 1 1,2 1"}',
+        '{"order": 2, "next_index": 1, "records": [7]}',
+        '{"order": 2, "next_index": 1, "records": ["2 -1 2 1 1,2 1"]}',
+        '{"order": 2, "next_index": 1, "records": ["3 -1,0,0 0 0 - 6"]}',
+        '{"order": 2, "next_index": 1, "records": ["2 5 1 0 - 1"]}',
+        '{"order": 2, "next_index": 0, "records": ["2 -1 1 1 1,2 1"]}',
+        '{"order": 2, "next_index": 3, '
+        '"records": ["2 0 1 0 - 1", "2 -1 1 1 1,2 1"]}',
+        '\xff',
+    ])
+    def test_malformed_checkpoint(self, tmp_path, content):
+        path = tmp_path / "census.ckpt"
+        path.write_bytes(content.encode("latin-1"))
+        with pytest.raises(CheckpointFormatError):
+            run_census(2, checkpoint=str(path), resume=True)
 
     def test_resume_requires_checkpoint_path(self):
         with pytest.raises(ValueError):

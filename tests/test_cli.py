@@ -285,6 +285,23 @@ class TestCensusCommand:
             main(["census", "-n", "2", "--resume"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("content", [
+        '{"order": 3, "next_index": 1, "rec',
+        '{"order": 3, "next_index": 1, "records": ["garbage"]}',
+        '{"order": 3, "next_index": 28, "records": []}',
+        '{"order": 2, "next_index": 1, "records": []}',
+    ], ids=["truncated", "garbage-record", "past-the-end", "order-mismatch"])
+    def test_corrupt_checkpoint_exit_two(self, capsys, tmp_path, content):
+        out_path = str(tmp_path / "out.txt")
+        (tmp_path / "out.txt.checkpoint").write_text(content)
+        code = main(["census", "-n", "3", "-o", out_path, "--resume"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines()[:3] == [
+            "[machine]", "command=census", "error=CheckpointFormat"]
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestVerify:
     def test_equivalent_scaled(self, capsys, write_matrix):

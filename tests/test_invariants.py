@@ -13,6 +13,8 @@ import copocert.census as census_mod
 import copocert.extremality as extremality_mod
 import copocert.linalg as linalg_mod
 import copocert.lp as lp_mod
+import copocert.scaling as scaling_mod
+import copocert.structure_graph as structure_graph_mod
 from copocert.census import CensusRecord, run_census
 from copocert.cli import main
 from copocert.errors import CensusInvariantError, CopocertError, InvariantError
@@ -26,6 +28,9 @@ from copocert.linalg import (
     upper_size,
 )
 from copocert.lp import simplex_maximize, strictly_positive_point
+from copocert.scaling import extract_pattern
+from copocert.structure_graph import build_graph
+from copocert.zeros import MinimalZeroList, Zero, minimal_zeros
 
 F = Fraction
 
@@ -115,11 +120,41 @@ class TestCensus:
         with pytest.raises(CensusInvariantError, match="sorted order"):
             run_census(3)
 
-    def test_checkpoint_past_the_end(self, tmp_path):
+    def test_checkpoint_past_the_end(self, tmp_path, monkeypatch):
+        # the loader rejects such a file; a loader that lets it through
+        # must still not produce a census
+        monkeypatch.setattr(census_mod, "_load_checkpoint",
+                            lambda path, order: (5, []))
         path = tmp_path / "census.checkpoint"
-        path.write_text('{"order": 2, "next_index": 5, "records": []}')
+        path.write_text("")
         with pytest.raises(CensusInvariantError, match="exhausted"):
             run_census(2, checkpoint=str(path), resume=True)
+
+
+class TestStructureGraph:
+    def test_unbalanced_pair_zero(self):
+        zeros = MinimalZeroList(PAIR, (Zero.from_coordinates((F(2), F(1))),))
+        with pytest.raises(InvariantError, match="balanced"):
+            build_graph(PAIR, zeros)
+
+    def test_equation_relates_an_entry_to_itself(self, monkeypatch):
+        monkeypatch.setattr(structure_graph_mod, "_vertex", lambda i, k: (0, 0))
+        with pytest.raises(InvariantError, match="itself"):
+            build_graph(PAIR, minimal_zeros(PAIR))
+
+    def test_repeated_gate(self):
+        # the same zero twice fires every gate twice onto the same edges
+        zero = minimal_zeros(PAIR).zeros[0]
+        with pytest.raises(InvariantError, match="distinct edges"):
+            build_graph(PAIR, MinimalZeroList(PAIR, (zero, zero)))
+
+
+class TestScaling:
+    def test_explicit_scaling_does_not_reproduce(self, monkeypatch):
+        monkeypatch.setattr(scaling_mod, "scale", lambda S, D: S)
+        A = SymMatrix.from_rows([[1, -2], [-2, 4]])
+        with pytest.raises(InvariantError, match="reproduce A"):
+            extract_pattern(A)
 
 
 def test_cli_reports_invariant_violation(monkeypatch, capsys, write_matrix):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copocert.copositivity import is_copositive
-from copocert.errors import DuplicateMinimalSupportError, NotCopositiveError
+from copocert.errors import NotCopositiveError
 from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix
 from copocert.scaling import DiagonalScaling, scale
@@ -51,10 +51,7 @@ def summary(A: SymMatrix, relabel=None):
     out = (verdict.copositive, sign(verdict.simplex_minimum))
     if not verdict.copositive:
         return out
-    try:
-        cert = extremality_certificate(A)
-    except DuplicateMinimalSupportError:
-        return out + ("duplicate support",)
+    cert = extremality_certificate(A)
     relabel = relabel or (lambda i: i)
     supports = frozenset(frozenset(relabel(i) for i in z.support)
                          for z in cert.minimal_zeros)
