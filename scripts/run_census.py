@@ -2,16 +2,14 @@
 
 Runs the permutation-class census, prints aggregate counts and an orbit-size
 histogram, lists the extremal classes, and optionally writes the full record
-file.  Order 6 sweeps 14 348 907 candidates; pass --allow-large (and ideally
---checkpoint) for that.
+file.  Order 6 sweeps 14 348 907 candidates and needs --allow-large.
 
     python3 scripts/run_census.py 4
     python3 scripts/run_census.py 5 --output census_n5.txt
-    python3 scripts/run_census.py 6 --allow-large --checkpoint n6.ckpt --resume
+    python3 scripts/run_census.py 6 --allow-large
 """
 
 import argparse
-import sys
 import time
 from collections import Counter
 
@@ -25,23 +23,13 @@ def parse_args(argv=None):
                         help="write the record file here")
     parser.add_argument("--allow-large", action="store_true",
                         help="bypass the candidate budget guard")
-    parser.add_argument("--checkpoint", metavar="PATH",
-                        help="persist progress to this file")
-    parser.add_argument("--resume", action="store_true",
-                        help="continue from an existing checkpoint")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-
-    def progress(done, total):
-        print(f"  {done}/{total} candidates", file=sys.stderr, flush=True)
-
     start = time.monotonic()
-    records = run_census(args.order, allow_large=args.allow_large,
-                         checkpoint=args.checkpoint, resume=args.resume,
-                         progress=progress)
+    records = run_census(args.order, allow_large=args.allow_large)
     elapsed = time.monotonic() - start
 
     copositive = [r for r in records if r.copositive]

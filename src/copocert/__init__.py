@@ -29,7 +29,6 @@ from .errors import (
     AmbiguousPatternError,
     CandidateBudgetError,
     CensusInvariantError,
-    CheckpointFormatError,
     CopocertError,
     InconsistentDiagonalError,
     MatrixFormatError,
@@ -79,7 +78,6 @@ __all__ = [
     "CandidateBudgetError",
     "CensusInvariantError",
     "CensusRecord",
-    "CheckpointFormatError",
     "ComponentReport",
     "CopocertError",
     "CopositivityVerdict",

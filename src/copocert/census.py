@@ -11,6 +11,9 @@ preserve copositivity, and positive diagonal scalings act trivially on
 unit-diagonal matrices over this alphabet.  The canonical representative of a
 class is the lexicographic minimum of its orbit, so a lex-order sweep meets
 each class first at its representative and the record list is born sorted.
+The sweep keeps one mark per candidate and marks a representative's whole
+orbit when it meets it, so it stops only at representatives, and the orbit
+sizes must add up to the candidate count.
 
 Two cross-class checks ride on top of the census: every copositive record
 must have only cardinality-two minimal supports, and every extremal record
@@ -22,18 +25,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
+import math
 import operator
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     CandidateBudgetError,
     CensusInvariantError,
-    CheckpointFormatError,
     NotCopositiveError,
     NotExtremalError,
 )
@@ -42,10 +41,7 @@ from .linalg import ONE, SymMatrix
 from .scaling import ScalingDecomposition, extract_pattern, has_sign_pattern_scaling
 
 MAX_ORDER = 6
-DEFAULT_CANDIDATE_BUDGET = 60000
-BUDGET_ENV = "COPOCERT_MAX_CANDIDATES"
-_CHECKPOINT_EVERY = 50000
-_CHECKPOINT_KEYS = {"order", "next_index", "records"}
+CANDIDATE_BUDGET = 60000
 
 ALPHABET = (-1, 0, 1)
 
@@ -93,6 +89,12 @@ class CensusRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "CensusRecord":
+        """Parse a line written by ``to_line``; anything else is a ValueError.
+
+        The fields must describe a valid candidate, 1-based support indices
+        within the order and a positive orbit size, and the record must
+        render back to exactly this line (so flags are 0 or 1).
+        """
         fields = line.split()
         if len(fields) != 6:
             raise ValueError(f"expected 6 fields, got {len(fields)}: {line!r}")
@@ -101,36 +103,45 @@ class CensusRecord:
         sups = () if fields[4] == "-" else tuple(
             tuple(int(i) - 1 for i in part.split(","))
             for part in fields[4].split(";"))
-        return cls(order, off, fields[2] == "1", fields[3] == "1",
-                   sups, int(fields[5]))
-
-
-def _getter(src: tuple[int, ...]):
-    if len(src) >= 2:
-        return operator.itemgetter(*src)
-    if len(src) == 1:
-        return lambda t, s=src[0]: (t[s],)
-    return lambda t: ()
+        Candidate(order, off)  # entry count and alphabet
+        record = cls(order, off, fields[2] == "1", fields[3] == "1",
+                     sups, int(fields[5]))
+        if (order < 1 or record.orbit_size < 1
+                or any(not 0 <= i < order for s in sups for i in s)
+                or record.to_line() != line):
+            raise ValueError(f"not a census record line: {line!r}")
+        return record
 
 
 @functools.lru_cache(maxsize=None)
-def _permutation_getters(n: int):
-    """Position maps sending an off-diagonal tuple to its permuted image.
+def _place_values(n: int):
+    """Sweep-index contributions of each off-diagonal position, per permutation.
 
-    Entry k of the image holds the source entry at position of the permuted
-    pair; the identity permutation comes first.
+    The sweep index of a tuple t is sum((t[k] + 1) * 3**(m - 1 - k)), its
+    position in the (-1, 0, 1) product order.  Entry k of the result maps a
+    digit d = t[k] + 1 in (1, 2) to the tuple, over all permutations, of d
+    times the place value of the position to which the permutation moves
+    position k.  Adding up the tuples that t's nonzero digits pick gives the
+    sweep index of every permuted image of t.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(pairs)
     index = {p: k for k, p in enumerate(pairs)}
-    getters = []
-    for perm in itertools.permutations(range(n)):
-        src = tuple(index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs)
-        getters.append(_getter(src))
-    return tuple(getters)
+    perms = list(itertools.permutations(range(n)))
+    columns = []
+    for i, j in pairs:
+        places = tuple(3 ** (m - 1 - index[tuple(sorted((p[i], p[j])))])
+                       for p in perms)
+        columns.append((None, places, tuple(2 * v for v in places)))
+    return tuple(columns)
 
 
-def _is_canonical(offdiag, getters) -> bool:
-    return not any(g(offdiag) < offdiag for g in getters)
+def _digits(index: int, m: int) -> list[int]:
+    """Base-3 digits of a sweep index, most significant first."""
+    digits = [0] * m
+    for k in range(m - 1, -1, -1):
+        index, digits[k] = divmod(index, 3)
+    return digits
 
 
 def _classify(cand: Candidate, orbit: int) -> CensusRecord:
@@ -143,132 +154,58 @@ def _classify(cand: Candidate, orbit: int) -> CensusRecord:
                         supports, orbit)
 
 
-def _write_checkpoint(path: str, order: int, next_index: int,
-                      records: list[CensusRecord]) -> None:
-    state = {"order": order, "next_index": next_index,
-             "records": [r.to_line() for r in records]}
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".census-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(state, handle)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _load_checkpoint(path: str, order: int) -> tuple[int, list[CensusRecord]]:
-    """Resume state saved by ``_write_checkpoint``, validated in full.
-
-    Raises CheckpointFormatError unless the file holds exactly the keys
-    written, for the requested order n, with ``next_index`` between 0 and the
-    candidate count 3^(n(n-1)/2), and every record line a well-formed record
-    of that order whose candidate comes after the previous record's and
-    before ``next_index`` in the sweep (a resumed sweep would otherwise
-    classify it twice).
-    """
-    try:
-        with open(path) as handle:
-            state = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}")
-    if not isinstance(state, dict) or set(state) != _CHECKPOINT_KEYS:
-        raise CheckpointFormatError(
-            f"checkpoint must be an object with keys {sorted(_CHECKPOINT_KEYS)}")
-    if state["order"] != order:
-        raise CheckpointFormatError(
-            f"checkpoint is for order {state['order']}, requested {order}")
-    next_index, lines = state["next_index"], state["records"]
-    total = 3 ** (order * (order - 1) // 2)
-    if type(next_index) is not int or not 0 <= next_index <= total:
-        raise CheckpointFormatError(
-            f"checkpoint next_index {next_index!r} is outside 0..{total}")
-    if not isinstance(lines, list):
-        raise CheckpointFormatError("checkpoint records must be a list")
-    records = []
-    last = -1  # sweep position of the previous record
-    for k, line in enumerate(lines, start=1):
-        try:
-            record = CensusRecord.from_line(line)
-            Candidate(record.order, record.canonical_offdiag)
-            valid = record.order == order and record.to_line() == line
-        except (AttributeError, ValueError):
-            valid = False
-        if not valid:
-            raise CheckpointFormatError(
-                f"checkpoint record {k} is not an order-{order} record: "
-                f"{line!r}")
-        index = functools.reduce(lambda acc, e: 3 * acc + e + 1,
-                                 record.canonical_offdiag, 0)
-        if not last < index < next_index:
-            raise CheckpointFormatError(
-                f"checkpoint record {k} is out of sweep order or not before "
-                f"next_index {next_index}: {line!r}")
-        last = index
-        records.append(record)
-    return next_index, records
-
-
-def run_census(n: int, allow_large: bool = False,
-               checkpoint: str | None = None, resume: bool = False,
-               progress: Callable[[int, int], None] | None = None,
-               ) -> list[CensusRecord]:
+def run_census(n: int, allow_large: bool = False) -> list[CensusRecord]:
     """One classified record per permutation class, sorted by representative.
 
-    The candidate budget (default 60000, override via COPOCERT_MAX_CANDIDATES)
-    guards against accidentally launching the 14.3M-candidate order-6 sweep;
-    allow_large bypasses it.  With a checkpoint path, progress is persisted
-    every 50000 candidates and a resumed run continues from the last
-    completed index.
+    Orders above the candidate budget of 60000 (order 6, 14.3M candidates)
+    need allow_large.  The sweep marks every candidate it has met in a
+    bytearray of 3^(n(n-1)/2) bytes indexed by sweep position: the first
+    unmarked index is the next class representative, and marking its whole
+    orbit leaves the rest of the class unvisited, so the permutations are
+    applied once per class rather than once per candidate.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
     m = n * (n - 1) // 2
     total = 3 ** m
-    budget = int(os.environ.get(BUDGET_ENV, DEFAULT_CANDIDATE_BUDGET))
-    if total > budget and not allow_large:
+    if total > CANDIDATE_BUDGET and not allow_large:
         raise CandidateBudgetError(
-            f"{total} candidates at order {n} exceed the budget of {budget}; "
-            f"pass allow_large or raise {BUDGET_ENV}")
-    start = 0
+            f"{total} candidates at order {n} exceed the budget of "
+            f"{CANDIDATE_BUDGET}; pass allow_large")
+    columns = _place_values(n)
+    group_order = math.factorial(n)
+    seen = bytearray(total)
     records: list[CensusRecord] = []
-    if resume:
-        if checkpoint is None:
-            raise ValueError("resume requires a checkpoint path")
-        if os.path.exists(checkpoint):
-            start, records = _load_checkpoint(checkpoint, n)
-    getters = _permutation_getters(n)
-    others = getters[1:]
-    done = start
-    # raw tuples; a Candidate is built only for class representatives
-    for offdiag in itertools.islice(
-            itertools.product(ALPHABET, repeat=m), start, None):
-        done += 1
-        if _is_canonical(offdiag, others):
-            orbit = len({g(offdiag) for g in getters})
-            record = _classify(Candidate(n, offdiag), orbit)
-            if record.extremal:
-                for s in record.minimal_supports:
-                    if len(s) != 2:
-                        raise CensusInvariantError(
-                            f"extremal record {record.canonical_offdiag} has "
-                            f"minimal support {tuple(i + 1 for i in s)} of "
-                            f"cardinality {len(s)}, expected 2")
-            records.append(record)
-        if checkpoint and done % _CHECKPOINT_EVERY == 0:
-            _write_checkpoint(checkpoint, n, done, records)
-        if progress and done % 10000 == 0:
-            progress(done, total)
-    if done != total:
-        raise CensusInvariantError("candidate stream must be exhausted")
+    covered = 0
+    index = seen.find(0)
+    while index >= 0:
+        digits = _digits(index, m)
+        images = (0,) * group_order
+        for k, digit in enumerate(digits):
+            if digit:
+                images = map(operator.add, images, columns[k][digit])
+        orbit = set(images)
+        for j in orbit:
+            seen[j] = 1
+        covered += len(orbit)
+        record = _classify(Candidate(n, tuple(d - 1 for d in digits)),
+                           len(orbit))
+        if record.extremal:
+            for s in record.minimal_supports:
+                if len(s) != 2:
+                    raise CensusInvariantError(
+                        f"extremal record {record.canonical_offdiag} has "
+                        f"minimal support {tuple(i + 1 for i in s)} of "
+                        f"cardinality {len(s)}, expected 2")
+        records.append(record)
+        index = seen.find(0, index + 1)
+    if covered != total:
+        raise CensusInvariantError(
+            f"orbit sizes sum to {covered}, not to the {total} candidates")
     offdiags = [r.canonical_offdiag for r in records]
     if offdiags != sorted(offdiags):
         raise CensusInvariantError(
             "lex sweep must emit class representatives in sorted order")
-    if checkpoint and os.path.exists(checkpoint):
-        os.unlink(checkpoint)
     return records
 
 

@@ -5,8 +5,8 @@ determines the verdict, followed by a [human] block of aligned text.  Output
 is deterministic: fixed key order, no timestamps, exact rationals rendered by
 Fraction.__str__.  Exit codes: 0 when the queried property holds, 1 when it
 fails or a precondition is unmet, 2 on input errors (a malformed matrix file
-or census checkpoint), 3 when the census resource guard trips.  Index sets
-are rendered 1-based.
+or bad arguments, the latter reported by argparse), 3 when the census
+resource guard trips.  Index sets are rendered 1-based.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from .census import (
+    MAX_ORDER,
     check_pair_supports,
     run_census,
     verify_pair_scaling_equivalence,
@@ -25,7 +26,6 @@ from .census import (
 from .copositivity import is_copositive
 from .errors import (
     CandidateBudgetError,
-    CheckpointFormatError,
     CopocertError,
     MatrixFormatError,
 )
@@ -254,9 +254,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_census(args) -> int:
-    checkpoint = args.output + ".checkpoint" if args.output else None
-    records = run_census(args.order, allow_large=args.allow_large,
-                         checkpoint=checkpoint, resume=args.resume)
+    records = run_census(args.order, allow_large=args.allow_large)
     report = check_pair_supports(records)
     machine = [("command", "census"), ("order", args.order),
                ("classes", len(records)),
@@ -328,12 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("census", help="classify unit-diagonal {-1,0,1} matrices")
-    p.add_argument("-n", "--order", type=int, required=True)
+    p.add_argument("-n", "--order", type=int, required=True,
+                   choices=range(1, MAX_ORDER + 1))
     p.add_argument("-o", "--output", help="write records to this file")
     p.add_argument("--allow-large", action="store_true",
                    help="bypass the candidate budget guard")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from the checkpoint next to --output")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify",
@@ -347,11 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "census" and args.resume and not args.output:
-        parser.error("--resume requires --output")
     try:
         return args.func(args)
-    except (MatrixFormatError, CheckpointFormatError) as exc:
+    except MatrixFormatError as exc:
         _emit_error(args.subcommand, exc)
         return 2
     except CandidateBudgetError as exc:

@@ -88,9 +88,3 @@ class MatrixFormatError(CopocertError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class CheckpointFormatError(CopocertError, ValueError):
-    """A census checkpoint file is unreadable or malformed."""
-
-    code = "CheckpointFormat"

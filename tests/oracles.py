@@ -20,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from copocert.census import ALPHABET, MAX_ORDER, Candidate, _permutation_getters
+from copocert.census import ALPHABET, MAX_ORDER, Candidate
 from copocert.copositivity import (
     CopositivityVerdict,
     _prefilter_violator,
@@ -337,11 +337,12 @@ def rank_nullity(rows, ncols=None) -> tuple[int, int]:
 
 
 def canonical_form(c: Candidate) -> tuple[Candidate, int]:
-    """Lexicographic minimum over the permutation orbit, plus the orbit size."""
-    images = {g(c.offdiag) for g in _permutation_getters(c.order)}
-    assert math.factorial(c.order) % len(images) == 0, \
+    """Lexicographic minimum over the permutation orbit, plus the orbit size,
+    from ``brute_canonical`` (full matrix permutations)."""
+    canon, orbit = brute_canonical(c)
+    assert math.factorial(c.order) % orbit == 0, \
         "orbit size must divide the group order"
-    return Candidate(c.order, min(images)), len(images)
+    return Candidate(c.order, canon), orbit
 
 
 def iterate_candidates(n: int):

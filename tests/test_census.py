@@ -1,6 +1,5 @@
 """Census enumeration, canonicalization, records, and cross-class checks."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from copocert.census import (
 )
 from copocert.errors import (
     CandidateBudgetError,
-    CheckpointFormatError,
     NotCopositiveError,
     NotExtremalError,
 )
@@ -32,14 +30,6 @@ from oracles import (
 )
 
 F = Fraction
-
-
-def lex_index(offdiag):
-    """Position of an off-diagonal tuple in the (-1, 0, 1) product order."""
-    idx = 0
-    for entry in offdiag:
-        idx = idx * 3 + (entry + 1)
-    return idx
 
 
 def horn_candidate():
@@ -99,16 +89,16 @@ class TestCanonicalForm:
         canon, orbit = canonical_form(Candidate(1, ()))
         assert canon.offdiag == () and orbit == 1
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, census):
+        # the census must hold the brute-force class of every candidate
         rng = random.Random(79)
         for _ in range(60):
             n = rng.randint(2, 4)
             m = n * (n - 1) // 2
             c = Candidate(n, tuple(rng.choice((-1, 0, 1)) for _ in range(m)))
-            canon, orbit = canonical_form(c)
             expected_off, expected_orbit = brute_canonical(c)
-            assert canon.offdiag == expected_off
-            assert orbit == expected_orbit
+            orbits = {r.canonical_offdiag: r.orbit_size for r in census(n)}
+            assert orbits[expected_off] == expected_orbit
 
     def test_idempotent(self):
         canon, _ = canonical_form(horn_candidate())
@@ -133,6 +123,29 @@ class TestRecordFormat:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             CensusRecord.from_line("3 0,0,0 1")
+
+    @pytest.mark.parametrize("line", [
+        "2 -1 2 1 1,2 1",
+        "2 -1 1 1 0,2 1",
+        "2 -1 1 1 1,3 1",
+        "2 5 1 0 - 1",
+        "3 -1,0 1 0 - 1",
+        "0 - 1 1 - 1",
+        "2 0 1 0 - 0",
+        "2 +1 1 0 - 1",
+        "garbage",
+    ], ids=["flag-2", "support-index-0", "support-index-past-order",
+            "entry-5", "short-offdiag", "order-0", "orbit-0",
+            "not-canonical-text", "garbage"])
+    def test_from_line_rejects(self, line):
+        with pytest.raises(ValueError):
+            CensusRecord.from_line(line)
+
+    def test_read_records_rejects_a_bad_line(self, tmp_path):
+        path = tmp_path / "census.txt"
+        path.write_text("2 -1 1 1 1,2 1\n2 0 1 0 0 1\n")
+        with pytest.raises(ValueError, match="not a census record"):
+            read_records(str(path))
 
     def test_file_roundtrip(self, tmp_path):
         records = run_census(2)
@@ -186,76 +199,34 @@ class TestRunCensus:
         assert canon.offdiag in extremal_offs
 
     def test_budget_guard(self, monkeypatch):
-        monkeypatch.setenv(census_mod.BUDGET_ENV, "100")
+        monkeypatch.setattr(census_mod, "CANDIDATE_BUDGET", 100)
         with pytest.raises(CandidateBudgetError):
             run_census(4)
         assert len(run_census(4, allow_large=True)) == 66
 
-    def test_default_budget_blocks_order_six_only(self, monkeypatch):
-        monkeypatch.delenv(census_mod.BUDGET_ENV, raising=False)
+    def test_default_budget_blocks_order_six_only(self, census):
+        assert len(census(5)) == 792
         with pytest.raises(CandidateBudgetError):
             run_census(6)
 
-    def test_checkpoint_resume(self, tmp_path, census):
-        full = list(census(3))
-        path = str(tmp_path / "census.ckpt")
-        cut = 12
-        prefix = [r for r in full
-                  if lex_index(r.canonical_offdiag) < cut]
-        census_mod._write_checkpoint(path, 3, cut, prefix)
-        resumed = run_census(3, checkpoint=path, resume=True)
-        assert resumed == full
-        assert not (tmp_path / "census.ckpt").exists()
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_order_checked_before_allocation(self, monkeypatch, n):
+        # order 7 would need a 3^21-byte mark array, about 10 GB
+        def no_allocation(size):
+            raise AssertionError(f"allocated {size} marks")
 
-    def test_checkpoint_written_and_cleared(self, tmp_path, monkeypatch, census):
-        monkeypatch.setattr(census_mod, "_CHECKPOINT_EVERY", 10)
-        path = str(tmp_path / "census.ckpt")
-        seen = {"checkpointed": False}
-        original = census_mod._write_checkpoint
+        monkeypatch.setattr(census_mod, "bytearray", no_allocation,
+                            raising=False)
+        with pytest.raises(ValueError, match="order must be between"):
+            run_census(n, allow_large=True)
 
-        def spy(p, order, next_index, records):
-            seen["checkpointed"] = True
-            original(p, order, next_index, records)
-            state = json.loads((tmp_path / "census.ckpt").read_text())
-            assert state["order"] == order
-            assert state["next_index"] == next_index
-
-        monkeypatch.setattr(census_mod, "_write_checkpoint", spy)
-        records = run_census(3, checkpoint=path)
-        assert seen["checkpointed"]
-        assert records == list(census(3))
-        assert not (tmp_path / "census.ckpt").exists()
-
-    def test_checkpoint_order_mismatch(self, tmp_path):
-        path = str(tmp_path / "census.ckpt")
-        census_mod._write_checkpoint(path, 2, 1, [])
-        with pytest.raises(ValueError):
-            run_census(3, checkpoint=path, resume=True)
-
-    @pytest.mark.parametrize("content", [
-        '[1, 2]',
-        '{"order": 2, "next_index": 1}',
-        '{"order": 2, "next_index": -1, "records": []}',
-        '{"order": 2, "next_index": "1", "records": []}',
-        '{"order": 2, "next_index": 1, "records": "2 -1 1 1 1,2 1"}',
-        '{"order": 2, "next_index": 1, "records": [7]}',
-        '{"order": 2, "next_index": 1, "records": ["2 -1 2 1 1,2 1"]}',
-        '{"order": 2, "next_index": 1, "records": ["3 -1,0,0 0 0 - 6"]}',
-        '{"order": 2, "next_index": 1, "records": ["2 5 1 0 - 1"]}',
-        '{"order": 2, "next_index": 0, "records": ["2 -1 1 1 1,2 1"]}',
-        '{"order": 2, "next_index": 3, '
-        '"records": ["2 0 1 0 - 1", "2 -1 1 1 1,2 1"]}',
-        '\xff',
-    ])
-    def test_malformed_checkpoint(self, tmp_path, content):
-        path = tmp_path / "census.ckpt"
-        path.write_bytes(content.encode("latin-1"))
-        with pytest.raises(CheckpointFormatError):
-            run_census(2, checkpoint=str(path), resume=True)
-
-    def test_resume_requires_checkpoint_path(self):
-        with pytest.raises(ValueError):
-            run_census(2, resume=True)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_place_values_permute_the_places(self, n):
+        columns = census_mod._place_values(n)
+        places = sorted(3 ** k for k in range(len(columns)))
+        for g in range(len(columns[0][1])):
+            assert sorted(c[1][g] for c in columns) == places
+            assert all(c[2][g] == 2 * c[1][g] for c in columns)
 
 
 class TestPairSupportCheck:

@@ -272,35 +272,18 @@ class TestCensusCommand:
         expected = str(tmp_path / "expected.txt")
         write_records(run_census(3), expected)
         assert open(out_path).read() == open(expected).read()
-        assert not (tmp_path / "census3.txt.checkpoint").exists()
 
-    def test_budget_guard_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("COPOCERT_MAX_CANDIDATES", "10")
-        code, out = run(capsys, ["census", "-n", "3"])
+    def test_budget_guard_exit_three(self, capsys):
+        code, out = run(capsys, ["census", "-n", "6"])
         assert code == 3
         assert machine_block(out)["error"] == "ResourceGuard"
 
-    def test_resume_requires_output(self, capsys):
+    @pytest.mark.parametrize("order", ["0", "7"])
+    def test_order_out_of_range_exit_two(self, capsys, order):
         with pytest.raises(SystemExit) as exc:
-            main(["census", "-n", "2", "--resume"])
+            main(["census", "-n", order, "--allow-large"])
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("content", [
-        '{"order": 3, "next_index": 1, "rec',
-        '{"order": 3, "next_index": 1, "records": ["garbage"]}',
-        '{"order": 3, "next_index": 28, "records": []}',
-        '{"order": 2, "next_index": 1, "records": []}',
-    ], ids=["truncated", "garbage-record", "past-the-end", "order-mismatch"])
-    def test_corrupt_checkpoint_exit_two(self, capsys, tmp_path, content):
-        out_path = str(tmp_path / "out.txt")
-        (tmp_path / "out.txt.checkpoint").write_text(content)
-        code = main(["census", "-n", "3", "-o", out_path, "--resume"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out.splitlines()[:3] == [
-            "[machine]", "command=census", "error=CheckpointFormat"]
-        assert "Traceback" not in captured.out + captured.err
-        assert not (tmp_path / "out.txt").exists()
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -120,15 +120,15 @@ class TestCensus:
         with pytest.raises(CensusInvariantError, match="sorted order"):
             run_census(3)
 
-    def test_checkpoint_past_the_end(self, tmp_path, monkeypatch):
-        # the loader rejects such a file; a loader that lets it through
-        # must still not produce a census
-        monkeypatch.setattr(census_mod, "_load_checkpoint",
-                            lambda path, order: (5, []))
-        path = tmp_path / "census.checkpoint"
-        path.write_text("")
-        with pytest.raises(CensusInvariantError, match="exhausted"):
-            run_census(2, checkpoint=str(path), resume=True)
+    def test_orbits_must_partition_the_candidates(self, monkeypatch):
+        # the last permutation's place values all set to 1: not a bijection
+        # of the positions, so some "orbits" reach into other classes
+        real = census_mod._place_values(3)
+        broken = tuple((None, ones[:-1] + (1,), twos[:-1] + (2,))
+                       for _, ones, twos in real)
+        monkeypatch.setattr(census_mod, "_place_values", lambda n: broken)
+        with pytest.raises(CensusInvariantError, match="orbit sizes sum"):
+            run_census(3)
 
 
 class TestStructureGraph:
