@@ -7,120 +7,32 @@ graph that the pair-supported case induces, extracts diagonal-scaling
 decompositions, and runs a census of unit-diagonal {-1,0,1} matrices up to
 simultaneous permutation.  All arithmetic is exact (integers and Fractions);
 no floating point is used anywhere in a verdict.
+
+The names below are the README quick start and the function behind each
+command of ``copocert.cli``; everything else is reached through its module.
 """
 
-from .census import (
-    Candidate,
-    CensusRecord,
-    EquivalenceReport,
-    PairSupportReport,
-    check_pair_supports,
-    read_records,
-    run_census,
-    verify_pair_scaling_equivalence,
-    write_records,
-)
-from .copositivity import (
-    CopositivityVerdict,
-    is_copositive,
-    subdivision_falsifier,
-)
-from .errors import (
-    AmbiguousPatternError,
-    CandidateBudgetError,
-    CensusInvariantError,
-    CopocertError,
-    InconsistentDiagonalError,
-    MatrixFormatError,
-    NotCopositiveError,
-    NotExtremalError,
-    NotUnitDiagonalError,
-    ScalingConditionError,
-    SupportCardinalityError,
-)
-from .extremality import (
-    ExtremalityCertificate,
-    ExtremalitySystem,
-    build_system,
-    extremality_certificate,
-)
-from .linalg import (
-    AffineSolutionSet,
-    SymMatrix,
-    eval_quadratic,
-    horn_matrix,
-    kernel_basis,
-    solve_affine,
-)
-from .scaling import (
-    DiagonalScaling,
-    ScalingDecomposition,
-    extract_pattern,
-    has_sign_pattern_scaling,
-    scale,
-)
-from .structure_graph import (
-    ComponentReport,
-    GraphComponent,
-    StructureGraph,
-    build_graph,
-    component_analysis,
-    dimension_via_graph,
-    reconstruct_pattern,
-    to_dot,
-)
-from .zeros import MinimalZeroList, Zero, minimal_zeros
+from .census import run_census, verify_pair_scaling_equivalence
+from .copositivity import is_copositive
+from .errors import CopocertError
+from .extremality import extremality_certificate
+from .linalg import SymMatrix, horn_matrix
+from .scaling import extract_pattern
+from .structure_graph import build_graph, component_analysis
+from .zeros import minimal_zeros
 
 __all__ = [
-    "AffineSolutionSet",
-    "AmbiguousPatternError",
-    "Candidate",
-    "CandidateBudgetError",
-    "CensusInvariantError",
-    "CensusRecord",
-    "ComponentReport",
     "CopocertError",
-    "CopositivityVerdict",
-    "DiagonalScaling",
-    "EquivalenceReport",
-    "ExtremalityCertificate",
-    "ExtremalitySystem",
-    "GraphComponent",
-    "InconsistentDiagonalError",
-    "MatrixFormatError",
-    "MinimalZeroList",
-    "NotCopositiveError",
-    "NotExtremalError",
-    "NotUnitDiagonalError",
-    "PairSupportReport",
-    "ScalingConditionError",
-    "ScalingDecomposition",
-    "StructureGraph",
-    "SupportCardinalityError",
     "SymMatrix",
-    "Zero",
     "build_graph",
-    "build_system",
-    "check_pair_supports",
     "component_analysis",
-    "dimension_via_graph",
-    "eval_quadratic",
     "extract_pattern",
     "extremality_certificate",
-    "has_sign_pattern_scaling",
     "horn_matrix",
     "is_copositive",
-    "kernel_basis",
     "minimal_zeros",
-    "read_records",
-    "reconstruct_pattern",
     "run_census",
-    "scale",
-    "solve_affine",
-    "subdivision_falsifier",
-    "to_dot",
     "verify_pair_scaling_equivalence",
-    "write_records",
 ]
 
 __version__ = "0.1.0"

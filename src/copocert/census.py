@@ -15,10 +15,11 @@ The sweep keeps one mark per candidate and marks a representative's whole
 orbit when it meets it, so it stops only at representatives, and the orbit
 sizes must add up to the candidate count.
 
-Two cross-class checks ride on top of the census: every copositive record
-must have only cardinality-two minimal supports, and every extremal record
-must satisfy the equivalence between that support property and being a
-diagonal scaling of an extremal unit-diagonal {-1,0,1} matrix.
+The sweep aborts if an extremal record has a minimal support that is not a
+pair; ``copocert census`` reports whether every copositive record has only
+pair supports.  ``verify_pair_scaling_equivalence`` checks, for one extremal
+matrix, the equivalence between that support property and being a diagonal
+scaling of an extremal unit-diagonal {-1,0,1} matrix.
 """
 
 from __future__ import annotations
@@ -223,40 +224,6 @@ def read_records(path: str) -> list[CensusRecord]:
             if line and not line.startswith("#"):
                 records.append(CensusRecord.from_line(line))
     return records
-
-
-@dataclass(frozen=True)
-class PairSupportReport:
-    """Outcome of checking that copositive records only ever have
-    cardinality-two minimal supports."""
-
-    order: int
-    copositive_records: int
-    support_count: int
-    violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_pair_supports(records: list[CensusRecord]) -> PairSupportReport:
-    """Every minimal support of every copositive record has cardinality 2."""
-    if not records:
-        raise ValueError("empty record list")
-    order = records[0].order
-    checked = 0
-    count = 0
-    violations = []
-    for record in records:
-        if not record.copositive:
-            continue
-        checked += 1
-        for support in record.minimal_supports:
-            count += 1
-            if len(support) != 2:
-                violations.append((record.canonical_offdiag, support))
-    return PairSupportReport(order, checked, count, tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,23 @@ Every subcommand prints a [machine] block of key=value lines that alone
 determines the verdict, followed by a [human] block of aligned text.  Output
 is deterministic: fixed key order, no timestamps, exact rationals rendered by
 Fraction.__str__.  Exit codes: 0 when the queried property holds, 1 when it
-fails or a precondition is unmet, 2 on input errors (a malformed matrix file
-or bad arguments, the latter reported by argparse), 3 when the census
-resource guard trips.  Index sets are rendered 1-based.
+fails or a precondition is unmet, 2 on input and output errors (a malformed
+matrix file, an output path that cannot be written, or bad arguments, the
+latter reported by argparse), 3 when the census resource guard trips.  Index
+sets are rendered 1-based.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import re
 import sys
 from fractions import Fraction
 
 from .census import (
     MAX_ORDER,
-    check_pair_supports,
     run_census,
     verify_pair_scaling_equivalence,
     write_records,
@@ -28,6 +30,7 @@ from .errors import (
     CandidateBudgetError,
     CopocertError,
     MatrixFormatError,
+    OutputError,
 )
 from .extremality import extremality_certificate
 from .linalg import SymMatrix, upper_size
@@ -35,7 +38,6 @@ from .scaling import extract_pattern
 from .structure_graph import (
     build_graph,
     component_analysis,
-    dimension_via_graph,
     reconstruct_pattern,
     to_dot,
 )
@@ -143,6 +145,15 @@ def _rows(A: SymMatrix) -> str:
                     for i in range(A.n))
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing ``path`` into an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(machine, human, extra: str = "") -> None:
     lines = ["[machine]"]
     lines += [f"{key}={value}" for key, value in machine]
@@ -219,18 +230,18 @@ def cmd_graph(args) -> int:
                ("vertices", upper_size(A.n)), ("edges", len(graph.edges)),
                ("components", len(report.components)),
                ("bipartite", report.bipartite_count),
-               ("dimension", dimension_via_graph(report))]
+               ("dimension", report.bipartite_count)]
     human = [("order", A.n), ("vertices", upper_size(A.n)),
              ("edges", len(graph.edges)),
              ("components", len(report.components)),
              ("bipartite", report.bipartite_count),
-             ("dimension", dimension_via_graph(report))]
+             ("dimension", report.bipartite_count)]
     if report.bipartite_count == 1:
         pattern = reconstruct_pattern(report)
         machine.append(("pattern", _rows(pattern)))
         human.append(("pattern", _rows(pattern)))
     if args.dot:
-        with open(args.dot, "w") as handle:
+        with _writing(args.dot), open(args.dot, "w") as handle:
             handle.write(to_dot(graph, report))
         machine.append(("dot", args.dot))
         human.append(("dot file", args.dot))
@@ -255,25 +266,27 @@ def cmd_normalize(args) -> int:
 
 def cmd_census(args) -> int:
     records = run_census(args.order, allow_large=args.allow_large)
-    report = check_pair_supports(records)
+    pairs_ok = all(len(s) == 2 for r in records if r.copositive
+                   for s in r.minimal_supports)
     machine = [("command", "census"), ("order", args.order),
                ("classes", len(records)),
                ("copositive", sum(r.copositive for r in records)),
                ("extremal", sum(r.extremal for r in records)),
-               ("pair_supports_ok", _yn(report.ok))]
+               ("pair_supports_ok", _yn(pairs_ok))]
     human = [("order", args.order), ("classes", len(records)),
              ("copositive", sum(r.copositive for r in records)),
              ("extremal", sum(r.extremal for r in records)),
-             ("pair supports", "all cardinality 2" if report.ok else "VIOLATED")]
+             ("pair supports", "all cardinality 2" if pairs_ok else "VIOLATED")]
     extra = ""
     if args.output:
-        write_records(records, args.output)
+        with _writing(args.output):
+            write_records(records, args.output)
         machine.append(("output", args.output))
         human.append(("written to", args.output))
     else:
         extra = "[records]\n" + "".join(r.to_line() + "\n" for r in records)
     _emit(machine, human, extra)
-    return 0 if report.ok else 1
+    return 0 if pairs_ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -297,7 +310,9 @@ def cmd_verify(args) -> int:
     return 0 if report.equivalent else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="copocert",
         description="Exact copositivity and extremality certificates "
@@ -342,11 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, OutputError) as exc:
         _emit_error(args.subcommand, exc)
         return 2
     except CandidateBudgetError as exc:

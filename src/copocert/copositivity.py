@@ -36,7 +36,9 @@ zero with support S is exactly a positive solution of S's system with value
 0, and by (3) a minimal one is the unique solution of its support's system.
 
 Membership testing is co-NP-complete in general; the 2^n - 1 support scan is
-deliberate and fine for the orders this package targets (n <= 8).
+deliberate and fine for the orders this package targets (n <= 8).  The
+tests cross-check it against an independent one-sided falsifier that bisects
+the simplex (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -154,47 +156,3 @@ def is_copositive(A: SymMatrix) -> CopositivityVerdict:
                 zeros.append(point)
     return CopositivityVerdict(True, None, best, tuple(zeros))
 
-
-def _split_simplex(corners, depth, seen, A):
-    if depth == 0 or len(corners) < 2:
-        return None
-    # bisect the longest edge; ties resolved by index order for determinism
-    best_pair = None
-    best_len = None
-    for a, b in combinations(range(len(corners)), 2):
-        d = sum((x - y) ** 2 for x, y in zip(corners[a], corners[b]))
-        if best_len is None or d > best_len:
-            best_len = d
-            best_pair = (a, b)
-    a, b = best_pair
-    mid = tuple((x + y) / 2 for x, y in zip(corners[a], corners[b]))
-    if mid not in seen:
-        seen.add(mid)
-        if eval_quadratic(A, mid) < 0:
-            return mid
-    for drop, keep in ((a, b), (b, a)):
-        child = list(corners)
-        child[drop] = mid
-        hit = _split_simplex(tuple(child), depth - 1, seen, A)
-        if hit is not None:
-            return hit
-    return None
-
-
-def subdivision_falsifier(A: SymMatrix, depth: int) -> Vector | None:
-    """One-sided copositivity falsifier, independent of the support scan.
-
-    Recursively bisects the standard simplex (longest edge first) and returns
-    the first subdivision vertex with negative form value, or ``None`` after
-    exhausting ``depth`` levels.  ``None`` does not certify copositivity.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    n = A.n
-    corners = tuple(_embed([ONE], (i,), n) for i in range(n))
-    seen = set()
-    for c in corners:
-        seen.add(c)
-        if eval_quadratic(A, c) < 0:
-            return c
-    return _split_simplex(corners, depth, seen, A)

@@ -88,3 +88,9 @@ class MatrixFormatError(CopocertError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+class OutputError(CopocertError):
+    """A file named on the command line could not be written."""
+
+    code = "WriteError"

@@ -11,12 +11,11 @@ substitute ``t = 1 - s`` with ``s >= 0`` so a plain two-phase primal simplex
 over Fractions applies.  Bland's rule handles ties and degeneracy, so the
 pivot sequence is deterministic and finite.
 
-Solution sets of dimension zero or one are dispatched by direct sign checks
-instead; the simplex only runs for genuinely multi-dimensional sets.  The
-copositivity scan only asks about solution sets of dimension zero, a plain
-sign check; the line intersection and the simplex are kept for the tests and
-for the benchmark tracer (``perfbench/tracer.py``), which wraps
-``simplex_maximize`` by name.
+A solution set of dimension zero is decided by a direct sign check instead;
+every other dimension goes through the simplex.  The copositivity scan only
+asks about dimension zero; the simplex is kept for the tests and for the
+benchmark tracer (``perfbench/tracer.py``), which wraps ``simplex_maximize``
+by name.
 """
 
 from __future__ import annotations
@@ -140,34 +139,6 @@ def simplex_maximize(rows, b, objective):
     return _OPTIMAL, tuple(x), value
 
 
-def _point_on_line(x0, k, positive):
-    # x = x0 + t k with x_i > 0 for i in positive: intersect open t-intervals
-    lo = None
-    hi = None
-    for i in positive:
-        ki = k[i]
-        if ki == 0:
-            if x0[i] <= 0:
-                return None
-        else:
-            bound = -x0[i] / ki
-            if ki > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None:
-        if lo >= hi:
-            return None
-        t = (lo + hi) / 2
-    elif lo is not None:
-        t = lo + 1
-    elif hi is not None:
-        t = hi - 1
-    else:
-        t = ZERO
-    return tuple(a + t * b for a, b in zip(x0, k))
-
-
 def strictly_positive_point(solset: AffineSolutionSet, positive=None) -> Vector | None:
     """A rational point of the set with the masked coordinates all > 0.
 
@@ -185,8 +156,6 @@ def strictly_positive_point(solset: AffineSolutionSet, positive=None) -> Vector 
     kern = solset.kernel
     if not kern:
         return x0 if all(x0[i] > 0 for i in pos) else None
-    if len(kern) == 1:
-        return _point_on_line(x0, kern[0], pos)
 
     # General case: variables c (free, split), s >= 0, surplus w_i >= 0 with
     #   (K c)_i + s - w_i = 1 - x0_i   for i in pos,

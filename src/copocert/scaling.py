@@ -69,7 +69,8 @@ def _scaling_failure(A: SymMatrix) -> str | None:
         for j in range(i + 1, A.n):
             a = A.get(i, j)
             if a != 0 and a * a != A.get(i, i) * A.get(j, j):
-                return (f"entry ({i + 1},{j + 1}): {a}^2 != "
+                base = str(a) if a > 0 and a.denominator == 1 else f"({a})"
+                return (f"entry ({i + 1},{j + 1}): {base}^2 != "
                         f"{A.get(i, i)} * {A.get(j, j)}")
     return None
 

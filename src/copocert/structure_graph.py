@@ -70,6 +70,7 @@ class GraphComponent:
 class ComponentReport:
     order: int
     components: tuple[GraphComponent, ...]
+    # the solution-space dimension of the pair system
     bipartite_count: int
 
 
@@ -141,11 +142,6 @@ def component_analysis(G: StructureGraph) -> ComponentReport:
         components.append(GraphComponent(tuple(members), bipartite, classes))
     count = sum(1 for c in components if c.bipartite)
     return ComponentReport(G.order, tuple(components), count)
-
-
-def dimension_via_graph(report: ComponentReport) -> int:
-    """Solution-space dimension of the pair system: bipartite components."""
-    return report.bipartite_count
 
 
 def reconstruct_pattern(report: ComponentReport) -> SymMatrix:

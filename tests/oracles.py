@@ -4,11 +4,12 @@ Everything here recomputes results through a different route than the code
 under test: grid scans instead of stationary-point enumeration, brute-force
 matrix permutation instead of precomputed position maps, a counting formula
 instead of explicit deduplication, vertex enumeration instead of the
-simplex method, and kernels of principal submatrices instead of the
-stationary systems the copositivity scan solves.  The rational path below
-(``fraction_solve_affine``, ``fraction_quadratic``) is the ``Fraction``
-back-substitution and form evaluation the integer-native core replaced,
-kept as the reference for it.  ``lp_is_copositive`` is the support scan as it
+simplex method, kernels of principal submatrices instead of the stationary
+systems the copositivity scan solves, and bisection of the simplex
+(``subdivision_falsifier``) instead of the support scan.  The rational path
+below (``fraction_solve_affine``, ``fraction_quadratic``) is the
+``Fraction`` back-substitution and form evaluation the integer-native core
+replaced, kept as the reference for it.  ``lp_is_copositive`` is the support scan as it
 was before it skipped systems with a positive-dimensional solution set: the
 exact LP decides positivity on every feasible support.  The helpers at the
 end were library functions that only tests called.
@@ -343,6 +344,52 @@ def canonical_form(c: Candidate) -> tuple[Candidate, int]:
     assert math.factorial(c.order) % orbit == 0, \
         "orbit size must divide the group order"
     return Candidate(c.order, canon), orbit
+
+
+def _split_simplex(corners, depth, seen, A):
+    if depth == 0 or len(corners) < 2:
+        return None
+    # bisect the longest edge; ties resolved by index order for determinism
+    best_pair = None
+    best_len = None
+    for a, b in itertools.combinations(range(len(corners)), 2):
+        d = sum((x - y) ** 2 for x, y in zip(corners[a], corners[b]))
+        if best_len is None or d > best_len:
+            best_len = d
+            best_pair = (a, b)
+    a, b = best_pair
+    mid = tuple((x + y) / 2 for x, y in zip(corners[a], corners[b]))
+    if mid not in seen:
+        seen.add(mid)
+        if eval_quadratic(A, mid) < 0:
+            return mid
+    for drop, keep in ((a, b), (b, a)):
+        child = list(corners)
+        child[drop] = mid
+        hit = _split_simplex(tuple(child), depth - 1, seen, A)
+        if hit is not None:
+            return hit
+    return None
+
+
+def subdivision_falsifier(A: SymMatrix, depth: int):
+    """One-sided copositivity falsifier, independent of the support scan.
+
+    Recursively bisects the standard simplex (longest edge first) and returns
+    the first subdivision vertex with negative form value, or ``None`` after
+    exhausting ``depth`` levels.  ``None`` does not certify copositivity.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    n = A.n
+    corners = tuple(tuple(Fraction(int(k == i)) for k in range(n))
+                    for i in range(n))
+    seen = set()
+    for c in corners:
+        seen.add(c)
+        if eval_quadratic(A, c) < 0:
+            return c
+    return _split_simplex(corners, depth, seen, A)
 
 
 def iterate_candidates(n: int):

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from copocert.census import Candidate, check_pair_supports, read_records, \
+from copocert.census import Candidate, read_records, \
     verify_pair_scaling_equivalence
-from copocert.copositivity import is_copositive, subdivision_falsifier
+from copocert.copositivity import is_copositive
 from copocert.errors import AmbiguousPatternError
 from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix, upper_size
@@ -31,12 +31,16 @@ from copocert.scaling import (
 from copocert.structure_graph import (
     build_graph,
     component_analysis,
-    dimension_via_graph,
     reconstruct_pattern,
 )
 from copocert.zeros import minimal_zeros
 
-from oracles import canonical_form, random_positive_diagonal, random_symmetric
+from oracles import (
+    canonical_form,
+    random_positive_diagonal,
+    random_symmetric,
+    subdivision_falsifier,
+)
 
 F = Fraction
 BASELINE_DIR = "tests/baselines"
@@ -99,7 +103,7 @@ def test_criterion_1_worked_instance(criterion):
         graph = build_graph(A, zeros)
         assert graph.edges == (((0, 0), (0, 1)), ((0, 1), (1, 1)))
         report = component_analysis(graph)
-        assert dimension_via_graph(report) == 1
+        assert report.bipartite_count == 1
         assert reconstruct_pattern(report) == A
 
 
@@ -161,7 +165,6 @@ def test_criterion_4_negative_controls(criterion):
         report = component_analysis(build_graph(B, zeros))
         assert len(report.components) == 4
         assert report.bipartite_count == 4
-        assert dimension_via_graph(report) == 4
         assert not extremality_certificate(B).extremal
         with pytest.raises(AmbiguousPatternError):
             reconstruct_pattern(report)
@@ -180,7 +183,7 @@ def test_criterion_5_graph_dimension_equals_nullity(criterion, census):
                 cert = extremality_certificate(A)
                 report = component_analysis(
                     build_graph(A, cert.minimal_zeros))
-                assert dimension_via_graph(report) == cert.nullity
+                assert report.bipartite_count == cert.nullity
                 checked += 1
         assert checked == sum(
             r.copositive for n in (1, 2, 3, 4) for r in census(n))
@@ -189,9 +192,7 @@ def test_criterion_5_graph_dimension_equals_nullity(criterion, census):
 def test_criterion_6_pair_supports_census(criterion, census):
     with criterion(6, "pair supports across census", 300.0):
         for n in (1, 2, 3, 4, 5):
-            records = list(census(n))
-            assert check_pair_supports(records).ok
-            for record in records:
+            for record in census(n):
                 if not record.copositive:
                     continue
                 zeros = minimal_zeros(record_matrix(record))

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 import copocert.census as census_mod
+from copocert import cli
 from copocert.census import (
     Candidate,
     CensusRecord,
-    check_pair_supports,
     read_records,
     run_census,
     verify_pair_scaling_equivalence,
@@ -230,22 +230,21 @@ class TestRunCensus:
 
 
 class TestPairSupportCheck:
-    def test_all_orders_pass(self, census):
+    def test_all_orders_pass(self, capsys, census):
         for n in (2, 3, 4):
-            report = check_pair_supports(list(census(n)))
-            assert report.ok
-            assert report.copositive_records == \
-                sum(r.copositive for r in census(n))
+            assert cli.main(["census", "-n", str(n)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert "pair_supports_ok=yes" in lines
+            assert f"copositive={sum(r.copositive for r in census(n))}" in lines
 
-    def test_violation_reported(self):
+    def test_violation_reported(self, capsys, monkeypatch):
         bad = CensusRecord(3, (0, 0, 0), True, False, ((0, 1, 2),), 1)
-        report = check_pair_supports([bad])
-        assert not report.ok
-        assert report.violations == (((0, 0, 0), (0, 1, 2)),)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            check_pair_supports([])
+        monkeypatch.setattr(cli, "run_census",
+                            lambda n, allow_large=False: [bad])
+        assert cli.main(["census", "-n", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "pair_supports_ok=no" in out.splitlines()
+        assert "VIOLATED" in out
 
 
 class TestEquivalence:

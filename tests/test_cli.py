@@ -203,6 +203,15 @@ class TestGraph:
         assert text.startswith("graph ") and text.endswith("}\n")
         assert '"X1_2" -- "X2_2"' in text or '"X2_2" -- "X1_2"' in text
 
+    def test_unwritable_dot_exit_two(self, capsys, write_matrix, tmp_path):
+        dot_path = str(tmp_path / "missing" / "graph.dot")
+        code, out = run(capsys,
+                        ["graph", write_matrix(PAIR), "--dot", dot_path])
+        mach = machine_block(out)
+        assert code == 2
+        assert mach["error"] == "WriteError"
+        assert mach["message"].startswith(f"cannot write {dot_path}: ")
+
     def test_identity_dimension(self, capsys, write_matrix):
         code, out = run(capsys, ["graph", write_matrix(SymMatrix.identity(2))])
         mach = machine_block(out)
@@ -273,6 +282,15 @@ class TestCensusCommand:
         write_records(run_census(3), expected)
         assert open(out_path).read() == open(expected).read()
 
+    def test_unwritable_output_exit_two(self, capsys, tmp_path):
+        out_path = str(tmp_path / "missing" / "census2.txt")
+        code, out = run(capsys, ["census", "-n", "2", "-o", out_path])
+        mach = machine_block(out)
+        assert code == 2
+        assert mach["error"] == "WriteError"
+        assert mach["message"].startswith(f"cannot write {out_path}: ")
+        assert "[records]" not in out
+
     def test_budget_guard_exit_three(self, capsys):
         code, out = run(capsys, ["census", "-n", "6"])
         assert code == 3
@@ -331,6 +349,15 @@ class TestDeterminism:
             main(["verify", path])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_no_state_leaks_between_calls(self, capsys, write_matrix,
+                                          tmp_path):
+        path = write_matrix(PAIR)
+        dot_path = str(tmp_path / "graph.dot")
+        assert main(["graph", path, "--dot", dot_path]) == 0
+        assert machine_block(capsys.readouterr().out)["dot"] == dot_path
+        assert main(["graph", path]) == 0
+        assert "dot" not in machine_block(capsys.readouterr().out)
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

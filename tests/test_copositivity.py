@@ -6,11 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copocert.copositivity import (
-    is_copositive,
-    stationary_candidates,
-    subdivision_falsifier,
-)
+from copocert.copositivity import is_copositive, stationary_candidates
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
 
 from oracles import (
@@ -19,6 +15,7 @@ from oracles import (
     permuted_matrix,
     random_symmetric,
     simplex_grid,
+    subdivision_falsifier,
 )
 
 F = Fraction

@@ -53,6 +53,17 @@ class TestCondition:
         assert not has_sign_pattern_scaling(SymMatrix.from_rows([[0, 0], [0, 1]]))
         assert not has_sign_pattern_scaling(SymMatrix.from_rows([[-1, 0], [0, 1]]))
 
+    def test_failure_message_parenthesizes_the_base(self):
+        A = SymMatrix.from_rows([[1, F(-12, 13)], [F(-12, 13), 1]])
+        with pytest.raises(ScalingConditionError,
+                           match=r"^entry \(1,2\): \(-12/13\)\^2 != 1 \* 1$"):
+            extract_pattern(A)
+        with pytest.raises(ScalingConditionError,
+                           match=r": \(-2\)\^2 != 1 \* 1$"):
+            extract_pattern(SymMatrix.from_rows([[1, -2], [-2, 1]]))
+        with pytest.raises(ScalingConditionError, match=r": 2\^2 != 1 \* 1$"):
+            extract_pattern(SymMatrix.from_rows([[1, 2], [2, 1]]))
+
     def test_zero_offdiagonal_is_exempt(self):
         assert has_sign_pattern_scaling(SymMatrix.from_rows([[2, 0], [0, 3]]))
 

@@ -19,7 +19,6 @@ from copocert.structure_graph import (
     StructureGraph,
     build_graph,
     component_analysis,
-    dimension_via_graph,
     reconstruct_pattern,
     to_dot,
 )
@@ -93,7 +92,6 @@ class TestComponentAnalysis:
         _, report = analyse(A)
         assert len(report.components) == 4
         assert report.bipartite_count == 4
-        assert dimension_via_graph(report) == 4
 
     def test_odd_cycle_detected(self):
         # hand-built triangle on three entries
@@ -119,7 +117,7 @@ class TestComponentAnalysis:
                     continue
                 A = Candidate(n, record.canonical_offdiag).matrix()
                 _, report = analyse(A)
-                assert dimension_via_graph(report) == \
+                assert report.bipartite_count == \
                     extremality_certificate(A).nullity
 
 
