@@ -6,8 +6,7 @@ is deterministic: fixed key order, no timestamps, exact rationals rendered by
 Fraction.__str__.  Exit codes: 0 when the queried property holds, 1 when it
 fails or a precondition is unmet, 2 on input and output errors (a malformed
 matrix file, an output path that cannot be written, or bad arguments, the
-latter reported by argparse), 3 when the census resource guard trips.  Index
-sets are rendered 1-based.
+latter reported by argparse).  Index sets are rendered 1-based.
 """
 
 from __future__ import annotations
@@ -26,12 +25,7 @@ from .census import (
     write_records,
 )
 from .copositivity import is_copositive
-from .errors import (
-    CandidateBudgetError,
-    CopocertError,
-    MatrixFormatError,
-    OutputError,
-)
+from .errors import CopocertError, MatrixFormatError, OutputError
 from .extremality import extremality_certificate
 from .linalg import SymMatrix, upper_size
 from .scaling import extract_pattern
@@ -265,7 +259,15 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_census(args) -> int:
-    records = run_census(args.order, allow_large=args.allow_large)
+    with contextlib.ExitStack() as stack:
+        handle = None
+        if args.output:
+            # opened before the sweep, so a bad path fails at once
+            stack.enter_context(_writing(args.output))
+            handle = stack.enter_context(open(args.output, "w"))
+        records = run_census(args.order)
+        if handle:
+            write_records(records, handle)
     pairs_ok = all(len(s) == 2 for r in records if r.copositive
                    for s in r.minimal_supports)
     machine = [("command", "census"), ("order", args.order),
@@ -279,8 +281,6 @@ def cmd_census(args) -> int:
              ("pair supports", "all cardinality 2" if pairs_ok else "VIOLATED")]
     extra = ""
     if args.output:
-        with _writing(args.output):
-            write_records(records, args.output)
         machine.append(("output", args.output))
         human.append(("written to", args.output))
     else:
@@ -344,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--order", type=int, required=True,
                    choices=range(1, MAX_ORDER + 1))
     p.add_argument("-o", "--output", help="write records to this file")
-    p.add_argument("--allow-large", action="store_true",
-                   help="bypass the candidate budget guard")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify",
@@ -363,9 +361,6 @@ def main(argv=None) -> int:
     except (MatrixFormatError, OutputError) as exc:
         _emit_error(args.subcommand, exc)
         return 2
-    except CandidateBudgetError as exc:
-        _emit_error(args.subcommand, exc)
-        return 3
     except CopocertError as exc:
         _emit_error(args.subcommand, exc)
         return 1

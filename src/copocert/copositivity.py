@@ -75,6 +75,9 @@ class CopositivityVerdict:
     zeros: tuple[Vector, ...] = ()
 
 
+_UNSEEN = object()  # a support-system cache miss (None caches "no point")
+
+
 def _embed(values, support, n):
     x = [ZERO] * n
     for v, i in zip(values, support):
@@ -82,7 +85,7 @@ def _embed(values, support, n):
     return tuple(x)
 
 
-def stationary_candidates(A: SymMatrix):
+def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
     """Yield ``(value, point)`` for every support whose stationarity system
     has a unique solution, strictly positive on the support.
 
@@ -93,6 +96,13 @@ def stationary_candidates(A: SymMatrix):
     recomputed with the quadratic form (on integer numerators) rather than
     read off the multiplier, so each candidate is an attained simplex value
     by construction.
+
+    The system of support S, its point and its value depend only on
+    ``A_S = M_S / d``.  A caller that scans many matrices (the census) may
+    pass one dict as ``cache``: it is keyed by ``d`` and the upper triangle
+    of ``M_S``, and maps to ``None`` (no unique positive solution) or to the
+    point on S with its value, so each distinct principal submatrix is
+    solved once.  Without a cache no key is built.
     """
     n = A.n
     M, d = A.integer_form
@@ -101,58 +111,76 @@ def stationary_candidates(A: SymMatrix):
         sum_row = [1] * k + [0]
         rhs = [0] * k + [1]
         for support in combinations(range(n), k):
+            if cache is not None:
+                key = (d, tuple([M[i][j] for p, i in enumerate(support)
+                                 for j in support[p:]]))
+                hit = cache.get(key, _UNSEEN)
+                if hit is not _UNSEEN:
+                    if hit is not None:
+                        yield hit[1], _embed(hit[0], support, n)
+                    continue
             rows = [[M[i][j] for j in support] + [-d] for i in support]
             rows.append(sum_row)
             sol = solve_affine(rows, rhs, ncols=k + 1)
-            if not sol.feasible or sol.dimension:
-                continue
-            point = strictly_positive_point(sol, positive=range(k))
+            point = None
+            if sol.feasible and not sol.dimension:
+                point = strictly_positive_point(sol, positive=range(k))
             if point is None:
+                if cache is not None:
+                    cache[key] = None
                 continue
-            x = _embed(point[:k], support, n)
-            yield eval_quadratic(A, x), x
+            u = point[:k]
+            x = _embed(u, support, n)
+            value = eval_quadratic(A, x)
+            if cache is not None:
+                cache[key] = (u, value)
+            yield value, x
 
 
 def _prefilter_violator(A: SymMatrix):
     # Cheap certified violations, checked before the exponential scan:
     # a negative diagonal entry, or a 2x2 principal submatrix with zero
-    # diagonal and a negative coupling.
+    # diagonal and a negative coupling.  Signs are read off the integer
+    # numerators, which share them with the entries.
     n = A.n
+    M, _ = A.integer_form
     for i in range(n):
-        if A.get(i, i) < 0:
+        if M[i][i] < 0:
             return _embed([ONE], (i,), n), A.get(i, i)
     for i in range(n):
-        if A.get(i, i) != 0:
+        if M[i][i]:
             continue
         for j in range(i + 1, n):
-            if A.get(j, j) == 0 and A.get(i, j) < 0:
+            if M[j][j] == 0 and M[i][j] < 0:
                 x = _embed([Fraction(1, 2), Fraction(1, 2)], (i, j), n)
                 return x, eval_quadratic(A, x)
     return None
 
 
-def is_copositive(A: SymMatrix) -> CopositivityVerdict:
+def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVerdict:
     """Exact membership test with a witness on failure.
 
     Stops at the first negative stationary value (census throughput); when
     the matrix is copositive the full scan has run, the reported minimum is
-    exact and the minimal zeros have been collected on the way.
+    exact and the minimal zeros have been collected on the way.  ``cache``
+    is handed to ``stationary_candidates``.
     """
     hit = _prefilter_violator(A)
     if hit is not None:
         return CopositivityVerdict(False, hit[0], hit[1])
-    best = None
+    values = []
     zeros = []
     supports = []
-    for value, point in stationary_candidates(A):
-        if value < 0:
+    for value, point in stationary_candidates(A, cache=cache):
+        # signs are read off numerators and the minimum is taken only once
+        # the scan is through, because Fraction comparisons are slow
+        if value.numerator < 0:
             return CopositivityVerdict(False, point, value)
-        if best is None or value < best:
-            best = value
-        if value == 0:
+        values.append(value)
+        if not value:
             support = frozenset(i for i, c in enumerate(point) if c)
             if not any(s < support for s in supports):
                 supports.append(support)
                 zeros.append(point)
-    return CopositivityVerdict(True, None, best, tuple(zeros))
+    return CopositivityVerdict(True, None, min(values), tuple(zeros))
 

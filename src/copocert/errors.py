@@ -59,12 +59,6 @@ class NotExtremalError(CopocertError):
     code = "NotExtremalInput"
 
 
-class CandidateBudgetError(CopocertError):
-    """The census would enumerate more candidates than the configured budget."""
-
-    code = "ResourceGuard"
-
-
 class InvariantError(CopocertError):
     """An internal self-check failed: exact division, LP optimality, or a
     certificate that does not re-verify.  Raised explicitly, so the checks

@@ -9,7 +9,10 @@ over the n(n+1)/2 upper-triangle entries of X (row-major, the global unknown
 ordering of this package).  A spans an extreme ray of the copositive cone
 exactly when the solution space of this system is one-dimensional, in which
 case that line is spanned by A itself.  The gate ``(A u^j)_k = 0`` is tested
-exactly; there is no tolerance anywhere.
+exactly; there is no tolerance anywhere.  The nullity is the number of
+unknowns minus the pivot count of one fraction-free elimination; a kernel
+vector is back-substituted only for nullity 1, where it must be a multiple
+of A.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .linalg import (
     SymMatrix,
     _primitive_int_row,
     dot,
+    echelon,
     is_proportional,
-    kernel_basis,
     upper_index,
     upper_size,
 )
@@ -52,7 +55,6 @@ class ExtremalityCertificate:
 
     nullity: int
     extremal: bool
-    basis: tuple[SymMatrix, ...]
     system: ExtremalitySystem
     minimal_zeros: MinimalZeroList
 
@@ -80,25 +82,28 @@ def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
     return ExtremalitySystem(n, tuple(gates), tuple(rows))
 
 
-def extremality_certificate(A: SymMatrix) -> ExtremalityCertificate:
+def extremality_certificate(A: SymMatrix, *,
+                            cache: dict | None = None) -> ExtremalityCertificate:
     """Decide extremality of a copositive matrix via the system's nullity.
 
-    Raises NotCopositiveError (from ``minimal_zeros``) when A is not
-    copositive.
+    The system is eliminated once and the nullity is its column count minus
+    its pivot count.  Only a one-dimensional solution space is
+    back-substituted, to check that it is spanned by A; a larger one is
+    reported by its dimension alone (``kernel_basis(cert.system.rows)``
+    recovers a basis).  ``cache`` is handed to the copositivity scan (see
+    ``stationary_candidates``).  Raises NotCopositiveError (from
+    ``minimal_zeros``) when A is not copositive.
     """
-    zeros = minimal_zeros(A)
+    zeros = minimal_zeros(A, cache=cache)
     system = build_system(A, zeros)
-    n = A.n
-    size = upper_size(n)
     if any(dot(row, A.upper) != 0 for row in system.rows):
         raise InvariantError("input matrix must satisfy its own system")
-    kern = kernel_basis(list(system.rows), size)
-    nullity = len(kern)
+    reduced = echelon(system.rows, upper_size(A.n))
+    nullity = reduced.nullity
     if nullity == 0 and not A.is_zero():
         raise InvariantError("a nonzero matrix lies in its own solution space")
     extremal = nullity == 1
-    basis = tuple(SymMatrix.from_upper(n, v) for v in kern)
-    if extremal and not is_proportional(basis[0].upper, A.upper):
+    if extremal and not is_proportional(reduced.kernel()[0], A.upper):
         raise InvariantError("one-dimensional solution space must be "
                              "spanned by a multiple of the matrix")
-    return ExtremalityCertificate(nullity, extremal, basis, system, zeros)
+    return ExtremalityCertificate(nullity, extremal, system, zeros)

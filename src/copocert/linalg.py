@@ -29,7 +29,8 @@ ONE = Fraction(1)
 
 
 def as_vector(entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    """Entries as Fractions; entries that already are Fractions pass through."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def dot(u, v) -> Fraction:
@@ -146,15 +147,40 @@ def _kernel_from_echelon(ech, pivots, ncols):
             for f in range(ncols) if f not in pivot_cols]
 
 
+@dataclass(frozen=True)
+class Echelon:
+    """A homogeneous system ``Mx = 0`` after one fraction-free elimination.
+
+    The nullity is read off the pivot count; kernel vectors are only
+    back-substituted when ``kernel`` is asked for.
+    """
+
+    rows: list
+    pivots: list
+    ncols: int
+
+    @property
+    def nullity(self) -> int:
+        return self.ncols - len(self.pivots)
+
+    def kernel(self) -> list[Vector]:
+        """One canonical kernel vector per non-pivot column, in column order."""
+        return _kernel_from_echelon(self.rows, self.pivots, self.ncols)
+
+
+def echelon(rows, ncols=None) -> Echelon:
+    """Eliminate ``rows`` once (integer rows as given, rational rows scaled)."""
+    int_rows, ncols = _prepare(rows, ncols)
+    return Echelon(*_bareiss_echelon(int_rows, ncols), ncols)
+
+
 def kernel_basis(rows, ncols=None) -> list[Vector]:
     """Basis of ``{x : Mx = 0}`` with deterministic primitive entries.
 
     Empty list iff M has full column rank; a matrix with no rows (or only
     zero rows) yields the standard basis.
     """
-    int_rows, ncols = _prepare(rows, ncols)
-    ech, pivots = _bareiss_echelon(int_rows, ncols)
-    return _kernel_from_echelon(ech, pivots, ncols)
+    return echelon(rows, ncols).kernel()
 
 
 @dataclass(frozen=True)
@@ -233,10 +259,6 @@ class SymMatrix:
             raise ValueError("upper triangle has wrong length")
 
     @classmethod
-    def from_upper(cls, n, entries) -> "SymMatrix":
-        return cls(n, as_vector(entries))
-
-    @classmethod
     def from_rows(cls, rows) -> "SymMatrix":
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -268,10 +290,13 @@ class SymMatrix:
         """``(M, d)`` with ``A = M / d``: ``d`` is the least common
         denominator of the entries, ``M`` the full integer matrix by rows."""
         d = lcm(*(x.denominator for x in self.upper))
-        ints = [x.numerator * (d // x.denominator) for x in self.upper]
+        ints = iter([x.numerator * (d // x.denominator) for x in self.upper])
         n = self.n
-        return tuple(tuple(ints[upper_index(n, i, j)] for j in range(n))
-                     for i in range(n)), d
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = M[j][i] = next(ints)
+        return tuple(map(tuple, M)), d
 
     def get(self, i, j) -> Fraction:
         return self.upper[upper_index(self.n, i, j)]

@@ -21,11 +21,10 @@ copositivity scan (see ``copositivity``), which visits every support once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
 
 from .errors import NotCopositiveError
-from .linalg import ZERO, SymMatrix, Vector
+from .linalg import ZERO, SymMatrix, Vector, as_vector
 from .copositivity import is_copositive
 
 
@@ -38,13 +37,14 @@ class Zero:
 
     @classmethod
     def from_coordinates(cls, coords) -> "Zero":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = as_vector(coords)
         if any(c < 0 for c in coords):
             raise ValueError("zero coordinates must be nonnegative")
         total = sum(coords, ZERO)
         if total == 0:
             raise ValueError("zero vector is not a zero of a matrix")
-        coords = tuple(c / total for c in coords)
+        if total != 1:
+            coords = tuple(c / total for c in coords)
         return cls(coords, frozenset(i for i, c in enumerate(coords) if c > 0))
 
     def sorted_support(self) -> tuple[int, ...]:
@@ -68,15 +68,16 @@ class MinimalZeroList:
         return len(self.zeros)
 
 
-def minimal_zeros(A: SymMatrix) -> MinimalZeroList:
+def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> MinimalZeroList:
     """All minimal zeros of a copositive matrix, sum-normalized.
 
     They are collected by the copositivity scan, which visits supports by
     cardinality then lexicographically, so strict subsets are always seen
     before their supersets.  Every zero of A has its support containing some
-    support returned here.
+    support returned here.  ``cache`` is handed to the scan (see
+    ``stationary_candidates``).
     """
-    verdict = is_copositive(A)
+    verdict = is_copositive(A, cache=cache)
     if not verdict.copositive:
         raise NotCopositiveError(violator=verdict.violator)
     return MinimalZeroList(

@@ -1,5 +1,6 @@
 """Census enumeration, canonicalization, records, and cross-class checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,11 +16,7 @@ from copocert.census import (
     verify_pair_scaling_equivalence,
     write_records,
 )
-from copocert.errors import (
-    CandidateBudgetError,
-    NotCopositiveError,
-    NotExtremalError,
-)
+from copocert.errors import NotCopositiveError, NotExtremalError
 from copocert.linalg import SymMatrix, horn_matrix
 
 from oracles import (
@@ -150,7 +147,8 @@ class TestRecordFormat:
     def test_file_roundtrip(self, tmp_path):
         records = run_census(2)
         path = str(tmp_path / "census.txt")
-        write_records(records, path)
+        with open(path, "w") as handle:
+            write_records(records, handle)
         assert read_records(path) == records
 
 
@@ -198,17 +196,6 @@ class TestRunCensus:
         extremal_offs = {r.canonical_offdiag for r in census(5) if r.extremal}
         assert canon.offdiag in extremal_offs
 
-    def test_budget_guard(self, monkeypatch):
-        monkeypatch.setattr(census_mod, "CANDIDATE_BUDGET", 100)
-        with pytest.raises(CandidateBudgetError):
-            run_census(4)
-        assert len(run_census(4, allow_large=True)) == 66
-
-    def test_default_budget_blocks_order_six_only(self, census):
-        assert len(census(5)) == 792
-        with pytest.raises(CandidateBudgetError):
-            run_census(6)
-
     @pytest.mark.parametrize("n", [0, 7])
     def test_order_checked_before_allocation(self, monkeypatch, n):
         # order 7 would need a 3^21-byte mark array, about 10 GB
@@ -218,15 +205,27 @@ class TestRunCensus:
         monkeypatch.setattr(census_mod, "bytearray", no_allocation,
                             raising=False)
         with pytest.raises(ValueError, match="order must be between"):
-            run_census(n, allow_large=True)
+            run_census(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_place_values_permute_the_places(self, n):
         columns = census_mod._place_values(n)
+        group_order = math.factorial(n)
         places = sorted(3 ** k for k in range(len(columns)))
-        for g in range(len(columns[0][1])):
-            assert sorted(c[1][g] for c in columns) == places
-            assert all(c[2][g] == 2 * c[1][g] for c in columns)
+        ones = [census_mod._images(c[1], group_order) for c in columns]
+        twos = [census_mod._images(c[2], group_order) for c in columns]
+        for g in range(group_order):
+            assert sorted(c[g] for c in ones) == places
+            assert all(t[g] == 2 * o[g] for o, t in zip(ones, twos))
+        # field 0 belongs to the identity permutation
+        identity = [c[1] & 0xFFFFFFFF for c in columns]
+        assert identity == [3 ** (len(columns) - 1 - k)
+                            for k in range(len(columns))]
+
+    def test_images_unpack_the_fields(self):
+        fields = [5, 0, 3 ** 20, 2 ** 32 - 1]
+        packed = sum(f << 32 * g for g, f in enumerate(fields))
+        assert sorted(census_mod._images(packed, 4)) == sorted(fields)
 
 
 class TestPairSupportCheck:
@@ -239,8 +238,7 @@ class TestPairSupportCheck:
 
     def test_violation_reported(self, capsys, monkeypatch):
         bad = CensusRecord(3, (0, 0, 0), True, False, ((0, 1, 2),), 1)
-        monkeypatch.setattr(cli, "run_census",
-                            lambda n, allow_large=False: [bad])
+        monkeypatch.setattr(cli, "run_census", lambda n: [bad])
         assert cli.main(["census", "-n", "3"]) == 1
         out = capsys.readouterr().out
         assert "pair_supports_ok=no" in out.splitlines()

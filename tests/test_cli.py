@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from copocert.census import run_census, write_records
+from copocert import cli
+from copocert.census import run_census
 from copocert.cli import main, parse_matrix_file
 from copocert.errors import MatrixFormatError
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
@@ -278,9 +279,8 @@ class TestCensusCommand:
         assert code == 0
         assert mach["output"] == out_path
         assert "[records]" not in out
-        expected = str(tmp_path / "expected.txt")
-        write_records(run_census(3), expected)
-        assert open(out_path).read() == open(expected).read()
+        assert open(out_path).read() == "".join(
+            r.to_line() + "\n" for r in run_census(3))
 
     def test_unwritable_output_exit_two(self, capsys, tmp_path):
         out_path = str(tmp_path / "missing" / "census2.txt")
@@ -291,15 +291,21 @@ class TestCensusCommand:
         assert mach["message"].startswith(f"cannot write {out_path}: ")
         assert "[records]" not in out
 
-    def test_budget_guard_exit_three(self, capsys):
-        code, out = run(capsys, ["census", "-n", "6"])
-        assert code == 3
-        assert machine_block(out)["error"] == "ResourceGuard"
+    def test_unwritable_output_fails_before_the_sweep(self, capsys,
+                                                      monkeypatch, tmp_path):
+        def no_sweep(n):
+            raise AssertionError("the sweep ran before the output was opened")
+
+        monkeypatch.setattr(cli, "run_census", no_sweep)
+        out_path = str(tmp_path / "missing" / "census6.txt")
+        code, out = run(capsys, ["census", "-n", "6", "-o", out_path])
+        assert code == 2
+        assert machine_block(out)["error"] == "WriteError"
 
     @pytest.mark.parametrize("order", ["0", "7"])
     def test_order_out_of_range_exit_two(self, capsys, order):
         with pytest.raises(SystemExit) as exc:
-            main(["census", "-n", order, "--allow-large"])
+            main(["census", "-n", order])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 

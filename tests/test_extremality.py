@@ -13,11 +13,12 @@ from copocert.linalg import (
     dot,
     horn_matrix,
     is_proportional,
+    kernel_basis,
     upper_size,
 )
 from copocert.zeros import minimal_zeros
 
-from oracles import permuted_matrix
+from oracles import permuted_matrix, random_positive_diagonal
 
 F = Fraction
 
@@ -48,10 +49,11 @@ class TestBuildSystem:
 
 class TestCertificate:
     def test_pair_extremal(self):
-        cert = extremality_certificate(SymMatrix.from_rows([[1, -1], [-1, 1]]))
+        A = SymMatrix.from_rows([[1, -1], [-1, 1]])
+        cert = extremality_certificate(A)
         assert cert.extremal and cert.nullity == 1
-        assert is_proportional(cert.basis[0].upper,
-                               SymMatrix.from_rows([[1, -1], [-1, 1]]).upper)
+        (line,) = kernel_basis(cert.system.rows, upper_size(2))
+        assert is_proportional(line, A.upper)
 
     def test_identity_and_all_ones_nullities(self):
         for n in (2, 3):
@@ -98,9 +100,11 @@ class TestCertificate:
     def test_basis_solves_the_system(self):
         A = SymMatrix.from_rows([[1, -1, 1], [-1, 1, 1], [1, 1, 1]])
         cert = extremality_certificate(A)
-        for basis_matrix in cert.basis:
+        basis = kernel_basis(cert.system.rows, upper_size(3))
+        assert len(basis) == cert.nullity
+        for vector in basis:
             for row in cert.system.rows:
-                assert dot(row, basis_matrix.upper) == 0
+                assert dot(row, vector) == 0
 
     def test_permutation_invariant_nullity(self, census):
         rng = random.Random(67)
@@ -112,6 +116,53 @@ class TestCertificate:
             perm = rng.sample(range(4), 4)
             assert extremality_certificate(permuted_matrix(A, perm)).nullity \
                 == extremality_certificate(A).nullity
+
+
+def _assert_nullity_is_kernel_dimension(A: SymMatrix) -> None:
+    cert = extremality_certificate(A)
+    basis = kernel_basis(cert.system.rows, upper_size(A.n))
+    assert cert.nullity == len(basis), A
+    assert cert.extremal == (len(basis) == 1), A
+
+
+class TestNullityFromPivots:
+    """The pivot-count nullity against the full kernel basis."""
+
+    def test_every_copositive_class_up_to_order_5(self, census):
+        from copocert.census import Candidate
+        checked = 0
+        for n in range(1, 6):
+            for record in census(n):
+                if record.copositive:
+                    _assert_nullity_is_kernel_dimension(
+                        Candidate(n, record.canonical_offdiag).matrix())
+                    checked += 1
+        assert checked == 1 + 3 + 8 + 41 + 279
+
+    def test_scaled_patterns_psd_plus_nonnegative_and_rank_one(self, census):
+        # D S D, B B^T + N and v v^T, as in the benchmark's matrix families
+        from copocert.census import Candidate
+        rng = random.Random(97)
+        patterns = [r for r in census(5) if r.copositive]
+        for record in rng.sample(patterns, 20):
+            S = Candidate(5, record.canonical_offdiag).matrix()
+            d = random_positive_diagonal(rng, 5)
+            _assert_nullity_is_kernel_dimension(SymMatrix.from_rows(
+                [[d[i] * S.get(i, j) * d[j] for j in range(5)]
+                 for i in range(5)]))
+        for n in (4, 5, 6):
+            B = [[F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
+                 for _ in range(n)]
+            N = [[F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)]
+            _assert_nullity_is_kernel_dimension(SymMatrix.from_rows(
+                [[sum(B[i][t] * B[j][t] for t in range(n))
+                  + N[min(i, j)][max(i, j)] + (i == j) for j in range(n)]
+                 for i in range(n)]))
+        for n in (4, 5, 6, 7):
+            v = [(-1) ** i * F(rng.randint(1, 9), rng.randint(1, 9))
+                 for i in range(n)]
+            _assert_nullity_is_kernel_dimension(SymMatrix.rank_one(v))
 
 
 class TestDecompositionWitness:
@@ -127,8 +178,9 @@ class TestDecompositionWitness:
             cert = extremality_certificate(A)
             assert cert.nullity >= 2
             direction = next(
-                (b for b in cert.basis
-                 if not is_proportional(b.upper, A.upper)), None)
+                (SymMatrix(4, v)
+                 for v in kernel_basis(cert.system.rows, upper_size(4))
+                 if not is_proportional(v, A.upper)), None)
             assert direction is not None
             eps = F(1)
             for _ in range(40):

@@ -23,6 +23,7 @@ from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
     _back_substitute,
+    echelon,
     horn_matrix,
     kernel_basis,
     upper_size,
@@ -35,6 +36,12 @@ from copocert.zeros import MinimalZeroList, Zero, minimal_zeros
 F = Fraction
 
 PAIR = SymMatrix.from_rows([[1, -1], [-1, 1]])
+
+
+def full_rank(rows, ncols):
+    """Stand-in elimination with every column a pivot: nullity 0."""
+    return echelon([[int(i == j) for j in range(ncols)]
+                    for i in range(ncols)], ncols)
 
 
 def test_invariant_error_is_a_copocert_error():
@@ -97,14 +104,15 @@ class TestExtremality:
             extremality_certificate(PAIR)
 
     def test_nonzero_matrix_with_trivial_solution_space(self, monkeypatch):
-        monkeypatch.setattr(extremality_mod, "kernel_basis",
-                            lambda rows, ncols: [])
+        monkeypatch.setattr(extremality_mod, "echelon", full_rank)
         with pytest.raises(InvariantError, match="own solution space"):
             extremality_certificate(PAIR)
 
     def test_line_not_spanned_by_the_matrix(self, monkeypatch):
-        monkeypatch.setattr(extremality_mod, "kernel_basis",
-                            lambda rows, ncols: [(F(1), F(0), F(0))])
+        # the rows X_12 = X_22 = 0 leave the line through (1, 0, 0)
+        monkeypatch.setattr(extremality_mod, "echelon",
+                            lambda rows, ncols: echelon([[0, 1, 0], [0, 0, 1]],
+                                                        ncols))
         with pytest.raises(InvariantError, match="multiple of the matrix"):
             extremality_certificate(PAIR)
 
@@ -112,7 +120,7 @@ class TestExtremality:
 class TestCensus:
     def test_records_out_of_order(self, monkeypatch):
         # representatives classified in descending order break the sort check
-        def backwards(cand, orbit):
+        def backwards(cand, orbit, cache):
             off = tuple(-e for e in cand.offdiag)
             return CensusRecord(cand.order, off, False, False, (), orbit)
 
@@ -124,7 +132,9 @@ class TestCensus:
         # the last permutation's place values all set to 1: not a bijection
         # of the positions, so some "orbits" reach into other classes
         real = census_mod._place_values(3)
-        broken = tuple((None, ones[:-1] + (1,), twos[:-1] + (2,))
+        last = 32 * (6 - 1)  # the field of the last of the 3! permutations
+        mask = ~(0xFFFFFFFF << last)
+        broken = tuple((0, ones & mask | 1 << last, twos & mask | 2 << last)
                        for _, ones, twos in real)
         monkeypatch.setattr(census_mod, "_place_values", lambda n: broken)
         with pytest.raises(CensusInvariantError, match="orbit sizes sum"):
@@ -158,8 +168,7 @@ class TestScaling:
 
 
 def test_cli_reports_invariant_violation(monkeypatch, capsys, write_matrix):
-    monkeypatch.setattr(extremality_mod, "kernel_basis",
-                        lambda rows, ncols: [])
+    monkeypatch.setattr(extremality_mod, "echelon", full_rank)
     assert main(["extremal", write_matrix(horn_matrix())]) == 1
     out = capsys.readouterr().out
     assert "error=InvariantViolated" in out
