@@ -5,8 +5,9 @@ determines the verdict, followed by a [human] block of aligned text.  Output
 is deterministic: fixed key order, no timestamps, exact rationals rendered by
 Fraction.__str__.  Exit codes: 0 when the queried property holds, 1 when it
 fails or a precondition is unmet, 2 on input and output errors (a malformed
-matrix file, an output path that cannot be written, or bad arguments, the
-latter reported by argparse).  Index sets are rendered 1-based.
+matrix file, a matrix too large for the support scan, an output path that
+cannot be written, or bad arguments, the latter reported by argparse).
+Index sets are rendered 1-based.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from .census import (
     write_records,
 )
 from .copositivity import is_copositive
-from .errors import CopocertError, MatrixFormatError, OutputError
+from .errors import (
+    CopocertError,
+    MatrixFormatError,
+    OrderTooLargeError,
+    OutputError,
+)
 from .extremality import extremality_certificate
 from .linalg import SymMatrix, upper_size
 from .scaling import extract_pattern
@@ -38,7 +44,7 @@ from .structure_graph import (
 from .zeros import minimal_zeros
 
 _TOKEN = re.compile(r"\S+")
-_ENTRY = re.compile(r"^[+-]?\d+(/\d+)?$")
+_ENTRY = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_matrix_file(path: str) -> SymMatrix:
@@ -95,12 +101,14 @@ def parse_matrix_file(path: str) -> SymMatrix:
         row = []
         pos = []
         for col, tok in tokens:
-            if not _ENTRY.match(tok):
+            match = _ENTRY.match(tok)
+            if not match:
                 raise MatrixFormatError(
                     f"entry {tok!r} is not an integer or p/q rational",
                     line=lineno, column=col)
+            num, den = match.groups()
             try:
-                row.append(Fraction(tok))
+                row.append(Fraction(int(num), int(den or 1)))
             except ZeroDivisionError:
                 raise MatrixFormatError(f"zero denominator in {tok!r}",
                                         line=lineno, column=col)
@@ -115,7 +123,9 @@ def parse_matrix_file(path: str) -> SymMatrix:
                     f"asymmetric entries: ({i + 1},{j + 1}) is "
                     f"{entries[i][j]}, ({j + 1},{i + 1}) is {entries[j][i]}",
                     line=lineno, column=col)
-    return SymMatrix.from_rows(entries)
+    # square and symmetric by the checks above, with Fraction entries
+    return SymMatrix(n, tuple(entries[i][j] for i in range(n)
+                              for j in range(i, n)))
 
 
 def _yn(flag: bool) -> str:
@@ -358,7 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFormatError, OutputError) as exc:
+    except (MatrixFormatError, OrderTooLargeError, OutputError) as exc:
         _emit_error(args.subcommand, exc)
         return 2
     except CopocertError as exc:

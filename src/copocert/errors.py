@@ -73,6 +73,13 @@ class CensusInvariantError(InvariantError):
     code = "CensusInvariant"
 
 
+class OrderTooLargeError(CopocertError):
+    """The matrix is too large for the 2^n support scan to finish in
+    reasonable time and memory."""
+
+    code = "OrderTooLarge"
+
+
 class MatrixFormatError(CopocertError):
     """Matrix file could not be parsed; carries line/column diagnostics."""
 

@@ -7,7 +7,9 @@ rows are scaled to primitive integer rows only where they enter
 ``solve_affine`` or ``kernel_basis``, integer rows go in as given.
 Elimination is the fraction-free Bareiss two-row determinant update, and
 back-substitution carries integer numerators over the last pivot, so one
-``Fraction`` is built per coordinate at the end.  The pivot is always the
+``Fraction`` is built per coordinate at the end.  A symmetric system that
+grows by one bordered row and column is updated through its integer
+adjugate instead (``bordered_adjugate``).  The pivot is always the
 first nonzero entry in column order, so echelon forms, kernel bases and
 downstream certificates are reproducible run to run.
 """
@@ -181,6 +183,65 @@ def kernel_basis(rows, ncols=None) -> list[Vector]:
     zero rows) yields the standard basis.
     """
     return echelon(rows, ncols).kernel()
+
+
+def inverse_rows(rows, count):
+    """``(p, Y)`` for a square integer matrix K: ``p`` is the last pivot of
+    one fraction-free elimination, which is ``det K`` up to sign, and ``Y``
+    holds the first ``count`` columns of ``p K^-1`` (its first rows when K
+    is symmetric), integral by Cramer's rule.  ``(0, None)`` when K is
+    singular, decided by the pivot count alone.
+    """
+    m = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(count)]
+           for i, r in enumerate(rows)]
+    ech, pivots = _bareiss_echelon(aug, m)
+    if len(pivots) < m:
+        return 0, None
+    cols = []
+    for j in range(count):
+        y, p = _back_substitute(ech, pivots, m, rhs_col=m + j)
+        cols.append(y)
+    return p, cols
+
+
+def bordered_adjugate(adj, det, b, c, *, full=True):
+    """``(det K, adj K)`` for ``K = [[K', b], [b^T, c]]`` from the adjugate
+    and determinant of a nonsingular symmetric integer matrix K'.
+
+    With ``w = adj(K') b``, Sylvester's identity (the step behind
+    fraction-free elimination; Bareiss, Math. Comp. 22, 1968) gives
+
+        det K = c det K' - b^T w,
+        adj K = [[(det K adj K' + w w^T) / det K', -w], [-w^T, det K']].
+
+    ``adj K`` is an integer matrix, so every division is exact; each one is
+    checked.  Both identities are homogeneous of degree one in
+    ``(adj K', det K')``, so a pair scaled by -1 (``inverse_rows``) yields
+    ``(det K, adj K)`` scaled by -1.  ``adj K`` is returned by rows; only
+    its first row when ``full`` is false, and ``None`` when ``det K`` is 0.
+    """
+    terms = [(j, x) for j, x in enumerate(b) if x]
+    w = [sum(row[j] * x for j, x in terms) for row in adj]
+    new = c * det - sum(x * w[j] for j, x in terms)
+    if not new:
+        return 0, None
+    k = len(adj)
+    rows = []
+    for r in range(k if full else 1):
+        wr = w[r]
+        old = adj[r]
+        row = [rows[s][r] for s in range(r)]  # symmetric: rows above hold it
+        for s in range(r, k):
+            q, rem = divmod(new * old[s] + wr * w[s], det)
+            if rem:
+                raise InvariantError("bordered adjugate division must be exact")
+            row.append(q)
+        row.append(-wr)
+        rows.append(row)
+    if full:
+        rows.append([-x for x in w] + [det])
+    return new, rows
 
 
 @dataclass(frozen=True)

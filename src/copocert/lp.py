@@ -12,10 +12,12 @@ over Fractions applies.  Bland's rule handles ties and degeneracy, so the
 pivot sequence is deterministic and finite.
 
 A solution set of dimension zero is decided by a direct sign check instead;
-every other dimension goes through the simplex.  The copositivity scan only
-asks about dimension zero; the simplex is kept for the tests and for the
-benchmark tracer (``perfbench/tracer.py``), which wraps ``simplex_maximize``
-by name.
+every other dimension goes through the simplex.  No library path calls this
+module any more: the copositivity scan reads positivity off the integer
+signs of its bordered solves.  It stays for the tests, which use it as the
+oracle of that scan (``tests/oracles.py``), and for the benchmark tracer
+(``perfbench/tracer.py``), which looks up ``copocert.lp`` by module name;
+``copocert/__init__.py`` imports it so that the module is loaded.
 """
 
 from __future__ import annotations

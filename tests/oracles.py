@@ -204,6 +204,31 @@ def random_positive_diagonal(rng, n: int):
                  for _ in range(n))
 
 
+def hildebrand_t(ts) -> SymMatrix:
+    """Hildebrand's T(psi) (Linear Algebra Appl. 437, 2012) with
+    ``tan(psi_i / 2) = ts[i]``: rows ``[1, -c4, c45, c23, -c3]``,
+    ``[-c4, 1, -c5, c51, c34]``, ``[c45, -c5, 1, -c1, c12]``,
+    ``[c23, c51, -c1, 1, -c2]``, ``[-c3, c34, c12, -c2, 1]`` with
+    ``ci = cos psi_i`` and ``cij = cos(psi_i + psi_j)``.  Rational t gives
+    ``cos = (1 - t^2) / (1 + t^2)`` and ``sin = 2t / (1 + t^2)``, so every
+    entry is rational.  Extremal for psi > 0 with sum(psi) < pi."""
+    ts = [Fraction(t) for t in ts]
+    c = [(1 - t * t) / (1 + t * t) for t in ts]
+    s = [2 * t / (1 + t * t) for t in ts]
+
+    def cc(i, j):  # cos(psi_i + psi_j), 1-based as in the rows above
+        return c[i - 1] * c[j - 1] - s[i - 1] * s[j - 1]
+
+    c1, c2, c3, c4, c5 = c
+    return SymMatrix.from_rows([
+        [1, -c4, cc(4, 5), cc(2, 3), -c3],
+        [-c4, 1, -c5, cc(5, 1), cc(3, 4)],
+        [cc(4, 5), -c5, 1, -c1, cc(1, 2)],
+        [cc(2, 3), cc(5, 1), -c1, 1, -c2],
+        [-c3, cc(3, 4), cc(1, 2), -c2, 1],
+    ])
+
+
 # --- the all-Fraction elimination path -------------------------------------
 
 def fraction_primitive_int_row(row) -> list[int]:

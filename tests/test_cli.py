@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import copocert.copositivity as copositivity_mod
 from copocert import cli
 from copocert.census import run_census
 from copocert.cli import main, parse_matrix_file
@@ -100,6 +101,21 @@ class TestParseMatrixFile:
         path = write_matrix("1\n1/0\n")
         with pytest.raises(MatrixFormatError, match="zero denominator"):
             parse_matrix_file(path)
+
+    def test_zero_denominator_position(self, write_matrix):
+        path = write_matrix("2\n1  -3/0\n-3/0 1\n")
+        with pytest.raises(MatrixFormatError, match="zero denominator") as exc:
+            parse_matrix_file(path)
+        assert (exc.value.line, exc.value.column) == (2, 4)
+
+    def test_entries_read_as_their_fractions(self, write_matrix):
+        tokens = ["+0", "-0/5", "007/014", "-12/8", "+3/1",
+                  "12345678901234567890/3", "-7"]
+        n = len(tokens)
+        rows = [[tokens[abs(i - j)] for j in range(n)] for i in range(n)]
+        path = write_matrix(f"{n}\n" + "\n".join(map(" ".join, rows)) + "\n")
+        A = parse_matrix_file(path)
+        assert A.rows() == [[F(t) for t in row] for row in rows]
 
     def test_asymmetric_points_at_lower_entry(self, write_matrix):
         path = write_matrix("2\n1 2\n3 1\n")
@@ -345,6 +361,37 @@ class TestVerify:
         assert code == 0
         assert mach["supports"] == "1,2;1,5;2,3;3,4;4,5"
         assert mach["equivalent"] == "yes"
+
+
+class TestOrderGuard:
+    """The 2^n support scan refuses orders above ``MAX_SCAN_ORDER`` (16)."""
+
+    @pytest.mark.parametrize("command",
+                             ["check", "zeros", "extremal", "graph", "verify"])
+    def test_order_17_exits_two_before_scanning(self, capsys, monkeypatch,
+                                                write_matrix, command):
+        def no_scan(*args):
+            raise AssertionError("a support system was solved")
+
+        monkeypatch.setattr(copositivity_mod, "_support_system", no_scan)
+        path = write_matrix(SymMatrix.identity(17))
+        code, out = run(capsys, [command, path])
+        mach = machine_block(out)
+        assert code == 2
+        assert mach["error"] == "OrderTooLarge"
+        assert "order 17" in mach["message"]
+
+    def test_prefilter_still_refutes_order_17(self, capsys, write_matrix):
+        rows = [[int(i == j) for j in range(17)] for i in range(17)]
+        rows[16][16] = -1
+        code, out = run(capsys, ["check", write_matrix(SymMatrix.from_rows(rows))])
+        assert code == 1
+        assert machine_block(out)["simplex_minimum"] == "-1"
+
+    def test_order_16_starts_the_scan(self):
+        scan = copositivity_mod.stationary_candidates(SymMatrix.identity(16))
+        assert next(scan) == (1, (1,) + (0,) * 15)
+        assert copositivity_mod.MAX_SCAN_ORDER == 16
 
 
 class TestDeterminism:

@@ -23,6 +23,7 @@ from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
     _back_substitute,
+    bordered_adjugate,
     echelon,
     horn_matrix,
     kernel_basis,
@@ -64,6 +65,13 @@ class TestLinalg:
         ech = [[2, 0, 1], [0, 3, 3]]
         with pytest.raises(InvariantError, match="back-substitution"):
             _back_substitute(ech, [(0, 0), (1, 1)], 2, rhs_col=2)
+
+    def test_bordered_adjugate_inexact_division(self):
+        # (I, 2) is no adjugate-determinant pair (adj of I is I, det 1):
+        # bordering it with b = (1, 0), c = 0 gives det -1, and the entry
+        # (1, 1) of the new adjugate would be (-1 * 1 + 0 * 0) / 2
+        with pytest.raises(InvariantError, match="bordered adjugate"):
+            bordered_adjugate([[1, 0], [0, 1]], 2, [1, 0], 0)
 
 
 class TestLP:

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from copocert.linalg import (
     SymMatrix,
     as_vector,
+    bordered_adjugate,
     canonical_vector,
     dot,
     eval_quadratic,
     horn_matrix,
+    inverse_rows,
     is_proportional,
     kernel_basis,
     solve_affine,
@@ -156,6 +158,45 @@ class TestSolveAffine:
                 assert all(dot(r, vec) == 0 for r in rows)
             _, nullity = rank_nullity(rows)
             assert sol.dimension == nullity
+
+
+class TestBorderedAdjugate:
+    @staticmethod
+    def times(X, Y):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)]
+                for row in X]
+
+    def test_adjugate_times_matrix_is_the_determinant(self):
+        rng = random.Random(8)
+        grown = singular = 0
+        for _ in range(150):
+            m = rng.randint(1, 5)
+            K = [[0] * (m + 1) for _ in range(m + 1)]
+            for i in range(m + 1):
+                for j in range(i, m + 1):
+                    K[i][j] = K[j][i] = rng.randint(-3, 3)
+            parent = [r[:m] for r in K[:m]]
+            det, adj = inverse_rows(parent, m)
+            if not det:
+                continue
+            # the pivot is det K' up to a sign that the bordered pair shares
+            sign = det // sympy.Matrix(parent).det()
+            assert sign in (1, -1)
+            new, full = bordered_adjugate(adj, det, K[m][:m], K[m][m])
+            assert new == sign * sympy.Matrix(K).det()
+            if not new:
+                assert full is None
+                singular += 1
+                continue
+            assert self.times(full, K) == [[new * (i == j) for j in range(m + 1)]
+                                           for i in range(m + 1)]
+            assert bordered_adjugate(adj, det, K[m][:m], K[m][m],
+                                     full=False) == (new, full[:1])
+            grown += 1
+        assert grown > 50 and singular > 0
+
+    def test_inverse_rows_of_a_singular_matrix(self):
+        assert inverse_rows([[1, 2], [2, 4]], 2) == (0, None)
 
 
 class TestSymMatrix:

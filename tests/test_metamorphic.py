@@ -11,6 +11,7 @@ entries, so these runs also exercise the per-matrix integer form.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix
 from copocert.scaling import DiagonalScaling, scale
 
-from oracles import permuted_matrix, random_positive_diagonal
+from oracles import hildebrand_t, permuted_matrix, random_positive_diagonal
 
 F = Fraction
 
@@ -93,6 +94,22 @@ def test_permutation(seed, n):
     verdict = is_copositive(A)
     if verdict.copositive:
         assert is_copositive(B).simplex_minimum == verdict.simplex_minimum
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaled_and_permuted_hildebrand_t(seed):
+    # minimal zeros of support 3; P D T D P^T keeps them, renumbered by P
+    rng = random.Random(seed)
+    T = hildebrand_t([F(1, rng.randint(4, 9)) for _ in range(5)])
+    D = DiagonalScaling(random_positive_diagonal(rng, 5))
+    perm = rng.sample(range(5), 5)
+    B = permuted_matrix(scale(T, D), perm)
+    inverse = {p: i for i, p in enumerate(perm)}
+    expected = summary(T, relabel=inverse.__getitem__)
+    assert summary(B) == expected
+    assert expected[2:] == (frozenset(frozenset(inverse[i] for i in s)
+                                      for s in ((0, 1, 2), (1, 2, 3), (2, 3, 4),
+                                                (0, 3, 4), (0, 1, 4))), 1)
 
 
 def test_scalar_multiple_changes_the_denominator():
