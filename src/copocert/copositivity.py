@@ -42,25 +42,45 @@ the system of S reads ``K_S (nu, u) = e_0`` for the symmetric bordered matrix
 
 so it has a unique solution iff ``det K_S != 0``, and that solution is the
 first column of ``adj K_S`` over ``det K_S``.  Supports are scanned level by
-level, and a support S with largest index i is its parent ``S' = S - {i}``
-plus one bordered row and column: ``b = (1, M_si for s in S')`` and
-``c = M_ii``.  From the parent's adjugate and determinant D, with
-``w = adj(K_S') b``,
+level, and a support S is each of its parents ``S' = S - {s}`` plus one
+bordered row and column: ``b = (1, M_st for t in S')`` and ``c = M_ss``.
+From the parent's adjugate and determinant D, with ``w = adj(K_S') b``,
 
     det K_S = c D - b^T w,
     adj K_S = [[(det K_S adj K_S' + w w^T) / D, -w], [-w^T, D]]
 
 (Sylvester's identity, as in fraction-free elimination).  The divisions are
-exact because ``adj K_S`` is an integer matrix, and each is checked.  So one
-level keeps, for every support with a nonsingular system and a child (its
-largest index is not n - 1), its adjugate and determinant, and the next
-level borders them: O(k^2) integer operations per support instead of an
-elimination.  Size 1 is closed form: ``det = -1`` and
-``adj = [[c, -1], [-1, 0]]``.  A support whose parent's system is singular,
-or whose parent came from a support-system cache hit (which keeps no
-adjugate), takes one fraction-free elimination instead, and is rejected by
-its pivot count when singular.  Positivity is read off integer signs, and
-``Fraction``s are built only for the points that are yielded.
+exact because ``adj K_S`` is an integer matrix, and each is checked.  When
+``det K_S`` is 0, ``(w, -D)`` spans a kernel vector of ``K_S``, since
+``K_S' w = D b`` and ``b^T w = c D``.  Size 1 is closed form: ``det = -1``
+and ``adj = [[c, -1], [-1, 0]]``.  Each support takes the first of these
+routes that applies:
+
+  1. "bordered": border ``S[:-1]`` (s the largest index, so the new row
+     and column come last, in sorted order) when its system is nonsingular;
+  2. "other parent": else border another nonsingular parent ``S - {s}``
+     and move the row and column of s to its sorted place (a symmetric
+     permutation, which keeps the determinant);
+  3. "kernel vector": else, when a singular parent carries a kernel vector
+     z with ``b^T z = 0``, S is singular without further work, and its
+     kernel vector is z with a 0 inserted at s.  For ``z`` in
+     ``ker K_S'``, ``(z, 0)`` lies in ``ker K_S`` iff ``b^T z = 0``: the
+     first rows of ``K_S (z, 0)`` are ``K_S' z = 0`` and its last entry is
+     ``b^T z``;
+  4. "eliminated": else one fraction-free elimination, rejected by its
+     pivot count when singular (no kernel vector is kept then).
+
+A parent can be bordered only if its full adjugate was kept, and a full
+adjugate costs O(k^2) against O(k) for the first row, so the scan keeps
+one only where a child will border it: for nonsingular supports whose
+largest index is not n - 1 (route 1), and for the supports
+``(P - {p}) + {n - 1}`` of each singular P without n - 1, which are the
+other parents that ``P + {n - 1}`` borders by route 2.  Without a cache
+route 4 is thus taken only when every parent is singular and no carried
+kernel vector extends; rank-one ``v v^T``, singular on every support of
+size 3 or more, is decided by routes 1-3 alone.  Positivity is read off
+integer signs, and ``Fraction``s are built only for the points that are
+yielded.
 
 Membership testing is co-NP-complete in general; the 2^n - 1 support scan is
 deliberate and fine for the orders this package targets (n <= 8).  The
@@ -73,9 +93,11 @@ that bisects the simplex (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import OrderTooLargeError
 from .linalg import (
@@ -86,6 +108,8 @@ from .linalg import (
     bordered_adjugate,
     eval_quadratic,
     inverse_rows,
+    upper_index,
+    upper_size,
 )
 
 MAX_SCAN_ORDER = 16
@@ -115,9 +139,6 @@ class CopositivityVerdict:
     zeros: tuple[Vector, ...] = ()
 
 
-_UNSEEN = object()  # a support-system cache miss (None caches "no point")
-
-
 def _embed(values, support, n):
     x = [ZERO] * n
     for v, i in zip(values, support):
@@ -125,22 +146,72 @@ def _embed(values, support, n):
     return tuple(x)
 
 
-def _support_system(M, support, parent, full):
-    """``(D, rows)`` for the system of ``support``: ``D`` is ``det K_S`` up
-    to a sign shared with ``rows``, the first row of ``D K_S^-1`` (all rows
-    when ``full``); ``(0, None)`` when ``K_S`` is singular.  ``parent`` is
-    the ``(rows, D)`` kept for ``support[:-1]``, or ``None``."""
-    i = support[-1]
-    c = M[i][i]
-    if len(support) == 1:
-        return -1, [[c, -1], [-1, 0]]
-    if parent is not None:
-        row = M[i]
-        b = [1] + [row[s] for s in support[:-1]]
-        return bordered_adjugate(*parent, b, c, full=full)
+@functools.lru_cache(maxsize=None)
+def _key_getters(n):
+    """Per support size k, one ``itemgetter`` per k-support in scan order.
+
+    Each picks the upper triangle of ``M_S`` followed by ``d`` out of the
+    upper triangle of ``M`` followed by ``d``, which is the support's
+    cache key."""
+    last = upper_size(n)
+    return tuple(
+        tuple(itemgetter(*[upper_index(n, i, j) for p, i in enumerate(s)
+                           for j in s[p:]], last)
+              for s in combinations(range(n), k))
+        for k in range(1, n + 1))
+
+
+def _support_system(M, support, parents, full):
+    """``(D, rows, route)`` for the system of ``support``.
+
+    When ``D`` is nonzero it is ``det K_S`` up to a sign shared with
+    ``rows``, the first row of ``D K_S^-1`` (all rows when ``full``).  When
+    it is 0, ``rows`` is an integer kernel vector of ``K_S``, or ``None``
+    when the system was eliminated.  ``parents`` maps supports one smaller
+    to their ``(D, full adjugate)`` or ``(0, kernel vector or None)``;
+    ``route`` names the branch taken (see the module docstring).
+    """
     k = len(support)
+    if k == 1:
+        c = M[support[0]][support[0]]
+        return -1, [[c, -1], [-1, 0]], "size 1"
+    rest = support[:-1]
+    parent = parents.get(rest)
+    if parent is not None and parent[0]:
+        row = M[support[-1]]
+        det, rows = bordered_adjugate(parent[1], parent[0],
+                                      [1] + [row[t] for t in rest],
+                                      row[support[-1]], full=full)
+        return det, rows, "bordered"
+    singular = []
+    if parent is not None and parent[1] is not None:
+        singular.append((k - 1, rest, parent[1]))
+    for j in range(k - 1):
+        rest = support[:j] + support[j + 1:]
+        parent = parents.get(rest)
+        if parent is None:
+            continue
+        if not parent[0]:
+            if parent[1] is not None:
+                singular.append((j, rest, parent[1]))
+            continue
+        row = M[support[j]]
+        det, rows = bordered_adjugate(parent[1], parent[0],
+                                      [1] + [row[t] for t in rest],
+                                      row[support[j]], full=full)
+        # support[j] was bordered last: move its row and column to j + 1
+        order = [*range(j + 1), k, *range(j + 1, k)]
+        if not det:
+            return 0, [rows[q] for q in order], "other parent"
+        rows = [[r[q] for q in order]
+                for r in ([rows[q] for q in order] if full else rows)]
+        return det, rows, "other parent"
+    for j, rest, z in singular:
+        row = M[support[j]]
+        if z[0] + sum(row[t] * x for t, x in zip(rest, z[1:])) == 0:
+            return 0, z[:j + 1] + [0] + z[j + 1:], "kernel vector"
     rows = [[0] + [1] * k] + [[1] + [M[r][s] for s in support] for r in support]
-    return inverse_rows(rows, k + 1 if full else 1)
+    return (*inverse_rows(rows, k + 1 if full else 1), "eliminated")
 
 
 def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
@@ -149,59 +220,82 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
 
     Supports are scanned by cardinality, then lexicographically, so strict
     subsets come before their supersets.  Each system is solved on the
-    integer numerators of ``A = M / d`` by bordering its parent's (see the
-    module docstring).  With ``p`` the first column of ``adj K_S`` on the
-    unknowns u, the point is ``p / det K_S`` and the value is recomputed as
+    integer numerators of ``A = M / d`` from a parent's (see the module
+    docstring).  With ``p`` the first column of ``adj K_S`` on the unknowns
+    u, the point is ``p / det K_S`` and the value is recomputed as
     ``p^T M_S p / (det K_S^2 d)``, so each candidate is an attained simplex
     value by construction.  Raises OrderTooLargeError for orders above
     ``MAX_SCAN_ORDER`` when the scan starts.
 
     The system of support S, its point and its value depend only on
     ``A_S = M_S / d``.  A caller that scans many matrices (the census) may
-    pass one dict as ``cache``: it is keyed by ``d`` and the upper triangle
-    of ``M_S``, and maps to ``None`` (no unique positive solution) or to the
-    point on S with its value, so each distinct principal submatrix is
-    solved once.  Without a cache no key is built.
+    pass one dict as ``cache``: it is keyed by the upper triangle of
+    ``M_S`` followed by ``d``, and maps to ``(found, D, rows)``, where
+    ``found`` is ``None`` (no unique positive solution) or the point on S
+    with its value, and ``(D, rows)`` is what ``_support_system`` returned,
+    so each distinct principal submatrix is solved once.  Every support
+    smaller than the order then keeps its full adjugate, so that a hit can
+    be bordered like a solved support wherever its key recurs (a hit that
+    kept only a first row, from a scan of a smaller order, borders
+    nothing).  Without a cache no key is built.
     """
     n = A.n
     if n > MAX_SCAN_ORDER:
         raise OrderTooLargeError(
             f"order {n} exceeds the support scan's limit of {MAX_SCAN_ORDER}")
     M, d = A.integer_form
+    if cache is not None:
+        flat = (*[x for i, row in enumerate(M) for x in row[i:]], d)
+        getters = _key_getters(n)
     parents = {}
     for k in range(1, n + 1):
-        kept = {}  # support -> (adjugate rows, determinant), for the next level
+        level = {}  # parents of the next level, as _support_system reads them
+        # supports with largest index n - 1 that a child borders in place
+        # of its singular S[:-1]
+        wanted = set()
+        if cache is not None:
+            keys = iter(getters[k - 1])
         for support in combinations(range(n), k):
-            if cache is not None:
-                key = (d, tuple([M[i][j] for p, i in enumerate(support)
-                                 for j in support[p:]]))
-                hit = cache.get(key, _UNSEEN)
-                if hit is not _UNSEEN:
-                    if hit is not None:
-                        yield hit[1], _embed(hit[0], support, n)
+            if cache is None:
+                full = support[-1] < n - 1 or bool(wanted) and support in wanted
+            else:
+                key = next(keys)(flat)
+                hit = cache.get(key)
+                if hit is not None:
+                    found, det, rows = hit
+                    if not det or len(rows) > 1:
+                        level[support] = det, rows
+                    if found is not None:
+                        yield found[1], _embed(found[0], support, n)
                     continue
-            full = support[-1] < n - 1
-            det, adj = _support_system(M, support, parents.get(support[:-1]),
-                                       full)
+                full = k < n
+            det, rows, _ = _support_system(M, support, parents, full)
             found = None
-            if det:
+            if not det:
+                level[support] = 0, rows
+                if support[-1] < n - 1:
+                    # the other parents (S - {s}) + {n - 1} of S + {n - 1}
+                    wanted.update([(*support[:j], *support[j + 1:], n - 1)
+                                   for j in range(k)])
+            else:
                 if full:
-                    kept[support] = (adj, det)
-                p = adj[0][1:]
-                if det < 0:
-                    det, p = -det, [-x for x in p]
+                    level[support] = det, rows
+                p = rows[0][1:]
+                q = det
+                if q < 0:
+                    q, p = -q, [-x for x in p]
                 if all(x > 0 for x in p):
                     total = 0
                     for x, i in zip(p, support):
                         row = M[i]
                         total += x * sum(row[j] * y for j, y in zip(support, p))
-                    found = (tuple([Fraction(x, det) for x in p]),
-                             Fraction(total, det * det * d))
+                    found = (tuple([Fraction(x, q) for x in p]),
+                             Fraction(total, q * q * d))
             if cache is not None:
-                cache[key] = found
+                cache[key] = found, det, rows
             if found is not None:
                 yield found[1], _embed(found[0], support, n)
-        parents = kept
+        parents = level
 
 
 def _prefilter_violator(A: SymMatrix):

@@ -9,21 +9,39 @@ over the n(n+1)/2 upper-triangle entries of X (row-major, the global unknown
 ordering of this package).  A spans an extreme ray of the copositive cone
 exactly when the solution space of this system is one-dimensional, in which
 case that line is spanned by A itself.  The gate ``(A u^j)_k = 0`` is tested
-exactly; there is no tolerance anywhere.  The nullity is the number of
-unknowns minus the pivot count of one fraction-free elimination; a kernel
-vector is back-substituted only for nullity 1, where it must be a multiple
-of A.
+exactly; there is no tolerance anywhere.
+
+The row of gate (j, k) holds the coordinates of u^j at the unknowns X_kl,
+l in supp(u^j), so it has one term per support index.  In the paper's
+class every minimal zero is a pair, and then every row is a two-term
+equation ``a X_ik + b X_jk = 0``: it fixes the ratio of two unknowns, as
+the edges of Hoffman and Pereira's entry graph do (JCTA 14, 1973).  A row
+of a singleton zero e_i fixes one unknown, ``X_ik = 0``.  Such a system
+falls apart into the connected components of its unknowns: each unknown
+of a component is a fixed rational multiple of the component's root, and
+every equation inside the component either holds for every root value or
+(a single-term row, or a cycle whose ratios multiply to something else)
+forces the root to 0.  The nullity is therefore the number of components
+not forced to 0, and a weighted union-find on integer ratio pairs counts
+them without elimination; for nullity 1 the ratios of the one free
+component are the kernel vector.  A system with a longer row (a zero with
+support of size 3 or more, as in Hildebrand's T-matrices) is eliminated
+once instead: the nullity is the number of unknowns minus the pivot count,
+and a kernel vector is back-substituted only for nullity 1.  Either way a
+one-dimensional solution space must be spanned by A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InvariantError
 from .linalg import (
     SymMatrix,
     _primitive_int_row,
-    dot,
+    canonical_vector,
     echelon,
     is_proportional,
     upper_index,
@@ -82,28 +100,125 @@ def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
     return ExtremalitySystem(n, tuple(gates), tuple(rows))
 
 
+class _TwoTermSolutions:
+    """Solution space of ``rows x = 0`` when no row has more than two
+    nonzero entries, by a weighted union-find over the unknowns.
+
+    A two-term row ``a x_p + b x_q = 0`` fixes the ratio of ``x_p`` to
+    ``x_q``; the unknowns it links form a component in which every unknown
+    is a rational multiple of the component's root, kept as an integer pair
+    ``(num, den)`` with ``den > 0`` and compressed onto the root by ``find``.
+    A single-term row, or a row inside one component whose ratios disagree
+    (a cycle), forces the root, and so the whole component, to 0.  Every
+    row lies inside one component and says either nothing or ``root = 0``
+    there, so the solution space is spanned by one vector per component
+    that is not forced to 0: the ratios on that component, 0 elsewhere.
+    Those vectors have disjoint supports, so they are a basis.
+    """
+
+    def __init__(self, terms, ncols):
+        self.parent = list(range(ncols))
+        self.num = [1] * ncols
+        self.den = [1] * ncols
+        forced = [False] * ncols  # read at roots only
+        for row in terms:
+            if len(row) == 1:
+                forced[self.find(row[0][0])] = True
+                continue
+            (p, a), (q, b) = row
+            rp, rq = self.find(p), self.find(q)
+            # a x_p + b x_q is a positive multiple of cp x_rp + cq x_rq
+            cp = a * self.num[p] * self.den[q]
+            cq = b * self.num[q] * self.den[p]
+            if rp == rq:
+                forced[rp] = forced[rp] or cp + cq != 0
+                continue
+            num, den = (-cp, cq) if cq > 0 else (cp, -cq)
+            g = gcd(num, den)
+            self.parent[rq] = rp
+            self.num[rq], self.den[rq] = num // g, den // g
+            forced[rp] = forced[rp] or forced[rq]
+        self.free = [v for v in range(ncols)
+                     if self.parent[v] == v and not forced[v]]
+
+    def find(self, v):
+        """Root of v's component; on return ``x_v = num[v] / den[v] x_root``
+        (``1 / 1`` at a root)."""
+        parent, num, den = self.parent, self.num, self.den
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        a = b = 1  # the ratio of the last compressed node to the root
+        for u in reversed(path):
+            a, b = num[u] * a, den[u] * b
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            num[u], den[u], parent[u] = a, b, v
+        return v
+
+    @property
+    def nullity(self) -> int:
+        return len(self.free)
+
+    def kernel(self) -> list:
+        """One canonical vector per free component, in order of its root."""
+        ncols = len(self.parent)
+        roots = [self.find(v) for v in range(ncols)]
+        vectors = []
+        for r in self.free:
+            scale = lcm(*(self.den[v] for v in range(ncols) if roots[v] == r))
+            vectors.append(canonical_vector(
+                [self.num[v] * (scale // self.den[v]) if roots[v] == r else 0
+                 for v in range(ncols)]))
+        return vectors
+
+
+def _two_term_solutions(rows, ncols):
+    """``_TwoTermSolutions`` of ``rows``, or ``None`` when a row has three
+    or more nonzero entries."""
+    terms = []
+    for row in rows:
+        row_terms = [(j, x) for j, x in enumerate(row) if x]
+        if len(row_terms) > 2:
+            return None
+        if row_terms:
+            terms.append(row_terms)
+    return _TwoTermSolutions(terms, ncols)
+
+
 def extremality_certificate(A: SymMatrix, *,
                             cache: dict | None = None) -> ExtremalityCertificate:
     """Decide extremality of a copositive matrix via the system's nullity.
 
-    The system is eliminated once and the nullity is its column count minus
-    its pivot count.  Only a one-dimensional solution space is
-    back-substituted, to check that it is spanned by A; a larger one is
-    reported by its dimension alone (``kernel_basis(cert.system.rows)``
-    recovers a basis).  ``cache`` is handed to the copositivity scan (see
-    ``stationary_candidates``).  Raises NotCopositiveError (from
-    ``minimal_zeros``) when A is not copositive.
+    When no row of the system has more than two terms (every minimal zero
+    has a support of size at most 2), the nullity is counted by a weighted
+    union-find (``_TwoTermSolutions``); otherwise the system is eliminated
+    once and the nullity is its column count minus its pivot count.  Only a
+    one-dimensional solution space is turned into a vector, to check that
+    it is spanned by A; a larger one is reported by its dimension alone
+    (``kernel_basis(cert.system.rows)`` recovers a basis).  ``cache`` is
+    handed to the copositivity scan (see ``stationary_candidates``).
+    Raises NotCopositiveError (from ``minimal_zeros``) when A is not
+    copositive.
     """
     zeros = minimal_zeros(A, cache=cache)
     system = build_system(A, zeros)
-    if any(dot(row, A.upper) != 0 for row in system.rows):
+    n = A.n
+    M, _ = A.integer_form
+    # A = M / d, so A solves the system exactly when upper(M) does
+    upper = [M[i][j] for i in range(n) for j in range(i, n)]
+    if any(sum(map(mul, row, upper)) for row in system.rows):
         raise InvariantError("input matrix must satisfy its own system")
-    reduced = echelon(system.rows, upper_size(A.n))
+    ncols = upper_size(n)
+    reduced = _two_term_solutions(system.rows, ncols)
+    if reduced is None:
+        reduced = echelon(system.rows, ncols)
     nullity = reduced.nullity
     if nullity == 0 and not A.is_zero():
         raise InvariantError("a nonzero matrix lies in its own solution space")
     extremal = nullity == 1
-    if extremal and not is_proportional(reduced.kernel()[0], A.upper):
+    if extremal and not is_proportional(reduced.kernel()[0], upper):
         raise InvariantError("one-dimensional solution space must be "
                              "spanned by a multiple of the matrix")
     return ExtremalityCertificate(nullity, extremal, system, zeros)

@@ -9,7 +9,8 @@ Elimination is the fraction-free Bareiss two-row determinant update, and
 back-substitution carries integer numerators over the last pivot, so one
 ``Fraction`` is built per coordinate at the end.  A symmetric system that
 grows by one bordered row and column is updated through its integer
-adjugate instead (``bordered_adjugate``).  The pivot is always the
+adjugate instead (``bordered_adjugate``), which yields a kernel vector when
+the grown system is singular.  The pivot is always the
 first nonzero entry in column order, so echelon forms, kernel bases and
 downstream certificates are reproducible run to run.
 """
@@ -219,13 +220,15 @@ def bordered_adjugate(adj, det, b, c, *, full=True):
     checked.  Both identities are homogeneous of degree one in
     ``(adj K', det K')``, so a pair scaled by -1 (``inverse_rows``) yields
     ``(det K, adj K)`` scaled by -1.  ``adj K`` is returned by rows; only
-    its first row when ``full`` is false, and ``None`` when ``det K`` is 0.
+    its first row when ``full`` is false.  When ``det K`` is 0 the second
+    item is the integer kernel vector ``(w, -det K')`` of K in its place:
+    ``K' w = det K' b`` and ``b^T w = c det K'``.
     """
     terms = [(j, x) for j, x in enumerate(b) if x]
     w = [sum(row[j] * x for j, x in terms) for row in adj]
     new = c * det - sum(x * w[j] for j, x in terms)
     if not new:
-        return 0, None
+        return 0, w + [-det]
     k = len(adj)
     rows = []
     for r in range(k if full else 1):

@@ -17,9 +17,12 @@ end were library functions that only tests called.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from copocert.census import ALPHABET, MAX_ORDER, Candidate
 from copocert.copositivity import (
@@ -196,6 +199,24 @@ def random_symmetric(rng, n: int, num_range=(-6, 6), den_range=(1, 3),
             value = Fraction(rng.randint(*num_range), rng.randint(*den_range))
             rows[i][j] = rows[j][i] = value
     return SymMatrix.from_rows(rows)
+
+
+def benchmark_families():
+    """The benchmark's seeded matrix families, ``perfbench/families.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look it up there
+        spec.loader.exec_module(module)
+    return module
+
+
+def bordered_system(M, support):
+    """``K_S = [[0, 1^T], [1, M_S]]`` for the integer rows ``M``."""
+    return [[0] + [1] * len(support)] + [
+        [1] + [M[r][s] for s in support] for r in support]
 
 
 def random_positive_diagonal(rng, n: int):

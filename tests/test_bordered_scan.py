@@ -1,13 +1,16 @@
 """The bordered support scan against the general solve it replaced.
 
 ``stationary_candidates`` solves each support's system ``K_S (nu, u) = e_0``
-by bordering the adjugate of its parent's system, in closed form at size 1,
-and by one elimination when the parent's system is singular.  The replaced
-chain stays in ``src/`` as the oracle: ``solve_affine`` gives the solution
-set, ``strictly_positive_point`` decides positivity and ``eval_quadratic``
-the value.  For every support the two must agree on whether the solution is
-unique, whether it is positive, the point and the value.  Each test also
-asserts which branches of the scan its inputs reached.
+in closed form at size 1, by bordering the adjugate of its parent
+``S[:-1]``, else of another nonsingular parent ``S - {s}``, else by
+extending a singular parent's kernel vector, and as a last resort by one
+elimination.  The replaced chain stays in ``src/`` as the oracle:
+``solve_affine`` gives the solution set, ``strictly_positive_point`` decides
+positivity and ``eval_quadratic`` the value.  For every support the two must
+agree on whether the solution is unique, whether it is positive, the point
+and the value; every full adjugate the scan keeps must satisfy
+``adj K_S K_S = det K_S I``, and every kernel vector it carries must solve
+``K_S z = 0``.  Each test also asserts which branches its inputs reached.
 """
 
 import itertools
@@ -25,6 +28,8 @@ from copocert.lp import strictly_positive_point
 from copocert.scaling import DiagonalScaling, scale
 
 from oracles import (
+    benchmark_families,
+    bordered_system,
     random_positive_diagonal,
     random_psd,
     random_symmetric,
@@ -38,16 +43,15 @@ BASELINE = "tests/baselines/census_n5.txt"
 @pytest.fixture
 def solves(monkeypatch):
     """Every ``_support_system`` call of the scan as ``(support, branch,
-    det)``, with branch "size 1", "bordered" or "eliminated"."""
+    det, rows)``, with branch "size 1", "bordered", "other parent",
+    "kernel vector" or "eliminated"."""
     calls = []
     real = copositivity_mod._support_system
 
-    def recording(M, support, parent, full):
-        det, rows = real(M, support, parent, full)
-        branch = ("size 1" if len(support) == 1
-                  else "bordered" if parent is not None else "eliminated")
-        calls.append((support, branch, det))
-        return det, rows
+    def recording(M, support, parents, full):
+        det, rows, branch = real(M, support, parents, full)
+        calls.append((support, branch, det, rows))
+        return det, rows, branch
 
     monkeypatch.setattr(copositivity_mod, "_support_system", recording)
     return calls
@@ -68,6 +72,24 @@ def oracle(A: SymMatrix, support):
     return unique, tuple(x), eval_quadratic(A, tuple(x))
 
 
+def check_solve(A: SymMatrix, support, det, rows):
+    """The oracle's decision and the integer identities of ``rows``;
+    returns the oracle's ``(unique, point, value)``."""
+    expected = oracle(A, support)
+    assert (det != 0) == expected[0], (A, support)
+    K = bordered_system(A.integer_form[0], support)
+    if not det:
+        if rows is not None:
+            assert any(rows), (A, support)
+            assert all(sum(a * z for a, z in zip(r, rows)) == 0 for r in K), \
+                (A, support)
+    elif len(rows) > 1:
+        assert [[sum(a * b for a, b in zip(r, col)) for col in zip(*K)]
+                for r in rows] == [[det * (i == j) for j in range(len(K))]
+                                   for i in range(len(K))], (A, support)
+    return expected
+
+
 def agree(A: SymMatrix, solves, branches: Counter) -> None:
     """Scan A without a cache and compare every support with the oracle."""
     solves.clear()
@@ -77,20 +99,27 @@ def agree(A: SymMatrix, solves, branches: Counter) -> None:
         assert support not in found, (A, support)
         found[support] = (x, value)
     det_of = {}
-    for support, branch, det in solves:
+    for support, branch, det, rows in solves:
         det_of[support] = det
-        unique, point, value = oracle(A, support)
-        assert (det != 0) == unique, (A, support)
+        _, point, value = check_solve(A, support, det, rows)
         got = found.pop(support, (None, None))
         assert got == (point, value), (A, support)
         assert all(type(c) is Fraction for c in got[0] or ()), (A, support)
         branches[branch, "singular" if not det else
                  "negative" if det < 0 else "positive"] += 1
-        if branch == "eliminated":
-            # without a cache, only a singular parent leaves nothing to border
+        if branch == "size 1":
+            continue
+        parent_dets = [det_of[support[:j] + support[j + 1:]]
+                       for j in range(len(support))]
+        if branch == "bordered":
+            assert det_of[support[:-1]] != 0, (A, support)
+        else:
             assert det_of[support[:-1]] == 0, (A, support)
+            # without a cache, every nonsingular parent of a support whose
+            # S[:-1] is singular keeps its full adjugate for it
+            assert any(parent_dets) == (branch == "other parent"), (A, support)
     assert not found, A
-    assert [s for s, _, _ in solves] == [
+    assert [s for s, _, _, _ in solves] == [
         s for k in range(1, A.n + 1)
         for s in itertools.combinations(range(A.n), k)], A
 
@@ -111,7 +140,11 @@ def test_every_candidate_up_to_order_4_and_the_order5_classes(solves):
     assert branches["bordered", "negative"] > 0
     assert branches["bordered", "positive"] > 0
     assert branches["bordered", "singular"] > 0
-    assert branches["eliminated", "singular"] > 0
+    assert branches["other parent", "negative"] > 0
+    assert branches["other parent", "positive"] > 0
+    assert branches["other parent", "singular"] > 0
+    assert branches["kernel vector", "singular"] > 0
+    # every parent singular and no kernel vector extends: one class
     assert branches["eliminated", "negative"] + \
         branches["eliminated", "positive"] > 0
 
@@ -131,23 +164,72 @@ def test_seeded_rationals(solves, n):
     for A in matrices:
         agree(A, solves, branches)
     assert branches["bordered", "singular"] > 0
-    assert branches["eliminated", "singular"] > 0
+    assert branches["kernel vector", "singular"] > 0
+    assert not branches["eliminated", "singular"]
 
 
 def test_singular_parent_with_a_nonsingular_child(solves):
-    # a seeded search over small-integer matrices for the fallback that
-    # eliminates a nonsingular system whose parent's system is singular
+    # a seeded search over small-integer matrices for nonsingular systems
+    # whose S[:-1] is singular: each borders another parent instead
     rng = random.Random(41)
     branches = Counter()
     hits = 0
     for _ in range(200):
         A = random_symmetric(rng, rng.randint(3, 5), num_range=(-2, 2),
                              den_range=(1, 1), diag_range=(-1, 2))
-        before = branches["eliminated", "negative"] + \
-            branches["eliminated", "positive"]
+        before = branches["other parent", "negative"] + \
+            branches["other parent", "positive"]
         agree(A, solves, branches)
-        hits += branches["eliminated", "negative"] + \
-            branches["eliminated", "positive"] > before
+        hits += branches["other parent", "negative"] + \
+            branches["other parent", "positive"] > before
     assert hits >= 10
-    assert branches["eliminated", "negative"] > 0
-    assert branches["eliminated", "positive"] > 0
+    assert branches["other parent", "negative"] > 0
+    assert branches["other parent", "positive"] > 0
+    assert branches["other parent", "singular"] > 0
+    assert branches["kernel vector", "singular"] > 0
+
+
+def test_eliminated_when_no_parent_borders(solves):
+    # a cache shared across orders: each principal submatrix of order n - 1
+    # is scanned first as a matrix of its own, where its top support keeps
+    # only the first adjugate row, so an order-n support whose parents are
+    # all nonsingular has none to border and is eliminated (integer entries,
+    # so that the submatrices have the common denominator 1 of the whole,
+    # and its keys)
+    rng = random.Random(5)
+    branches = Counter()
+    for n in (3, 4, 5):
+        for _ in range(3):
+            for A in (random_symmetric(rng, n, den_range=(1, 1)),
+                      random_psd(rng, n, n - 2)):
+                alone = list(stationary_candidates(A))
+                cache = {}
+                for rest in itertools.combinations(range(n), n - 1):
+                    list(stationary_candidates(A.principal(rest), cache=cache))
+                solves.clear()
+                assert list(stationary_candidates(A, cache=cache)) == alone, A
+                ((support, branch, det, rows),) = solves
+                assert support == tuple(range(n)), A
+                check_solve(A, support, det, rows)
+                branches[branch, "singular" if not det else "nonsingular"] += 1
+    assert branches["eliminated", "singular"] > 0
+    assert branches["eliminated", "nonsingular"] > 0
+
+
+def test_benchmark_families_make_no_elimination(solves):
+    # one full scan each of the dsd, bbt, rank1 and refute families at
+    # n = 6..8 (seed 77), which made 333 eliminations, 249 on rank1, when
+    # only S[:-1] was bordered
+    families = benchmark_families()
+    branches = Counter()
+    for family in ("dsd", "bbt", "rank1", "refute"):
+        for n in (6, 7, 8):
+            case = families.generate(family, n, 77, (0, 0))
+            solves.clear()
+            list(stationary_candidates(SymMatrix.from_rows(case.matrix)))
+            for _, branch, _, _ in solves:
+                branches[family, branch] += 1
+    assert not sum(v for (_, b), v in branches.items() if b == "eliminated")
+    assert branches["rank1", "kernel vector"] > 0
+    assert branches["dsd", "other parent"] > 0
+    assert branches["refute", "other parent"] > 0

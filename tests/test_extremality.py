@@ -2,15 +2,23 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import copocert.extremality as extremality_mod
+from copocert.cli import parse_matrix_file
 from copocert.copositivity import is_copositive
 from copocert.errors import NotCopositiveError
-from copocert.extremality import build_system, extremality_certificate
+from copocert.extremality import (
+    _two_term_solutions,
+    build_system,
+    extremality_certificate,
+)
 from copocert.linalg import (
     SymMatrix,
     dot,
+    echelon,
     horn_matrix,
     is_proportional,
     kernel_basis,
@@ -18,9 +26,10 @@ from copocert.linalg import (
 )
 from copocert.zeros import minimal_zeros
 
-from oracles import permuted_matrix, random_positive_diagonal
+from oracles import benchmark_families, permuted_matrix, random_positive_diagonal
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestBuildSystem:
@@ -202,3 +211,83 @@ class TestDecompositionWitness:
             assert total == tuple(2 * a for a in A.upper)
             checked += 1
         assert checked >= 5
+
+
+def _paths_agree(A: SymMatrix) -> int:
+    """The union-find count against the elimination on A's system."""
+    cert = extremality_certificate(A)
+    ncols = upper_size(A.n)
+    fast = _two_term_solutions(cert.system.rows, ncols)
+    assert fast is not None, A
+    slow = echelon(cert.system.rows, ncols)
+    assert fast.nullity == slow.nullity == cert.nullity, A
+    basis = fast.kernel()
+    assert len(basis) == fast.nullity, A
+    assert all(dot(row, v) == 0 for v in basis for row in cert.system.rows), A
+    if fast.nullity == 1:
+        assert basis == slow.kernel(), A
+    return fast.nullity
+
+
+class TestTwoTermNullity:
+    """The union-find nullity of pair and singleton systems against
+    ``echelon``: the same nullity, a basis of solutions, and for nullity 1
+    the same canonical kernel vector."""
+
+    def test_every_copositive_class_up_to_order_5(self, census):
+        from copocert.census import Candidate
+        nullities = []
+        for n in range(1, 6):
+            for record in census(n):
+                if record.copositive:
+                    nullities.append(_paths_agree(
+                        Candidate(n, record.canonical_offdiag).matrix()))
+        assert len(nullities) == 1 + 3 + 8 + 41 + 279
+        assert 1 in nullities and max(nullities) > 1
+
+    @pytest.mark.parametrize("family", ["rank1", "dsd"])
+    def test_seeded_benchmark_families(self, family):
+        families = benchmark_families()
+        for n in range(3, 8):
+            for index in range(3):
+                case = families.generate(family, n, 41, index)
+                nullity = _paths_agree(SymMatrix.from_rows(case.matrix))
+                assert (nullity == 1) == case.extremal
+
+    @pytest.mark.parametrize("rows,nullity", [
+        ([[0, 1], [1, 0]], 1),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], 3),
+        ([[0] * 3] * 3, 0),
+    ])
+    def test_singleton_zeros(self, rows, nullity):
+        # a singleton zero e_i fires single-term rows X_ik = 0
+        A = SymMatrix.from_rows(rows)
+        assert any(len(z.support) == 1 for z in minimal_zeros(A))
+        assert _paths_agree(A) == nullity
+
+    def test_cycle_with_disagreeing_ratios(self):
+        # x0 = x1, x1 = x2 and x0 = -2 x2 force the first component to 0
+        rows = [(1, -1, 0, 0), (0, 1, -1, 0), (1, 0, 2, 0)]
+        fast = _two_term_solutions(rows, 4)
+        assert fast.nullity == echelon(rows, 4).nullity == 1
+        assert fast.kernel() == [(F(0), F(0), F(0), F(1))]
+
+    def test_longer_rows_are_eliminated(self, monkeypatch):
+        # Hildebrand's T has minimal zeros on triples: three-term rows
+        calls = []
+        real = extremality_mod.echelon
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(extremality_mod, "echelon", counting)
+        for name in ("hildebrand_equal", "hildebrand_mixed"):
+            A = parse_matrix_file(str(FIXTURES / f"{name}.txt"))
+            cert = extremality_certificate(A)
+            assert cert.extremal
+            assert _two_term_solutions(cert.system.rows, 15) is None
+        assert calls == [15, 15]
+        calls.clear()
+        assert extremality_certificate(horn_matrix()).extremal
+        assert not calls

@@ -18,7 +18,11 @@ import copocert.structure_graph as structure_graph_mod
 from copocert.census import CensusRecord, run_census
 from copocert.cli import main
 from copocert.errors import CensusInvariantError, CopocertError, InvariantError
-from copocert.extremality import ExtremalitySystem, extremality_certificate
+from copocert.extremality import (
+    ExtremalitySystem,
+    _TwoTermSolutions,
+    extremality_certificate,
+)
 from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
@@ -37,12 +41,20 @@ from copocert.zeros import MinimalZeroList, Zero, minimal_zeros
 F = Fraction
 
 PAIR = SymMatrix.from_rows([[1, -1], [-1, 1]])
+# positive semidefinite with kernel (1, 1, 1): its one minimal zero sits on
+# a triple, so its system has three-term rows and is eliminated
+TRIPLE = SymMatrix.from_rows([[2, 0, -2], [0, 2, -2], [-2, -2, 4]])
 
 
 def full_rank(rows, ncols):
     """Stand-in elimination with every column a pivot: nullity 0."""
     return echelon([[int(i == j) for j in range(ncols)]
                     for i in range(ncols)], ncols)
+
+
+def all_forced(rows, ncols):
+    """Stand-in union-find with every unknown forced to 0: nullity 0."""
+    return _TwoTermSolutions([[(j, 1)] for j in range(ncols)], ncols)
 
 
 def test_invariant_error_is_a_copocert_error():
@@ -102,6 +114,9 @@ class TestLP:
 
 
 class TestExtremality:
+    """Each check through the union-find (PAIR: two-term rows) and through
+    the elimination (TRIPLE: three-term rows)."""
+
     def test_matrix_violates_its_own_system(self, monkeypatch):
         row = [0] * upper_size(2)
         row[0] = 1  # X_11 = 0, but A_11 = 1
@@ -111,18 +126,48 @@ class TestExtremality:
         with pytest.raises(InvariantError, match="its own system"):
             extremality_certificate(PAIR)
 
+    def test_matrix_violates_its_own_three_term_system(self, monkeypatch):
+        row = [0] * upper_size(3)
+        row[0] = row[1] = row[3] = 1  # X_11 + X_12 + X_22 = 0, but A gives 4
+        monkeypatch.setattr(
+            extremality_mod, "build_system",
+            lambda A, Z: ExtremalitySystem(3, ((0, 0),), (tuple(row),)))
+        with pytest.raises(InvariantError, match="its own system"):
+            extremality_certificate(TRIPLE)
+
     def test_nonzero_matrix_with_trivial_solution_space(self, monkeypatch):
         monkeypatch.setattr(extremality_mod, "echelon", full_rank)
+        with pytest.raises(InvariantError, match="own solution space"):
+            extremality_certificate(TRIPLE)
+
+    def test_trivial_solution_space_by_union_find(self, monkeypatch):
+        monkeypatch.setattr(extremality_mod, "_two_term_solutions", all_forced)
         with pytest.raises(InvariantError, match="own solution space"):
             extremality_certificate(PAIR)
 
     def test_line_not_spanned_by_the_matrix(self, monkeypatch):
-        # the rows X_12 = X_22 = 0 leave the line through (1, 0, 0)
-        monkeypatch.setattr(extremality_mod, "echelon",
-                            lambda rows, ncols: echelon([[0, 1, 0], [0, 0, 1]],
-                                                        ncols))
+        # rows fixing every unknown but X_11 leave the line through e_0
+        monkeypatch.setattr(
+            extremality_mod, "echelon",
+            lambda rows, ncols: echelon([[int(j == i) for j in range(ncols)]
+                                         for i in range(1, ncols)], ncols))
+        with pytest.raises(InvariantError, match="multiple of the matrix"):
+            extremality_certificate(TRIPLE)
+
+    def test_line_not_spanned_by_union_find(self, monkeypatch):
+        # X_12 = X_22 = 0 leave the line through (1, 0, 0)
+        monkeypatch.setattr(
+            extremality_mod, "_two_term_solutions",
+            lambda rows, ncols: _TwoTermSolutions([[(1, 1)], [(2, 1)]], ncols))
         with pytest.raises(InvariantError, match="multiple of the matrix"):
             extremality_certificate(PAIR)
+
+    def test_paths(self):
+        # PAIR and TRIPLE reach the two paths the checks above break
+        for A, path in ((PAIR, _TwoTermSolutions), (TRIPLE, type(None))):
+            rows = extremality_certificate(A).system.rows
+            assert type(extremality_mod._two_term_solutions(
+                rows, upper_size(A.n))) is path
 
 
 class TestCensus:
@@ -177,6 +222,7 @@ class TestScaling:
 
 def test_cli_reports_invariant_violation(monkeypatch, capsys, write_matrix):
     monkeypatch.setattr(extremality_mod, "echelon", full_rank)
+    monkeypatch.setattr(extremality_mod, "_two_term_solutions", all_forced)
     assert main(["extremal", write_matrix(horn_matrix())]) == 1
     out = capsys.readouterr().out
     assert "error=InvariantViolated" in out

@@ -185,7 +185,9 @@ class TestBorderedAdjugate:
             new, full = bordered_adjugate(adj, det, K[m][:m], K[m][m])
             assert new == sign * sympy.Matrix(K).det()
             if not new:
-                assert full is None
+                # the kernel vector (w, -det K') in place of the adjugate
+                assert full[-1] == -det
+                assert self.times(K, [[z] for z in full]) == [[0]] * (m + 1)
                 singular += 1
                 continue
             assert self.times(full, K) == [[new * (i == j) for j in range(m + 1)]
