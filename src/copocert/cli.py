@@ -48,20 +48,26 @@ _ENTRY = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_matrix_file(path: str) -> SymMatrix:
-    """Read a symmetric rational matrix from a plain-text file.
+    """Read a symmetric rational matrix from a UTF-8 text file.
 
     First non-comment line holds the order n, then n rows of n entries,
     each an integer p or a rational p/q with positive q.  Lines starting
     with '#' and blank lines are skipped.  Asymmetric input is rejected.
     """
     try:
-        with open(path) as handle:
-            raw = handle.readlines()
+        with open(path, "rb") as handle:
+            raw = handle.read().splitlines()
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc.strerror}",
                                 line=0, column=0)
     data = []
-    for lineno, text in enumerate(raw, start=1):
+    for lineno, line in enumerate(raw, start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(
+                f"byte 0x{line[exc.start]:02x} is not UTF-8 text",
+                line=lineno, column=len(line[:exc.start].decode("utf-8")) + 1)
         stripped = text.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -75,7 +81,7 @@ def parse_matrix_file(path: str) -> SymMatrix:
             f"order line must hold a single integer, got {len(tokens)} tokens",
             line=lineno, column=tokens[1][0])
     col, tok = tokens[0]
-    if not tok.isdigit() or int(tok) < 1:
+    if not tok.isdecimal() or int(tok) < 1:
         raise MatrixFormatError(f"order must be a positive integer, got {tok!r}",
                                 line=lineno, column=col)
     n = int(tok)

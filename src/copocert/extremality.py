@@ -11,12 +11,13 @@ exactly when the solution space of this system is one-dimensional, in which
 case that line is spanned by A itself.  The gate ``(A u^j)_k = 0`` is tested
 exactly; there is no tolerance anywhere.
 
-The row of gate (j, k) holds the coordinates of u^j at the unknowns X_kl,
-l in supp(u^j), so it has one term per support index.  In the paper's
-class every minimal zero is a pair, and then every row is a two-term
-equation ``a X_ik + b X_jk = 0``: it fixes the ratio of two unknowns, as
-the edges of Hoffman and Pereira's entry graph do (JCTA 14, 1973).  A row
-of a singleton zero e_i fixes one unknown, ``X_ik = 0``.  Such a system
+The row of gate (j, k) is sparse: one term per support index l of u^j,
+at the unknown X_kl.  In the paper's class every minimal zero is a pair,
+and then every row is a two-term equation ``a X_ik + b X_jk = 0``: it
+fixes the ratio of two unknowns, and these rows are the edges of Hoffman
+and Pereira's entry graph (JCTA 14, 1973), which ``structure_graph``
+reads off this system.  A row of a singleton zero e_i fixes one unknown,
+``X_ik = 0``.  Such a system
 falls apart into the connected components of its unknowns: each unknown
 of a component is a fixed rational multiple of the component's root, and
 every equation inside the component either holds for every root value or
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import mul
 
 from .errors import InvariantError
 from .linalg import (
@@ -54,17 +54,28 @@ from .zeros import MinimalZeroList, minimal_zeros
 class ExtremalitySystem:
     """The assembled constraint rows, one per fired gate.
 
-    ``gates[r] = (j, k)`` records that row ``r`` encodes ``(X u^j)_k = 0``;
-    row ``r`` holds the primitive integer multiple of u^j at the unknowns
-    X_kl, so elimination takes it as it is.
+    ``gates[r] = (j, k)`` records that row ``r`` encodes ``(X u^j)_k = 0``.
+    Row ``r`` is the tuple of its ``(column, coefficient)`` terms in
+    ascending column order: the primitive integer multiple of u^j, at the
+    unknown X_kl for each l in supp(u^j).  ``dense_rows`` writes the rows
+    out over all n(n+1)/2 unknowns, as elimination takes them.
     """
 
     order: int
     gates: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __len__(self):
         return len(self.rows)
+
+    def dense_rows(self) -> list[list[int]]:
+        dense = []
+        for terms in self.rows:
+            row = [0] * upper_size(self.order)
+            for column, coefficient in terms:
+                row[column] = coefficient
+            dense.append(row)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -92,17 +103,15 @@ def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
             # (A u)_k = 0 exactly iff (M p)_k = 0
             if sum(M[k][l] * p[l] for l in support):
                 continue
-            row = [0] * upper_size(n)
-            for l in support:
-                row[upper_index(n, k, l)] = p[l]
+            # ascending l gives ascending columns X_kl
             gates.append((j, k))
-            rows.append(tuple(row))
+            rows.append(tuple((upper_index(n, k, l), p[l]) for l in support))
     return ExtremalitySystem(n, tuple(gates), tuple(rows))
 
 
 class _TwoTermSolutions:
-    """Solution space of ``rows x = 0`` when no row has more than two
-    nonzero entries, by a weighted union-find over the unknowns.
+    """Solution space of ``rows x = 0`` when no sparse row has more than
+    two terms, by a weighted union-find over the unknowns.
 
     A two-term row ``a x_p + b x_q = 0`` fixes the ratio of ``x_p`` to
     ``x_q``; the unknowns it links form a component in which every unknown
@@ -116,12 +125,12 @@ class _TwoTermSolutions:
     Those vectors have disjoint supports, so they are a basis.
     """
 
-    def __init__(self, terms, ncols):
+    def __init__(self, rows, ncols):
         self.parent = list(range(ncols))
         self.num = [1] * ncols
         self.den = [1] * ncols
         forced = [False] * ncols  # read at roots only
-        for row in terms:
+        for row in rows:
             if len(row) == 1:
                 forced[self.find(row[0][0])] = True
                 continue
@@ -174,19 +183,6 @@ class _TwoTermSolutions:
         return vectors
 
 
-def _two_term_solutions(rows, ncols):
-    """``_TwoTermSolutions`` of ``rows``, or ``None`` when a row has three
-    or more nonzero entries."""
-    terms = []
-    for row in rows:
-        row_terms = [(j, x) for j, x in enumerate(row) if x]
-        if len(row_terms) > 2:
-            return None
-        if row_terms:
-            terms.append(row_terms)
-    return _TwoTermSolutions(terms, ncols)
-
-
 def extremality_certificate(A: SymMatrix, *,
                             cache: dict | None = None) -> ExtremalityCertificate:
     """Decide extremality of a copositive matrix via the system's nullity.
@@ -197,8 +193,9 @@ def extremality_certificate(A: SymMatrix, *,
     once and the nullity is its column count minus its pivot count.  Only a
     one-dimensional solution space is turned into a vector, to check that
     it is spanned by A; a larger one is reported by its dimension alone
-    (``kernel_basis(cert.system.rows)`` recovers a basis).  ``cache`` is
-    handed to the copositivity scan (see ``stationary_candidates``).
+    (``kernel_basis(cert.system.dense_rows())`` recovers a basis).
+    ``cache`` is handed to the copositivity scan (see
+    ``stationary_candidates``).
     Raises NotCopositiveError (from ``minimal_zeros``) when A is not
     copositive.
     """
@@ -208,12 +205,13 @@ def extremality_certificate(A: SymMatrix, *,
     M, _ = A.integer_form
     # A = M / d, so A solves the system exactly when upper(M) does
     upper = [M[i][j] for i in range(n) for j in range(i, n)]
-    if any(sum(map(mul, row, upper)) for row in system.rows):
+    if any(sum(upper[c] * a for c, a in row) for row in system.rows):
         raise InvariantError("input matrix must satisfy its own system")
     ncols = upper_size(n)
-    reduced = _two_term_solutions(system.rows, ncols)
-    if reduced is None:
-        reduced = echelon(system.rows, ncols)
+    if all(len(row) <= 2 for row in system.rows):
+        reduced = _TwoTermSolutions(system.rows, ncols)
+    else:
+        reduced = echelon(system.dense_rows(), ncols)
     nullity = reduced.nullity
     if nullity == 0 and not A.is_zero():
         raise InvariantError("a nonzero matrix lies in its own solution space")

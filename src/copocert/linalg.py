@@ -36,12 +36,6 @@ def as_vector(entries) -> Vector:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def dot(u, v) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
-
-
 def _primitive_int_row(row) -> list[int]:
     """Scale a rational row to integers with gcd 1 (zero rows stay zero)."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
@@ -376,12 +370,6 @@ class SymMatrix:
 
     def has_unit_diagonal(self) -> bool:
         return all(d == 1 for d in self.diagonal())
-
-    def apply(self, x) -> Vector:
-        """Matrix-vector product ``A x``."""
-        if len(x) != self.n:
-            raise ValueError("vector length does not match matrix order")
-        return tuple(dot(self.row(i), x) for i in range(self.n))
 
     def principal(self, indices) -> "SymMatrix":
         """Principal submatrix on the given (sorted ascending) index set."""

@@ -2,17 +2,19 @@
 
 When every minimal zero of a unit-diagonal copositive matrix is supported on
 exactly two indices, each such zero is balanced (weight 1/2 on i and j), so
-every fired constraint row ``(X u)_k = 0`` reduces, after clearing the common
-factor, to a two-term equation ``X_ik + X_jk = 0``.  These equations define a
-graph G on the n(n+1)/2 independent entries of the symmetric unknown X, one
-edge per fired gate.
+every row ``(X u)_k = 0`` of the extremality system (``build_system``)
+reduces, after clearing the common factor, to a two-term equation
+``X_ik + X_jk = 0``.  These equations define a graph G on the n(n+1)/2
+independent entries of the symmetric unknown X, one edge per fired gate.
 
 The solution space of the system then has dimension equal to the number of
 bipartite connected components of G: entries in a component with an odd cycle
 are forced to zero, while within a bipartite component one representative
 value propagates with alternating sign along edges, giving exactly one degree
 of freedom.  Isolated vertices are bipartite components and contribute one
-dimension each (a free entry).
+dimension each (a free entry).  ``component_analysis`` reads the components
+and their parity classes off the extremality module's two-term union-find,
+with each edge a row ``x_a + x_b = 0``.
 
 When there is a single bipartite component, the solution line is a signed
 indicator of its two parity classes; fixing the class containing the diagonal
@@ -21,7 +23,6 @@ entries to +1 recovers the unit-diagonal {-1,0,1} matrix itself.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,14 +32,16 @@ from .errors import (
     NotUnitDiagonalError,
     SupportCardinalityError,
 )
-from .linalg import ONE, ZERO, SymMatrix, upper_size
+from .extremality import _TwoTermSolutions, build_system
+from .linalg import ONE, ZERO, SymMatrix, upper_index, upper_size
 from .zeros import MinimalZeroList
 
 Vertex = tuple[int, int]
 
 
-def _vertex(i, j) -> Vertex:
-    return (i, j) if i <= j else (j, i)
+def _entries(n) -> tuple[Vertex, ...]:
+    """The entries ``(i, j)``, ``i <= j``, in the order of the unknowns."""
+    return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,7 @@ class StructureGraph:
     edges: tuple[tuple[Vertex, Vertex], ...]
 
     def vertices(self) -> tuple[Vertex, ...]:
-        n = self.order
-        return tuple((i, j) for i in range(n) for j in range(i, n))
-
-    def adjacency(self) -> dict[Vertex, list[Vertex]]:
-        adj = {v: [] for v in self.vertices()}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: sorted(nb) for v, nb in adj.items()}
+        return _entries(self.order)
 
 
 @dataclass(frozen=True)
@@ -75,13 +70,10 @@ class ComponentReport:
 
 
 def build_graph(A: SymMatrix, Z: MinimalZeroList) -> StructureGraph:
-    """One edge ``{X_ik, X_jk}`` per fired gate of a pair-supported zero."""
+    """One edge ``{X_ik, X_jk}`` per row of ``build_system(A, Z)``, after
+    checking that every zero is a balanced pair."""
     if not A.has_unit_diagonal():
         raise NotUnitDiagonalError("entry graph requires a unit diagonal")
-    if Z.matrix.n != A.n:
-        raise ValueError("zero list order does not match matrix order")
-    edges = set()
-    fired = 0
     for zero in Z.zeros:
         support = zero.sorted_support()
         if len(support) != 2:
@@ -92,56 +84,48 @@ def build_graph(A: SymMatrix, Z: MinimalZeroList) -> StructureGraph:
         if zero.coordinates[i] != zero.coordinates[j]:
             raise InvariantError(
                 "pair-supported zero of a unit-diagonal matrix must be balanced")
-        image = A.apply(zero.coordinates)
-        for k in range(A.n):
-            if image[k] != 0:
-                continue
-            a, b = _vertex(i, k), _vertex(j, k)
-            if a == b:
-                raise InvariantError(
-                    "two-term equations never relate an entry to itself")
-            edges.add((a, b) if a < b else (b, a))
-            fired += 1
-    if fired != len(edges):
+    system = build_system(A, Z)
+    vertices = _entries(A.n)
+    edges = set()
+    for (a, _), (b, _) in system.rows:
+        if a == b:
+            raise InvariantError(
+                "two-term equations never relate an entry to itself")
+        # terms come in ascending column order, and columns order the vertices
+        edges.add((vertices[a], vertices[b]))
+    if len(system) != len(edges):
         raise InvariantError("distinct gates always yield distinct edges")
     return StructureGraph(A.n, tuple(sorted(edges)))
 
 
 def component_analysis(G: StructureGraph) -> ComponentReport:
-    """Connected components with exact two-coloring.
+    """Connected components and exact parity classes of the entry graph.
 
-    Breadth-first traversal from the smallest unvisited vertex; an edge
-    joining two same-colored vertices closes an odd cycle and marks the
-    component non-bipartite.
+    Each edge ``{a, b}`` is the two-term row ``x_a + x_b = 0``; the
+    union-find puts every entry of a component at ``+1`` or ``-1`` times
+    the component's root, and marks the component forced to 0 exactly
+    when an odd cycle closes in it.  Components come in order of their
+    smallest vertex, and the first parity class holds that vertex.
     """
-    adj = G.adjacency()
-    color: dict[Vertex, int] = {}
+    vertices = G.vertices()
+    index = {v: c for c, v in enumerate(vertices)}
+    solutions = _TwoTermSolutions(
+        [((index[a], 1), (index[b], 1)) for a, b in G.edges], len(vertices))
+    free = set(solutions.free)
+    members: dict[int, list[tuple[Vertex, bool]]] = {}
+    for column, v in enumerate(vertices):
+        root = solutions.find(column)
+        members.setdefault(root, []).append((v, solutions.num[column] > 0))
     components = []
-    for root in G.vertices():
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        members = [root]
-        bipartite = True
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    members.append(w)
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-        members.sort()
-        if bipartite:
-            classes = (tuple(v for v in members if color[v] == color[members[0]]),
-                       tuple(v for v in members if color[v] != color[members[0]]))
-        else:
-            classes = None
-        components.append(GraphComponent(tuple(members), bipartite, classes))
-    count = sum(1 for c in components if c.bipartite)
-    return ComponentReport(G.order, tuple(components), count)
+    for root, group in members.items():
+        classes = None
+        if root in free:
+            lead = group[0][1]
+            classes = (tuple(v for v, sign in group if sign == lead),
+                       tuple(v for v, sign in group if sign != lead))
+        components.append(GraphComponent(
+            tuple(v for v, _ in group), root in free, classes))
+    return ComponentReport(G.order, tuple(components), solutions.nullity)
 
 
 def reconstruct_pattern(report: ComponentReport) -> SymMatrix:
@@ -166,11 +150,10 @@ def reconstruct_pattern(report: ComponentReport) -> SymMatrix:
     if in_minus:
         plus, minus = minus, plus
     entries = [ZERO] * upper_size(n)
-    index = {v: p for p, v in enumerate((i, j) for i in range(n) for j in range(i, n))}
     for v in plus:
-        entries[index[v]] = ONE
+        entries[upper_index(n, *v)] = ONE
     for v in minus:
-        entries[index[v]] = -ONE
+        entries[upper_index(n, *v)] = -ONE
     return SymMatrix(n, tuple(entries))
 
 

@@ -11,12 +11,17 @@ below (``fraction_solve_affine``, ``fraction_quadratic``) is the
 ``Fraction`` back-substitution and form evaluation the integer-native core
 replaced, kept as the reference for it.  ``lp_is_copositive`` is the support scan as it
 was before it skipped systems with a positive-dimensional solution set: the
-exact LP decides positivity on every feasible support.  The helpers at the
-end were library functions that only tests called.
+exact LP decides positivity on every feasible support.
+``fraction_build_graph`` and ``bfs_component_analysis`` are the entry graph
+as it was built before it was read off the extremality system: the gate
+``(A u)_k = 0`` tested again in ``Fraction`` arithmetic (``matrix_apply``,
+``dot``), and a breadth-first two-colouring.  The helpers at the end were
+library functions that only tests called.
 """
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 import itertools
 import math
@@ -40,7 +45,17 @@ from copocert.linalg import (
     kernel_basis,
     solve_affine,
 )
+from copocert.errors import (
+    InvariantError,
+    NotUnitDiagonalError,
+    SupportCardinalityError,
+)
 from copocert.lp import strictly_positive_point
+from copocert.structure_graph import (
+    ComponentReport,
+    GraphComponent,
+    StructureGraph,
+)
 from copocert.zeros import Zero
 
 
@@ -308,6 +323,84 @@ def rational_support_system(A: SymMatrix, support):
     rows = [[A.get(i, j) for j in support] + [Fraction(-1)] for i in support]
     rows.append([Fraction(1)] * k + [Fraction(0)])
     return rows, [Fraction(0)] * k + [Fraction(1)]
+
+
+# --- the entry graph by the Fraction gate and a BFS two-colouring ----------
+
+def dot(u, v) -> Fraction:
+    """Exact inner product of two rational vectors."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def matrix_apply(A: SymMatrix, x) -> tuple[Fraction, ...]:
+    """Matrix-vector product ``A x`` in ``Fraction`` arithmetic."""
+    if len(x) != A.n:
+        raise ValueError("vector length does not match matrix order")
+    return tuple(dot(A.row(i), x) for i in range(A.n))
+
+
+def fraction_build_graph(A: SymMatrix, Z) -> StructureGraph:
+    """``build_graph`` as it was before it read its edges off
+    ``build_system``: the gate ``(A u)_k = 0`` tested again on ``A u`` in
+    ``Fraction`` arithmetic, with the same preconditions."""
+    if not A.has_unit_diagonal():
+        raise NotUnitDiagonalError("entry graph requires a unit diagonal")
+    if Z.matrix.n != A.n:
+        raise ValueError("zero list order does not match matrix order")
+    edges = set()
+    for zero in Z.zeros:
+        support = zero.sorted_support()
+        if len(support) != 2:
+            raise SupportCardinalityError(f"support {support}")
+        i, j = support
+        if zero.coordinates[i] != zero.coordinates[j]:
+            raise InvariantError("unbalanced pair-supported zero")
+        image = matrix_apply(A, zero.coordinates)
+        for k in range(A.n):
+            if image[k] == 0:
+                edges.add(tuple(sorted((tuple(sorted((i, k))),
+                                        tuple(sorted((j, k)))))))
+    return StructureGraph(A.n, tuple(sorted(edges)))
+
+
+def bfs_component_analysis(G: StructureGraph) -> ComponentReport:
+    """``component_analysis`` as it was before it read the components off
+    the two-term union-find: breadth-first two-colouring from the smallest
+    unvisited vertex; an edge joining two same-coloured vertices closes an
+    odd cycle."""
+    adj = {v: [] for v in G.vertices()}
+    for a, b in G.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    color = {}
+    components = []
+    for root in G.vertices():
+        if root in color:
+            continue
+        color[root] = 0
+        queue = collections.deque([root])
+        members = [root]
+        bipartite = True
+        while queue:
+            v = queue.popleft()
+            for w in sorted(adj[v]):
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    members.append(w)
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    bipartite = False
+        members.sort()
+        classes = None
+        if bipartite:
+            lead = color[members[0]]
+            classes = (tuple(v for v in members if color[v] == lead),
+                       tuple(v for v in members if color[v] != lead))
+        components.append(GraphComponent(tuple(members), bipartite, classes))
+    return ComponentReport(G.order, tuple(components),
+                           sum(c.bipartite for c in components))
 
 
 # --- the support scan with the exact LP on every feasible support ------------

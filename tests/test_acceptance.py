@@ -36,7 +36,9 @@ from copocert.structure_graph import (
 from copocert.zeros import minimal_zeros
 
 from oracles import (
+    bfs_component_analysis,
     canonical_form,
+    fraction_build_graph,
     random_positive_diagonal,
     random_symmetric,
     subdivision_falsifier,
@@ -181,9 +183,14 @@ def test_criterion_5_graph_dimension_equals_nullity(criterion, census):
                     continue
                 A = record_matrix(record)
                 cert = extremality_certificate(A)
-                report = component_analysis(
-                    build_graph(A, cert.minimal_zeros))
-                assert report.bipartite_count == cert.nullity
+                graph = build_graph(A, cert.minimal_zeros)
+                report = component_analysis(graph)
+                # the Fraction gate and the BFS two-colouring, independent
+                # of the two-term system both library paths share
+                oracle_graph = fraction_build_graph(A, cert.minimal_zeros)
+                oracle = bfs_component_analysis(oracle_graph)
+                assert oracle.bipartite_count == cert.nullity
+                assert (graph, report) == (oracle_graph, oracle)
                 checked += 1
         assert checked == sum(
             r.copositive for n in (1, 2, 3, 4) for r in census(n))

@@ -117,6 +117,21 @@ class TestParseMatrixFile:
         A = parse_matrix_file(path)
         assert A.rows() == [[F(t) for t in row] for row in rows]
 
+    def test_order_line_non_decimal_digit(self, write_matrix):
+        # superscript two: str.isdigit() holds, but int() refuses it
+        path = write_matrix("\u00b2\n1 0\n0 1\n")
+        with pytest.raises(MatrixFormatError, match="positive integer") as exc:
+            parse_matrix_file(path)
+        assert (exc.value.line, exc.value.column) == (1, 1)
+
+    def test_bytes_not_utf8(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_bytes(b"2\n1 \xc3\xa9\xff\n0 1\n")
+        with pytest.raises(MatrixFormatError, match="0xff") as exc:
+            parse_matrix_file(str(path))
+        # the column counts characters: the e-acute is one
+        assert (exc.value.line, exc.value.column) == (2, 4)
+
     def test_asymmetric_points_at_lower_entry(self, write_matrix):
         path = write_matrix("2\n1 2\n3 1\n")
         with pytest.raises(MatrixFormatError) as exc:
@@ -153,6 +168,19 @@ class TestCheck:
         assert code == 2
         assert mach["error"] == "ParseError"
         assert (mach["line"], mach["column"]) == ("3", "1")
+
+    @pytest.mark.parametrize("data,where", [
+        ("\u00b2\n1 0\n0 1\n".encode("utf-8"), ("1", "1")),
+        (b"2\n1 0\n0 \xff\n", ("3", "3")),
+    ], ids=["superscript-order", "byte-0xff"])
+    def test_undecodable_input_exit_two(self, capsys, tmp_path, data, where):
+        path = tmp_path / "matrix.txt"
+        path.write_bytes(data)
+        code, out = run(capsys, ["check", str(path)])
+        mach = machine_block(out)
+        assert code == 2
+        assert mach["error"] == "ParseError"
+        assert (mach["line"], mach["column"]) == where
 
 
 class TestZeros:

@@ -11,13 +11,12 @@ from copocert.cli import parse_matrix_file
 from copocert.copositivity import is_copositive
 from copocert.errors import NotCopositiveError
 from copocert.extremality import (
-    _two_term_solutions,
+    _TwoTermSolutions,
     build_system,
     extremality_certificate,
 )
 from copocert.linalg import (
     SymMatrix,
-    dot,
     echelon,
     horn_matrix,
     is_proportional,
@@ -26,7 +25,12 @@ from copocert.linalg import (
 )
 from copocert.zeros import minimal_zeros
 
-from oracles import benchmark_families, permuted_matrix, random_positive_diagonal
+from oracles import (
+    benchmark_families,
+    dot,
+    permuted_matrix,
+    random_positive_diagonal,
+)
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -48,8 +52,15 @@ class TestBuildSystem:
     def test_rows_annihilate_the_matrix(self):
         for A in (horn_matrix(), SymMatrix.rank_one((F(1), F(-1), F(1)))):
             system = build_system(A, minimal_zeros(A))
-            for row in system.rows:
+            for row in system.dense_rows():
                 assert dot(row, A.upper) == 0
+
+    def test_rows_are_sparse(self):
+        # Horn: one term per support index, columns ascending
+        system = build_system(horn_matrix(), minimal_zeros(horn_matrix()))
+        assert system.gates[0] == (0, 0)
+        assert system.rows[0] == ((0, 1), (1, 1))  # X_11 + X_12 = 0
+        assert all(len(row) == 2 for row in system.rows)
 
     def test_no_zeros_no_rows(self):
         A = SymMatrix.identity(3)
@@ -61,7 +72,7 @@ class TestCertificate:
         A = SymMatrix.from_rows([[1, -1], [-1, 1]])
         cert = extremality_certificate(A)
         assert cert.extremal and cert.nullity == 1
-        (line,) = kernel_basis(cert.system.rows, upper_size(2))
+        (line,) = kernel_basis(cert.system.dense_rows(), upper_size(2))
         assert is_proportional(line, A.upper)
 
     def test_identity_and_all_ones_nullities(self):
@@ -109,10 +120,10 @@ class TestCertificate:
     def test_basis_solves_the_system(self):
         A = SymMatrix.from_rows([[1, -1, 1], [-1, 1, 1], [1, 1, 1]])
         cert = extremality_certificate(A)
-        basis = kernel_basis(cert.system.rows, upper_size(3))
+        basis = kernel_basis(cert.system.dense_rows(), upper_size(3))
         assert len(basis) == cert.nullity
         for vector in basis:
-            for row in cert.system.rows:
+            for row in cert.system.dense_rows():
                 assert dot(row, vector) == 0
 
     def test_permutation_invariant_nullity(self, census):
@@ -129,7 +140,7 @@ class TestCertificate:
 
 def _assert_nullity_is_kernel_dimension(A: SymMatrix) -> None:
     cert = extremality_certificate(A)
-    basis = kernel_basis(cert.system.rows, upper_size(A.n))
+    basis = kernel_basis(cert.system.dense_rows(), upper_size(A.n))
     assert cert.nullity == len(basis), A
     assert cert.extremal == (len(basis) == 1), A
 
@@ -188,7 +199,8 @@ class TestDecompositionWitness:
             assert cert.nullity >= 2
             direction = next(
                 (SymMatrix(4, v)
-                 for v in kernel_basis(cert.system.rows, upper_size(4))
+                 for v in kernel_basis(cert.system.dense_rows(),
+                                       upper_size(4))
                  if not is_proportional(v, A.upper)), None)
             assert direction is not None
             eps = F(1)
@@ -217,13 +229,14 @@ def _paths_agree(A: SymMatrix) -> int:
     """The union-find count against the elimination on A's system."""
     cert = extremality_certificate(A)
     ncols = upper_size(A.n)
-    fast = _two_term_solutions(cert.system.rows, ncols)
-    assert fast is not None, A
-    slow = echelon(cert.system.rows, ncols)
+    assert all(len(row) <= 2 for row in cert.system.rows), A
+    fast = _TwoTermSolutions(cert.system.rows, ncols)
+    dense = cert.system.dense_rows()
+    slow = echelon(dense, ncols)
     assert fast.nullity == slow.nullity == cert.nullity, A
     basis = fast.kernel()
     assert len(basis) == fast.nullity, A
-    assert all(dot(row, v) == 0 for v in basis for row in cert.system.rows), A
+    assert all(dot(row, v) == 0 for v in basis for row in dense), A
     if fast.nullity == 1:
         assert basis == slow.kernel(), A
     return fast.nullity
@@ -267,9 +280,10 @@ class TestTwoTermNullity:
 
     def test_cycle_with_disagreeing_ratios(self):
         # x0 = x1, x1 = x2 and x0 = -2 x2 force the first component to 0
-        rows = [(1, -1, 0, 0), (0, 1, -1, 0), (1, 0, 2, 0)]
-        fast = _two_term_solutions(rows, 4)
-        assert fast.nullity == echelon(rows, 4).nullity == 1
+        rows = [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 1), (2, 2))]
+        dense = [(1, -1, 0, 0), (0, 1, -1, 0), (1, 0, 2, 0)]
+        fast = _TwoTermSolutions(rows, 4)
+        assert fast.nullity == echelon(dense, 4).nullity == 1
         assert fast.kernel() == [(F(0), F(0), F(0), F(1))]
 
     def test_longer_rows_are_eliminated(self, monkeypatch):
@@ -286,7 +300,7 @@ class TestTwoTermNullity:
             A = parse_matrix_file(str(FIXTURES / f"{name}.txt"))
             cert = extremality_certificate(A)
             assert cert.extremal
-            assert _two_term_solutions(cert.system.rows, 15) is None
+            assert max(map(len, cert.system.rows)) == 3
         assert calls == [15, 15]
         calls.clear()
         assert extremality_certificate(horn_matrix()).extremal

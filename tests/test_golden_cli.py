@@ -6,7 +6,10 @@ rank-one v v^T and a rational non-copositive matrix).  ``expected/`` holds,
 for each of them and each of ``check``, ``zeros``, ``extremal``, ``verify``,
 ``normalize`` and ``graph``, the exact stdout of the command, plus the
 output of ``census -n 3`` and ``census -n 4``; ``exit_codes.txt`` lists the
-exit code of every case.  A speedup must leave all of it unchanged.
+exit code of every case.  For ``graph --dot`` on the Horn matrix and on the
+pattern, ``NAME.graph.dot`` holds the DOT file and ``NAME.graph-dot.out``
+the stdout, run with the DOT path ``NAME.dot`` relative to the working
+directory.  A speedup must leave all of it unchanged.
 """
 
 from pathlib import Path
@@ -44,3 +47,14 @@ def test_every_fixture_has_all_commands():
 def test_golden_output(capsys, name, code):
     assert main(_argv(name)) == code
     assert capsys.readouterr().out == (EXPECTED / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", ["horn", "pattern"])
+def test_golden_dot(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
+    argv = ["graph", str(FIXTURES / f"{name}.txt"), "--dot", f"{name}.dot"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == \
+        (EXPECTED / f"{name}.graph-dot.out").read_text()
+    assert (tmp_path / f"{name}.dot").read_bytes() == \
+        (EXPECTED / f"{name}.graph.dot").read_bytes()

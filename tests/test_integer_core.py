@@ -37,6 +37,7 @@ from oracles import (
     fraction_primitive_int_row,
     fraction_quadratic,
     fraction_solve_affine,
+    matrix_apply,
     random_positive_diagonal,
     random_symmetric,
     rational_support_system,
@@ -156,11 +157,11 @@ def test_quadratic_form_on_integers():
 
 
 def fraction_build_rows(A, zeros):
-    """Extremality rows as assembled before: rational rows, then
+    """Extremality rows as assembled before: dense rational rows, then
     ``canonical_vector``."""
     rows = []
     for zero in zeros:
-        image = A.apply(zero.coordinates)
+        image = matrix_apply(A, zero.coordinates)
         for k in range(A.n):
             if image[k] != 0:
                 continue
@@ -185,8 +186,13 @@ def test_extremality_rows_are_the_canonical_integer_rows():
                 zeros = minimal_zeros(B)
             except NotCopositiveError:
                 continue
-            rows = build_system(B, zeros).rows
-            assert rows == tuple(fraction_build_rows(B, zeros))
-            assert all(type(v) is int for row in rows for v in row)
+            system = build_system(B, zeros)
+            assert list(map(tuple, system.dense_rows())) == \
+                fraction_build_rows(B, zeros)
+            for row in system.rows:
+                # sparse: nonzero integer terms in ascending column order
+                columns = [c for c, _ in row]
+                assert columns == sorted(set(columns))
+                assert all(type(a) is int and a for _, a in row)
             checked += 1
     assert checked > 50

@@ -31,7 +31,6 @@ from copocert.linalg import (
     echelon,
     horn_matrix,
     kernel_basis,
-    upper_size,
 )
 from copocert.lp import simplex_maximize, strictly_positive_point
 from copocert.scaling import extract_pattern
@@ -118,20 +117,18 @@ class TestExtremality:
     the elimination (TRIPLE: three-term rows)."""
 
     def test_matrix_violates_its_own_system(self, monkeypatch):
-        row = [0] * upper_size(2)
-        row[0] = 1  # X_11 = 0, but A_11 = 1
+        row = ((0, 1),)  # X_11 = 0, but A_11 = 1
         monkeypatch.setattr(
             extremality_mod, "build_system",
-            lambda A, Z: ExtremalitySystem(2, ((0, 0),), (tuple(row),)))
+            lambda A, Z: ExtremalitySystem(2, ((0, 0),), (row,)))
         with pytest.raises(InvariantError, match="its own system"):
             extremality_certificate(PAIR)
 
     def test_matrix_violates_its_own_three_term_system(self, monkeypatch):
-        row = [0] * upper_size(3)
-        row[0] = row[1] = row[3] = 1  # X_11 + X_12 + X_22 = 0, but A gives 4
+        row = ((0, 1), (1, 1), (3, 1))  # X_11 + X_12 + X_22 = 0, A gives 4
         monkeypatch.setattr(
             extremality_mod, "build_system",
-            lambda A, Z: ExtremalitySystem(3, ((0, 0),), (tuple(row),)))
+            lambda A, Z: ExtremalitySystem(3, ((0, 0),), (row,)))
         with pytest.raises(InvariantError, match="its own system"):
             extremality_certificate(TRIPLE)
 
@@ -141,7 +138,7 @@ class TestExtremality:
             extremality_certificate(TRIPLE)
 
     def test_trivial_solution_space_by_union_find(self, monkeypatch):
-        monkeypatch.setattr(extremality_mod, "_two_term_solutions", all_forced)
+        monkeypatch.setattr(extremality_mod, "_TwoTermSolutions", all_forced)
         with pytest.raises(InvariantError, match="own solution space"):
             extremality_certificate(PAIR)
 
@@ -157,17 +154,29 @@ class TestExtremality:
     def test_line_not_spanned_by_union_find(self, monkeypatch):
         # X_12 = X_22 = 0 leave the line through (1, 0, 0)
         monkeypatch.setattr(
-            extremality_mod, "_two_term_solutions",
+            extremality_mod, "_TwoTermSolutions",
             lambda rows, ncols: _TwoTermSolutions([[(1, 1)], [(2, 1)]], ncols))
         with pytest.raises(InvariantError, match="multiple of the matrix"):
             extremality_certificate(PAIR)
 
-    def test_paths(self):
+    def test_paths(self, monkeypatch):
         # PAIR and TRIPLE reach the two paths the checks above break
-        for A, path in ((PAIR, _TwoTermSolutions), (TRIPLE, type(None))):
-            rows = extremality_certificate(A).system.rows
-            assert type(extremality_mod._two_term_solutions(
-                rows, upper_size(A.n))) is path
+        calls = []
+
+        def counting(name):
+            real = getattr(extremality_mod, name)
+
+            def wrapper(rows, ncols):
+                calls.append(name)
+                return real(rows, ncols)
+            return wrapper
+
+        for name in ("_TwoTermSolutions", "echelon"):
+            monkeypatch.setattr(extremality_mod, name, counting(name))
+        for A, path in ((PAIR, "_TwoTermSolutions"), (TRIPLE, "echelon")):
+            calls.clear()
+            extremality_certificate(A)
+            assert calls == [path]
 
 
 class TestCensus:
@@ -201,7 +210,10 @@ class TestStructureGraph:
             build_graph(PAIR, zeros)
 
     def test_equation_relates_an_entry_to_itself(self, monkeypatch):
-        monkeypatch.setattr(structure_graph_mod, "_vertex", lambda i, k: (0, 0))
+        # a row X_12 + X_12 = 0, which no pair-supported zero fires
+        monkeypatch.setattr(
+            structure_graph_mod, "build_system",
+            lambda A, Z: ExtremalitySystem(2, ((0, 0),), (((1, 1), (1, 1)),)))
         with pytest.raises(InvariantError, match="itself"):
             build_graph(PAIR, minimal_zeros(PAIR))
 
@@ -222,7 +234,7 @@ class TestScaling:
 
 def test_cli_reports_invariant_violation(monkeypatch, capsys, write_matrix):
     monkeypatch.setattr(extremality_mod, "echelon", full_rank)
-    monkeypatch.setattr(extremality_mod, "_two_term_solutions", all_forced)
+    monkeypatch.setattr(extremality_mod, "_TwoTermSolutions", all_forced)
     assert main(["extremal", write_matrix(horn_matrix())]) == 1
     out = capsys.readouterr().out
     assert "error=InvariantViolated" in out

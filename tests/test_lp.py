@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction
 
-from copocert.linalg import AffineSolutionSet, dot, kernel_basis, solve_affine
+from copocert.linalg import AffineSolutionSet, kernel_basis, solve_affine
 from copocert.lp import simplex_maximize, strictly_positive_point
 
-from oracles import subspace_positive_point_exists
+from oracles import dot, subspace_positive_point_exists
 
 F = Fraction
 

@@ -1,12 +1,16 @@
 """Entry graph construction, two-coloring, and pattern reconstruction."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from copocert.census import Candidate
+from copocert.cli import parse_matrix_file
 from copocert.errors import (
     AmbiguousPatternError,
+    CopocertError,
     InconsistentDiagonalError,
     NotUnitDiagonalError,
     SupportCardinalityError,
@@ -24,7 +28,10 @@ from copocert.structure_graph import (
 )
 from copocert.zeros import minimal_zeros
 
+from oracles import bfs_component_analysis, fraction_build_graph
+
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 PAIR = SymMatrix.from_rows([[1, -1], [-1, 1]])
 
@@ -173,3 +180,52 @@ class TestDotExport:
     def test_dot_deterministic(self):
         graph, report = analyse(horn_matrix())
         assert to_dot(graph, report) == to_dot(graph, report)
+
+
+class TestAgainstOracles:
+    """Edges against the Fraction gate and components against the BFS
+    two-colouring (``tests/oracles.py``)."""
+
+    def test_every_copositive_class_up_to_order_5(self, census):
+        checked = 0
+        for n in range(1, 6):
+            for record in census(n):
+                if not record.copositive:
+                    continue
+                A = Candidate(n, record.canonical_offdiag).matrix()
+                zeros = minimal_zeros(A)
+                graph = build_graph(A, zeros)
+                assert graph == fraction_build_graph(A, zeros), A
+                assert component_analysis(graph) == \
+                    bfs_component_analysis(graph), A
+                checked += 1
+        assert checked == 332
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.txt")),
+                             ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        # the same graph, or the same refusal
+        A = parse_matrix_file(str(path))
+
+        def outcome(build, analyse):
+            try:
+                zeros = minimal_zeros(A)
+                graph = build(A, zeros)
+                return graph, analyse(graph)
+            except CopocertError as exc:
+                return type(exc)
+
+        assert outcome(build_graph, component_analysis) == \
+            outcome(fraction_build_graph, bfs_component_analysis)
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            vertices = StructureGraph(n, ()).vertices()
+            pairs = [(a, b) for k, a in enumerate(vertices)
+                     for b in vertices[k + 1:]]
+            edges = tuple(sorted(rng.sample(
+                pairs, rng.randint(0, min(len(pairs), 2 * n)))))
+            graph = StructureGraph(n, edges)
+            assert component_analysis(graph) == bfs_component_analysis(graph)
