@@ -4,7 +4,14 @@ Candidates are determined by their strict upper triangle (the diagonal is
 implicitly all ones).  They are enumerated in lexicographic order of that
 off-diagonal tuple with entry order (-1, 0, 1), deduplicated up to
 simultaneous row/column permutation, and each permutation class is classified
-by the exact copositivity, minimal-zero, and extremality oracles.
+in two steps.  First, Hoffman and Pereira's rule (JCTA 14, 1973): such a
+matrix is copositive iff any two -1 neighbours of a vertex are joined by +1,
+so a class is refuted by a triple ``i < j < k`` with
+``3 + 2 (a_ij + a_ik + a_jk) < 0``, the exact integer value of the form at
+``e_i + e_j + e_k``, read off the off-diagonal tuple.  Every other class is
+built on integers (``SymMatrix.from_integer_rows``) and goes through the
+exact extremality certificate, whose copositivity scan must then find no
+violator: a refutation there contradicts the rule and aborts the sweep.
 
 Permutations are the whole symmetry group here: sign conjugations do not
 preserve copositivity, and positive diagonal scalings act trivially on
@@ -14,15 +21,15 @@ each class first at its representative and the record list is born sorted.
 The sweep keeps one mark per candidate and marks a representative's whole
 orbit when it meets it, so it stops only at representatives, and the orbit
 sizes must add up to the candidate count.  The representatives of one run
-share a cache of support systems: the classes have few distinct principal
-submatrices between them (8,458 at order 6, against 726,600 supports
-scanned), and each is solved once.
+that reach the certificate share a cache of support systems: they have few
+distinct principal submatrices between them (8,454 at order 6, against
+247,338 supports scanned), and each is solved once.
 
-The sweep aborts if an extremal record has a minimal support that is not a
-pair; ``copocert census`` reports whether every copositive record has only
-pair supports.  ``verify_pair_scaling_equivalence`` checks, for one extremal
-matrix, the equivalence between that support property and being a diagonal
-scaling of an extremal unit-diagonal {-1,0,1} matrix.
+The sweep also aborts if an extremal record has a minimal support that is
+not a pair; ``copocert census`` reports whether every copositive record has
+only pair supports.  ``verify_pair_scaling_equivalence`` checks, for one
+extremal matrix, the equivalence between that support property and being a
+diagonal scaling of an extremal unit-diagonal {-1,0,1} matrix.
 """
 
 from __future__ import annotations
@@ -39,13 +46,12 @@ from .errors import (
     NotExtremalError,
 )
 from .extremality import extremality_certificate
-from .linalg import ONE, ZERO, SymMatrix
+from .linalg import SymMatrix
 from .scaling import ScalingDecomposition, extract_pattern, has_sign_pattern_scaling
 
 MAX_ORDER = 6
 
 ALPHABET = (-1, 0, 1)
-_ENTRY = {-1: -ONE, 0: ZERO, 1: ONE}
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,13 @@ class Candidate:
 
     def matrix(self) -> SymMatrix:
         n = self.order
-        off = iter(self.offdiag)
-        return SymMatrix(n, tuple(ONE if i == j else _ENTRY[next(off)]
-                                  for i in range(n) for j in range(i, n)))
+        rows = [[1] * n for _ in range(n)]
+        # the alphabet check admits any number equal to -1, 0 or 1
+        off = map(int, self.offdiag)
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = next(off)
+        return SymMatrix.from_integer_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -152,11 +162,36 @@ def _digits(index: int, m: int) -> list[int]:
     return digits
 
 
+@functools.lru_cache(maxsize=None)
+def _triples(n: int):
+    """``((i, j, k), (ij, ik, jk))`` for every ``i < j < k``, in
+    lexicographic order: the triple and the positions of its three pairs in
+    the off-diagonal tuple."""
+    index = {p: k for k, p in enumerate(itertools.combinations(range(n), 2))}
+    return tuple(((i, j, k), (index[i, j], index[i, k], index[j, k]))
+                 for i, j, k in itertools.combinations(range(n), 3))
+
+
+def _violating_triple(cand: Candidate):
+    """The first ``(i, j, k)`` at which the form value
+    ``3 + 2 (a_ij + a_ik + a_jk)`` of ``e_i + e_j + e_k`` is negative (-1
+    or -3: two entries -1, the third not +1), or ``None``."""
+    off = cand.offdiag
+    for triple, (a, b, c) in _triples(cand.order):
+        if off[a] + off[b] + off[c] < -1:
+            return triple
+    return None
+
+
 def _classify(cand: Candidate, orbit: int, cache: dict) -> CensusRecord:
+    if _violating_triple(cand) is not None:
+        return CensusRecord(cand.order, cand.offdiag, False, False, (), orbit)
     try:
         cert = extremality_certificate(cand.matrix(), cache=cache)
-    except NotCopositiveError:
-        return CensusRecord(cand.order, cand.offdiag, False, False, (), orbit)
+    except NotCopositiveError as exc:
+        raise CensusInvariantError(
+            f"class {cand.offdiag} has no violating triple but the exact scan "
+            f"refutes it, against Hoffman and Pereira's rule") from exc
     supports = tuple(sorted(z.sorted_support() for z in cert.minimal_zeros))
     return CensusRecord(cand.order, cand.offdiag, True, cert.extremal,
                         supports, orbit)
@@ -170,8 +205,10 @@ def run_census(n: int) -> list[CensusRecord]:
     is the next class representative, and marking its whole orbit leaves
     the rest of the class unvisited, so the permutations are applied once
     per class rather than once per candidate.  The orbit comes from one sum
-    of packed place values (``_place_values``).  Every representative goes
-    through the exact scan and certificate; the classes share one
+    of packed place values (``_place_values``).  A representative with a
+    violating triple (``_violating_triple``) is recorded as not copositive;
+    every other one goes through the exact scan and certificate, and
+    raises CensusInvariantError if the scan refutes it.  These share one
     support-system cache (``stationary_candidates``), created here and
     dropped on return, so each distinct principal submatrix is solved once
     per call.

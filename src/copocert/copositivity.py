@@ -99,7 +99,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
-from .errors import OrderTooLargeError
+from .errors import InvariantError, OrderTooLargeError
 from .linalg import (
     ONE,
     ZERO,
@@ -224,7 +224,8 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
     docstring).  With ``p`` the first column of ``adj K_S`` on the unknowns
     u, the point is ``p / det K_S`` and the value is recomputed as
     ``p^T M_S p / (det K_S^2 d)``, so each candidate is an attained simplex
-    value by construction.  Raises OrderTooLargeError for orders above
+    value by construction; ``sum(p) == det K_S`` is checked on integers
+    (InvariantError).  Raises OrderTooLargeError for orders above
     ``MAX_SCAN_ORDER`` when the scan starts.
 
     The system of support S, its point and its value depend only on
@@ -285,6 +286,9 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
                 if q < 0:
                     q, p = -q, [-x for x in p]
                 if all(x > 0 for x in p):
+                    if sum(p) != q:  # the row sum(u) = 1 of the system
+                        raise InvariantError(
+                            "stationary point must have coordinate sum 1")
                     total = 0
                     for x, i in zip(p, support):
                         row = M[i]

@@ -2,7 +2,8 @@
 
 Nothing here ever rounds, so rank and nullity results are decisions, not
 estimates.  The core runs on integers.  A ``SymMatrix`` caches its entries as
-integer numerators over one common denominator (``integer_form``); rational
+integer numerators over one common denominator (``integer_form``), given
+at once when it is built from integer rows (``from_integer_rows``); rational
 rows are scaled to primitive integer rows only where they enter
 ``solve_affine`` or ``kernel_basis``, integer rows go in as given.
 Elimination is the fraction-free Bareiss two-row determinant update, and
@@ -327,6 +328,27 @@ class SymMatrix:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"asymmetric entries at ({i},{j})/({j},{i})")
         return cls(n, tuple(rows[i][j] for i in range(n) for j in range(i, n)))
+
+    @classmethod
+    def from_integer_rows(cls, rows) -> "SymMatrix":
+        """The matrix of square symmetric integer ``rows``, with
+        ``integer_form`` set to ``(rows, 1)`` at once instead of being
+        derived from the ``Fraction`` entries."""
+        M = tuple(map(tuple, rows))
+        n = len(M)
+        if any(len(r) != n for r in M):
+            raise ValueError("matrix is not square")
+        if any(type(x) is not int for x in chain.from_iterable(M)):
+            raise ValueError("integer rows must hold ints")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if M[i][j] != M[j][i]:
+                    raise ValueError(f"asymmetric entries at ({i},{j})/({j},{i})")
+        as_fraction = {x: Fraction(x) for x in set(chain.from_iterable(M))}
+        A = cls(n, tuple(as_fraction[M[i][j]]
+                         for i in range(n) for j in range(i, n)))
+        A.__dict__["integer_form"] = M, 1  # where the cached_property keeps it
+        return A
 
     @classmethod
     def identity(cls, n) -> "SymMatrix":

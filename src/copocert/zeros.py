@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCopositiveError
-from .linalg import ZERO, SymMatrix, Vector, as_vector
+from .linalg import SymMatrix, Vector
 from .copositivity import is_copositive
 
 
@@ -34,18 +34,6 @@ class Zero:
 
     coordinates: Vector
     support: frozenset[int]
-
-    @classmethod
-    def from_coordinates(cls, coords) -> "Zero":
-        coords = as_vector(coords)
-        if any(c < 0 for c in coords):
-            raise ValueError("zero coordinates must be nonnegative")
-        total = sum(coords, ZERO)
-        if total == 0:
-            raise ValueError("zero vector is not a zero of a matrix")
-        if total != 1:
-            coords = tuple(c / total for c in coords)
-        return cls(coords, frozenset(i for i, c in enumerate(coords) if c > 0))
 
     def sorted_support(self) -> tuple[int, ...]:
         return tuple(sorted(self.support))
@@ -74,11 +62,14 @@ def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> MinimalZeroList
     They are collected by the copositivity scan, which visits supports by
     cardinality then lexicographically, so strict subsets are always seen
     before their supersets.  Every zero of A has its support containing some
-    support returned here.  ``cache`` is handed to the scan (see
+    support returned here.  The scan's points are taken as they are: it
+    yields only points positive on their support, and checks on integers
+    that their coordinates sum to 1.  ``cache`` is handed to the scan (see
     ``stationary_candidates``).
     """
     verdict = is_copositive(A, cache=cache)
     if not verdict.copositive:
         raise NotCopositiveError(violator=verdict.violator)
-    return MinimalZeroList(
-        A, tuple(Zero.from_coordinates(point) for point in verdict.zeros))
+    return MinimalZeroList(A, tuple(
+        Zero(point, frozenset(i for i, c in enumerate(point) if c))
+        for point in verdict.zeros))

@@ -3,20 +3,23 @@
 Everything here recomputes results through a different route than the code
 under test: grid scans instead of stationary-point enumeration, brute-force
 matrix permutation instead of precomputed position maps, a counting formula
-instead of explicit deduplication, vertex enumeration instead of the
-simplex method, kernels of principal submatrices instead of the stationary
-systems the copositivity scan solves, and bisection of the simplex
-(``subdivision_falsifier``) instead of the support scan.  The rational path
-below (``fraction_solve_affine``, ``fraction_quadratic``) is the
-``Fraction`` back-substitution and form evaluation the integer-native core
-replaced, kept as the reference for it.  ``lp_is_copositive`` is the support scan as it
-was before it skipped systems with a positive-dimensional solution set: the
-exact LP decides positivity on every feasible support.
+instead of explicit deduplication, Hoffman and Pereira's rule on -1
+neighbourhoods instead of the census's triple sums, vertex enumeration
+instead of the simplex method, kernels of principal submatrices instead of
+the stationary systems the copositivity scan solves, and bisection of the
+simplex (``subdivision_falsifier``) instead of the support scan.  The
+rational path below (``fraction_solve_affine``, ``fraction_quadratic``) is
+the ``Fraction`` back-substitution and form evaluation the integer-native
+core replaced, kept as the reference for it.  ``lp_is_copositive`` is the
+support scan as it was before it skipped systems with a positive-dimensional
+solution set: the exact LP decides positivity on every feasible support.
 ``fraction_build_graph`` and ``bfs_component_analysis`` are the entry graph
 as it was built before it was read off the extremality system: the gate
 ``(A u)_k = 0`` tested again in ``Fraction`` arithmetic (``matrix_apply``,
 ``dot``), and a breadth-first two-colouring.  The helpers at the end were
-library functions that only tests called.
+library functions that only tests called, and ``zero_from_coordinates`` is
+the ``Zero`` constructor ``minimal_zeros`` used before it took the scan's
+points as they are.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from copocert.linalg import (
     _bareiss_echelon,
     _prepare,
     _primitive_int_row,
+    as_vector,
     eval_quadratic,
     kernel_basis,
     solve_affine,
@@ -78,6 +82,20 @@ def grid_min(A: SymMatrix, denom: int) -> Fraction:
     happens to lie on the grid.
     """
     return min(eval_quadratic(A, x) for x in simplex_grid(A.n, denom))
+
+
+def hoffman_pereira_copositive(order: int, offdiag) -> bool:
+    """Hoffman and Pereira's rule (JCTA 14, 1973) for the unit-diagonal
+    {-1,0,1} matrix with strict upper triangle ``offdiag``: it is copositive
+    iff any two -1 neighbours of a vertex are joined by +1."""
+    entry = {}
+    for (i, j), a in zip(itertools.combinations(range(order), 2), offdiag):
+        entry[i, j] = entry[j, i] = a
+    for v in range(order):
+        minus = [u for u in range(order) if u != v and entry[u, v] == -1]
+        if any(entry[u, w] != 1 for u, w in itertools.combinations(minus, 2)):
+            return False
+    return True
 
 
 def burnside_class_count(n: int) -> int:
@@ -127,6 +145,23 @@ def brute_canonical(c: Candidate) -> tuple[tuple[int, ...], int]:
     return min(images), len(images)
 
 
+def zero_from_coordinates(coords) -> Zero:
+    """The ``Zero`` of a nonnegative nonzero vector, scaled to sum 1.
+
+    ``minimal_zeros`` builds its zeros from the scan's points as they are,
+    since the scan checks their sign and sum on integers.
+    """
+    coords = as_vector(coords)
+    if any(c < 0 for c in coords):
+        raise ValueError("zero coordinates must be nonnegative")
+    total = sum(coords, Fraction(0))
+    if total == 0:
+        raise ValueError("zero vector is not a zero of a matrix")
+    if total != 1:
+        coords = tuple(c / total for c in coords)
+    return Zero(coords, frozenset(i for i, c in enumerate(coords) if c > 0))
+
+
 def subspace_positive_point(solset: AffineSolutionSet):
     """A strictly positive vector in a linear subspace, or ``None``.
 
@@ -135,7 +170,8 @@ def subspace_positive_point(solset: AffineSolutionSet):
     supports covers every coordinate; the vertex average is then positive.
     Exponential in the coordinate count; an oracle for small instances only.
     """
-    assert solset.particular is None or all(c == 0 for c in solset.particular)
+    if solset.particular is not None and any(solset.particular):
+        raise ValueError("expected a linear subspace, got an affine one")
     kernel = solset.kernel
     if not kernel:
         return None
@@ -188,7 +224,7 @@ def zero_with_support(A: SymMatrix, support) -> Zero | None:
     coords = [Fraction(0)] * A.n
     for v, i in zip(point, idx):
         coords[i] = v
-    return Zero.from_coordinates(coords)
+    return zero_from_coordinates(coords)
 
 
 def kernel_minimal_supports(A: SymMatrix) -> list[tuple[int, ...]]:
@@ -480,8 +516,8 @@ def canonical_form(c: Candidate) -> tuple[Candidate, int]:
     """Lexicographic minimum over the permutation orbit, plus the orbit size,
     from ``brute_canonical`` (full matrix permutations)."""
     canon, orbit = brute_canonical(c)
-    assert math.factorial(c.order) % orbit == 0, \
-        "orbit size must divide the group order"
+    if math.factorial(c.order) % orbit:
+        raise InvariantError("orbit size must divide the group order")
     return Candidate(c.order, canon), orbit
 
 

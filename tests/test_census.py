@@ -16,13 +16,15 @@ from copocert.census import (
     verify_pair_scaling_equivalence,
     write_records,
 )
+from copocert.copositivity import is_copositive
 from copocert.errors import NotCopositiveError, NotExtremalError
-from copocert.linalg import SymMatrix, horn_matrix
+from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
 
 from oracles import (
     brute_canonical,
     burnside_class_count,
     canonical_form,
+    hoffman_pereira_copositive,
     iterate_candidates,
 )
 
@@ -226,6 +228,34 @@ class TestRunCensus:
         fields = [5, 0, 3 ** 20, 2 ** 32 - 1]
         packed = sum(f << 32 * g for g, f in enumerate(fields))
         assert sorted(census_mod._images(packed, 4)) == sorted(fields)
+
+
+class TestHoffmanPereira:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rule_scan_and_census_agree(self, n, census):
+        for record in census(n):
+            cand = Candidate(n, record.canonical_offdiag)
+            rule = hoffman_pereira_copositive(n, cand.offdiag)
+            assert is_copositive(cand.matrix()).copositive == rule
+            assert record.copositive == rule
+            triple = census_mod._violating_triple(cand)
+            assert (triple is None) == rule
+            if triple is not None:
+                # re-evaluated on the Fraction entries, not the offdiag sums
+                A = SymMatrix.from_rows(cand.matrix().rows())
+                x = tuple(F(int(i in triple)) for i in range(n))
+                assert eval_quadratic(A, x) in (-1, -3)
+
+    def test_rule_on_neighbourhoods(self):
+        # vertex 1's -1 neighbours 2 and 3 are joined by 0, then by +1
+        assert not hoffman_pereira_copositive(3, (-1, -1, 0))
+        assert hoffman_pereira_copositive(3, (-1, -1, 1))
+        assert hoffman_pereira_copositive(5, horn_candidate().offdiag)
+
+    def test_violating_triple_is_the_first(self):
+        assert census_mod._violating_triple(Candidate(4, (1, 1, 1, -1, -1, 0))) \
+            == (1, 2, 3)
+        assert census_mod._violating_triple(horn_candidate()) is None
 
 
 class TestPairSupportCheck:

@@ -5,11 +5,14 @@ monkeypatch (or hands a helper an input its caller never produces) and
 asserts that the check fires instead of a wrong answer going through.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import copocert.census as census_mod
+import copocert.copositivity as copositivity_mod
 import copocert.extremality as extremality_mod
 import copocert.linalg as linalg_mod
 import copocert.lp as lp_mod
@@ -17,6 +20,7 @@ import copocert.scaling as scaling_mod
 import copocert.structure_graph as structure_graph_mod
 from copocert.census import CensusRecord, run_census
 from copocert.cli import main
+from copocert.copositivity import is_copositive
 from copocert.errors import CensusInvariantError, CopocertError, InvariantError
 from copocert.extremality import (
     ExtremalitySystem,
@@ -35,7 +39,9 @@ from copocert.linalg import (
 from copocert.lp import simplex_maximize, strictly_positive_point
 from copocert.scaling import extract_pattern
 from copocert.structure_graph import build_graph
-from copocert.zeros import MinimalZeroList, Zero, minimal_zeros
+from copocert.zeros import MinimalZeroList, minimal_zeros
+
+from oracles import zero_from_coordinates
 
 F = Fraction
 
@@ -60,6 +66,17 @@ def test_invariant_error_is_a_copocert_error():
     assert issubclass(InvariantError, CopocertError)
     assert issubclass(CensusInvariantError, InvariantError)
     assert InvariantError.code == "InvariantViolated"
+
+
+def test_no_assert_that_python_O_strips():
+    # pytest rewrites the asserts of test modules and conftest into explicit
+    # raises; python -O strips every other assert
+    root = Path(__file__).resolve().parent.parent
+    helpers = [p for p in (root / "tests").glob("*.py")
+               if not p.name.startswith("test_") and p.name != "conftest.py"]
+    for path in [*(root / "src" / "copocert").glob("*.py"), *helpers]:
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path
 
 
 class TestLinalg:
@@ -190,6 +207,13 @@ class TestCensus:
         with pytest.raises(CensusInvariantError, match="sorted order"):
             run_census(3)
 
+    def test_refuted_class_without_a_violating_triple(self, monkeypatch):
+        # with no witness found, (-1, -1, -1) reaches the exact scan, which
+        # refutes it: a contradiction of Hoffman and Pereira's rule
+        monkeypatch.setattr(census_mod, "_violating_triple", lambda cand: None)
+        with pytest.raises(CensusInvariantError, match="Hoffman and Pereira"):
+            run_census(3)
+
     def test_orbits_must_partition_the_candidates(self, monkeypatch):
         # the last permutation's place values all set to 1: not a bijection
         # of the positions, so some "orbits" reach into other classes
@@ -203,9 +227,21 @@ class TestCensus:
             run_census(3)
 
 
+class TestCopositivity:
+    def test_stationary_point_off_the_simplex(self, monkeypatch):
+        # every support "solved" to the point (1, ..., 1) with D = -1, which
+        # sums to 1 only on singletons
+        monkeypatch.setattr(
+            copositivity_mod, "_support_system",
+            lambda M, support, parents, full:
+                (-1, [[0] + [-1] * len(support)], "stub"))
+        with pytest.raises(InvariantError, match="sum 1"):
+            is_copositive(SymMatrix.identity(2))
+
+
 class TestStructureGraph:
     def test_unbalanced_pair_zero(self):
-        zeros = MinimalZeroList(PAIR, (Zero.from_coordinates((F(2), F(1))),))
+        zeros = MinimalZeroList(PAIR, (zero_from_coordinates((F(2), F(1))),))
         with pytest.raises(InvariantError, match="balanced"):
             build_graph(PAIR, zeros)
 

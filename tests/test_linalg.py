@@ -220,6 +220,21 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix.from_rows([[1, 2]])
 
+    def test_from_integer_rows(self):
+        rows = [[1, -2, 0], [-2, 4, 7], [0, 7, -3]]
+        A = SymMatrix.from_integer_rows(rows)
+        assert A == SymMatrix.from_rows(rows)
+        assert A.integer_form == SymMatrix.from_rows(rows).integer_form
+        assert A.integer_form == (tuple(map(tuple, rows)), 1)
+        assert all(type(e) is F for e in A.upper)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2], [3, 1]], [[1, 2]], [[1, F(1, 2)], [F(1, 2), 1]], [[True]],
+        [[1, F(1)], [F(1), 1]]])
+    def test_from_integer_rows_rejects(self, rows):
+        with pytest.raises(ValueError):
+            SymMatrix.from_integer_rows(rows)
+
     def test_get_roundtrip(self):
         A = SymMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
         for i in range(3):
