@@ -106,7 +106,6 @@ from .linalg import (
     SymMatrix,
     Vector,
     bordered_adjugate,
-    eval_quadratic,
     inverse_rows,
     upper_index,
     upper_size,
@@ -306,19 +305,20 @@ def _prefilter_violator(A: SymMatrix):
     # Cheap certified violations, checked before the exponential scan:
     # a negative diagonal entry, or a 2x2 principal submatrix with zero
     # diagonal and a negative coupling.  Signs are read off the integer
-    # numerators, which share them with the entries.
+    # numerators, which share them with the entries.  The form's values
+    # are M_ii / d at e_i and M_ij / 2d at (e_i + e_j) / 2.
     n = A.n
-    M, _ = A.integer_form
+    M, d = A.integer_form
     for i in range(n):
         if M[i][i] < 0:
-            return _embed([ONE], (i,), n), A.get(i, i)
+            return _embed([ONE], (i,), n), Fraction(M[i][i], d)
     for i in range(n):
         if M[i][i]:
             continue
         for j in range(i + 1, n):
             if M[j][j] == 0 and M[i][j] < 0:
                 x = _embed([Fraction(1, 2), Fraction(1, 2)], (i, j), n)
-                return x, eval_quadratic(A, x)
+                return x, Fraction(M[i][j], 2 * d)
     return None
 
 
@@ -337,15 +337,17 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
     zeros = []
     supports = []
     for value, point in stationary_candidates(A, cache=cache):
-        # signs are read off numerators and the minimum is taken only once
-        # the scan is through, because Fraction comparisons are slow
+        # signs are read off numerators; the positive values are compared
+        # only if no zero turns up, because Fraction comparisons are slow
         if value.numerator < 0:
             return CopositivityVerdict(False, point, value)
-        values.append(value)
-        if not value:
-            support = frozenset(i for i, c in enumerate(point) if c)
-            if not any(s < support for s in supports):
-                supports.append(support)
-                zeros.append(point)
-    return CopositivityVerdict(True, None, min(values), tuple(zeros))
+        if value:
+            values.append(value)
+            continue
+        support = frozenset(i for i, c in enumerate(point) if c)
+        if not any(s < support for s in supports):
+            supports.append(support)
+            zeros.append(point)
+    return CopositivityVerdict(True, None, ZERO if zeros else min(values),
+                               tuple(zeros))
 

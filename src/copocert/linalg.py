@@ -387,11 +387,9 @@ class SymMatrix:
     def rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.n)]
 
-    def diagonal(self) -> Vector:
-        return tuple(self.get(i, i) for i in range(self.n))
-
     def has_unit_diagonal(self) -> bool:
-        return all(d == 1 for d in self.diagonal())
+        M, d = self.integer_form
+        return all(M[i][i] == d for i in range(self.n))
 
     def principal(self, indices) -> "SymMatrix":
         """Principal submatrix on the given (sorted ascending) index set."""
@@ -403,7 +401,7 @@ class SymMatrix:
                                          for b in idx[p:]))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.upper)
+        return not any(map(any, self.integer_form[0]))
 
     def __str__(self):
         return "\n".join(" ".join(str(e) for e in self.row(i))

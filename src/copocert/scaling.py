@@ -2,10 +2,12 @@
 
 A symmetric A with positive diagonal is a diagonal scaling of a sign pattern S
 (S_ii = 1, S_ij in {-1,0,1}) with D_ii = sqrt(A_ii) exactly when every
-off-diagonal entry satisfies A_ij = 0 or A_ij^2 = A_ii A_jj.  The test and the
-pattern both live in rational arithmetic; the scaling factors themselves may
-be irrational, so the explicit D is returned only when every sqrt(A_ii) is
-rational (all-or-nothing), and is otherwise reported as implicit.
+off-diagonal entry satisfies A_ij = 0 or A_ij^2 = A_ii A_jj.  Both the test
+and the pattern read the integer form A = M / d, where the common
+denominator cancels: M_ii > 0, M_ij = 0 or M_ij^2 = M_ii M_jj, and S_ij is
+the sign of M_ij.  The scaling factors sqrt(A_ii) = isqrt(M_ii d) / d may be
+irrational, so the explicit D is returned only when every M_ii d is a
+perfect square (all-or-nothing), and is otherwise reported as implicit.
 """
 
 from __future__ import annotations
@@ -15,14 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, ScalingConditionError
-from .linalg import ONE, ZERO, SymMatrix, upper_size
-
-Rational = Fraction
+from .linalg import SymMatrix
 
 
 @dataclass(frozen=True)
 class DiagonalScaling:
-    entries: tuple[Rational, ...]
+    entries: tuple[Fraction, ...]
 
     def __post_init__(self):
         if any(d <= 0 for d in self.entries):
@@ -59,42 +59,29 @@ def scale(S: SymMatrix, D: DiagonalScaling) -> SymMatrix:
 def _scaling_failure(A: SymMatrix) -> str | None:
     """Why A is not a diagonal scaling of a sign pattern, or None.
 
-    Checked without leaving the rationals: positive diagonal, and each
-    off-diagonal entry either zero or matching the diagonal product in square.
+    Checked on the integer form: positive diagonal, and each off-diagonal
+    numerator either zero or matching the diagonal product in square.  The
+    entries ``M_ij / d`` are built only for the message.
     """
+    M, d = A.integer_form
     for i in range(A.n):
-        if A.get(i, i) <= 0:
-            return f"diagonal entry {i + 1} is {A.get(i, i)}, must be positive"
+        if M[i][i] <= 0:
+            return (f"diagonal entry {i + 1} is {Fraction(M[i][i], d)}, "
+                    f"must be positive")
     for i in range(A.n):
         for j in range(i + 1, A.n):
-            a = A.get(i, j)
-            if a != 0 and a * a != A.get(i, i) * A.get(j, j):
+            m = M[i][j]
+            if m and m * m != M[i][i] * M[j][j]:
+                a = Fraction(m, d)
                 base = str(a) if a > 0 and a.denominator == 1 else f"({a})"
                 return (f"entry ({i + 1},{j + 1}): {base}^2 != "
-                        f"{A.get(i, i)} * {A.get(j, j)}")
+                        f"{Fraction(M[i][i], d)} * {Fraction(M[j][j], d)}")
     return None
 
 
 def has_sign_pattern_scaling(A: SymMatrix) -> bool:
     """Whether A = D S D for some positive diagonal D and sign pattern S."""
     return _scaling_failure(A) is None
-
-
-def _rational_sqrt(q: Rational) -> Rational | None:
-    """Exact square root in Q, or None.  q must be nonnegative."""
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _sign(q: Rational) -> Rational:
-    if q > 0:
-        return ONE
-    if q < 0:
-        return -ONE
-    return ZERO
 
 
 def extract_pattern(A: SymMatrix) -> ScalingDecomposition:
@@ -108,16 +95,14 @@ def extract_pattern(A: SymMatrix) -> ScalingDecomposition:
     failure = _scaling_failure(A)
     if failure is not None:
         raise ScalingConditionError(failure)
-    entries = [ZERO] * upper_size(A.n)
-    pos = 0
-    for i in range(A.n):
-        for j in range(i, A.n):
-            entries[pos] = ONE if i == j else _sign(A.get(i, j))
-            pos += 1
-    pattern = SymMatrix(A.n, tuple(entries))
-    roots = [_rational_sqrt(A.get(i, i)) for i in range(A.n)]
-    if all(r is not None for r in roots):
-        D = DiagonalScaling(tuple(roots))
+    M, d = A.integer_form
+    pattern = SymMatrix.from_integer_rows(
+        [[1 if i == j else (x > 0) - (x < 0) for j, x in enumerate(row)]
+         for i, row in enumerate(M)])
+    # sqrt(M_ii / d) = sqrt(M_ii d) / d, rational iff M_ii d is a square
+    roots = [math.isqrt(M[i][i] * d) for i in range(A.n)]
+    if all(r * r == M[i][i] * d for i, r in enumerate(roots)):
+        D = DiagonalScaling(tuple(Fraction(r, d) for r in roots))
         if scale(pattern, D) != A:
             raise InvariantError("explicit scaling must reproduce A")
         return ScalingDecomposition(pattern, D)

@@ -33,7 +33,7 @@ from .errors import (
     SupportCardinalityError,
 )
 from .extremality import _TwoTermSolutions, build_system
-from .linalg import ONE, ZERO, SymMatrix, upper_index, upper_size
+from .linalg import SymMatrix
 from .zeros import MinimalZeroList
 
 Vertex = tuple[int, int]
@@ -149,12 +149,11 @@ def reconstruct_pattern(report: ComponentReport) -> SymMatrix:
         raise InconsistentDiagonalError("diagonal entry outside the bipartite component")
     if in_minus:
         plus, minus = minus, plus
-    entries = [ZERO] * upper_size(n)
-    for v in plus:
-        entries[upper_index(n, *v)] = ONE
-    for v in minus:
-        entries[upper_index(n, *v)] = -ONE
-    return SymMatrix(n, tuple(entries))
+    rows = [[0] * n for _ in range(n)]
+    for sign, entries in ((1, plus), (-1, minus)):
+        for i, j in entries:
+            rows[i][j] = rows[j][i] = sign
+    return SymMatrix.from_integer_rows(rows)
 
 
 def to_dot(G: StructureGraph, report: ComponentReport | None = None) -> str:

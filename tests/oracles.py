@@ -16,10 +16,14 @@ solution set: the exact LP decides positivity on every feasible support.
 ``fraction_build_graph`` and ``bfs_component_analysis`` are the entry graph
 as it was built before it was read off the extremality system: the gate
 ``(A u)_k = 0`` tested again in ``Fraction`` arithmetic (``matrix_apply``,
-``dot``), and a breadth-first two-colouring.  The helpers at the end were
-library functions that only tests called, and ``zero_from_coordinates`` is
-the ``Zero`` constructor ``minimal_zeros`` used before it took the scan's
-points as they are.
+``dot``), and a breadth-first two-colouring.  ``fraction_extract_pattern``
+and ``fraction_scaling_failure`` are the D S D decomposition as it was
+before it read the integer form: signs, square roots and the square-product
+condition on the ``Fraction`` entries.  ``hoffman_pereira_supports`` reads
+the minimal supports of a copositive census class off its -1 entries.  The
+helpers at the end were library functions that only tests called, and
+``zero_from_coordinates`` is the ``Zero`` constructor ``minimal_zeros`` used
+before it took the scan's points as they are.
 """
 
 from __future__ import annotations
@@ -52,9 +56,11 @@ from copocert.linalg import (
 from copocert.errors import (
     InvariantError,
     NotUnitDiagonalError,
+    ScalingConditionError,
     SupportCardinalityError,
 )
 from copocert.lp import strictly_positive_point
+from copocert.scaling import DiagonalScaling, ScalingDecomposition, scale
 from copocert.structure_graph import (
     ComponentReport,
     GraphComponent,
@@ -96,6 +102,14 @@ def hoffman_pereira_copositive(order: int, offdiag) -> bool:
         if any(entry[u, w] != 1 for u, w in itertools.combinations(minus, 2)):
             return False
     return True
+
+
+def hoffman_pereira_supports(order: int, offdiag) -> tuple[tuple[int, int], ...]:
+    """The pairs ``(i, j)``, ``i < j``, with ``a_ij = -1``, sorted: by
+    Hoffman and Pereira (JCTA 14, 1973) the minimal zero supports of a
+    copositive unit-diagonal {-1,0,1} matrix, each zero ``e_i + e_j``."""
+    return tuple(pair for pair, a in zip(
+        itertools.combinations(range(order), 2), offdiag) if a == -1)
 
 
 def burnside_class_count(n: int) -> int:
@@ -437,6 +451,60 @@ def bfs_component_analysis(G: StructureGraph) -> ComponentReport:
         components.append(GraphComponent(tuple(members), bipartite, classes))
     return ComponentReport(G.order, tuple(components),
                            sum(c.bipartite for c in components))
+
+
+# --- the D S D decomposition on Fraction entries ---------------------------
+
+def _fraction_sign(q: Fraction) -> Fraction:
+    if q > 0:
+        return Fraction(1)
+    if q < 0:
+        return Fraction(-1)
+    return Fraction(0)
+
+
+def _fraction_sqrt(q: Fraction) -> Fraction | None:
+    """Exact square root in Q, or None.  q must be nonnegative."""
+    num, den = q.numerator, q.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def fraction_scaling_failure(A: SymMatrix) -> str | None:
+    """``scaling._scaling_failure`` as it was before it read the integer
+    form: the same conditions and messages on the ``Fraction`` entries."""
+    for i in range(A.n):
+        if A.get(i, i) <= 0:
+            return f"diagonal entry {i + 1} is {A.get(i, i)}, must be positive"
+    for i in range(A.n):
+        for j in range(i + 1, A.n):
+            a = A.get(i, j)
+            if a != 0 and a * a != A.get(i, i) * A.get(j, j):
+                base = str(a) if a > 0 and a.denominator == 1 else f"({a})"
+                return (f"entry ({i + 1},{j + 1}): {base}^2 != "
+                        f"{A.get(i, i)} * {A.get(j, j)}")
+    return None
+
+
+def fraction_extract_pattern(A: SymMatrix) -> ScalingDecomposition:
+    """``scaling.extract_pattern`` as it was before it read the integer
+    form: the signs of the ``Fraction`` entries and their square roots in
+    Q, with the same all-or-nothing rule and self-check."""
+    failure = fraction_scaling_failure(A)
+    if failure is not None:
+        raise ScalingConditionError(failure)
+    pattern = SymMatrix.from_rows(
+        [[1 if i == j else _fraction_sign(A.get(i, j)) for j in range(A.n)]
+         for i in range(A.n)])
+    roots = [_fraction_sqrt(A.get(i, i)) for i in range(A.n)]
+    if all(r is not None for r in roots):
+        D = DiagonalScaling(tuple(roots))
+        if scale(pattern, D) != A:
+            raise InvariantError("explicit scaling must reproduce A")
+        return ScalingDecomposition(pattern, D)
+    return ScalingDecomposition(pattern, None)
 
 
 # --- the support scan with the exact LP on every feasible support ------------

@@ -25,6 +25,7 @@ from oracles import (
     burnside_class_count,
     canonical_form,
     hoffman_pereira_copositive,
+    hoffman_pereira_supports,
     iterate_candidates,
 )
 
@@ -245,6 +246,18 @@ class TestHoffmanPereira:
                 A = SymMatrix.from_rows(cand.matrix().rows())
                 x = tuple(F(int(i in triple)) for i in range(n))
                 assert eval_quadratic(A, x) in (-1, -3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_minimal_supports_are_the_minus_one_pairs(self, n, census):
+        copositive = [r for r in census(n) if r.copositive]
+        assert copositive
+        for record in copositive:
+            assert record.minimal_supports == \
+                hoffman_pereira_supports(n, record.canonical_offdiag)
+
+    def test_minus_one_pairs_of_horn(self):
+        assert hoffman_pereira_supports(5, horn_candidate().offdiag) == \
+            ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
 
     def test_rule_on_neighbourhoods(self):
         # vertex 1's -1 neighbours 2 and 3 are joined by 0, then by +1

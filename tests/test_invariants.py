@@ -79,6 +79,32 @@ def test_no_assert_that_python_O_strips():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path
 
 
+def _entry_reads(node, scope):
+    """The scopes under ``node`` that read a matrix's ``Fraction`` entries:
+    the ``.upper`` tuple, a two-argument ``.get(i, j)`` or a ``.row(`` call."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    func = node.func if isinstance(node, ast.Call) else None
+    if (isinstance(node, ast.Attribute) and node.attr == "upper"
+            or isinstance(func, ast.Attribute) and (
+                func.attr == "row"
+                or func.attr == "get" and len(node.args) == 2)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _entry_reads(child, scope)
+
+
+def test_fraction_entries_read_only_where_printed_or_built():
+    # every layer reads the integer form A = M / d; outside linalg.py the
+    # entries are read only to print a matrix or to build one from factors
+    root = Path(__file__).resolve().parent.parent / "src" / "copocert"
+    readers = set()
+    for path in root.glob("*.py"):
+        if path.name != "linalg.py":
+            readers.update(_entry_reads(ast.parse(path.read_text()), path.stem))
+    assert readers == {"cli._rows", "scaling.scale"}
+
+
 class TestLinalg:
     def test_bareiss_inexact_division(self, monkeypatch):
         # a remainder from the two-row update means the elimination is wrong

@@ -16,7 +16,11 @@ from copocert.scaling import (
 )
 from copocert.zeros import minimal_zeros
 
-from oracles import random_positive_diagonal
+from oracles import (
+    fraction_extract_pattern,
+    fraction_scaling_failure,
+    random_positive_diagonal,
+)
 
 F = Fraction
 
@@ -129,3 +133,79 @@ class TestExtractPattern:
         A = scale(H, D)
         assert sorted(z.sorted_support() for z in minimal_zeros(A).zeros) == \
             sorted(z.sorted_support() for z in minimal_zeros(H).zeros)
+
+
+def _decompose(extract, A):
+    """``(pattern, scaling)`` of ``extract(A)``, or the message of its
+    ScalingConditionError."""
+    try:
+        dec = extract(A)
+    except ScalingConditionError as exc:
+        return str(exc)
+    return dec.pattern, dec.scaling
+
+
+def _scaled_classes(census, rng, orders=range(1, 6)):
+    """Every census class of the given orders as ``D S D``, with D drawn
+    from the rationals (so every root is rational)."""
+    for n in orders:
+        for record in census(n):
+            S = Candidate(n, record.canonical_offdiag).matrix()
+            yield scale(S, DiagonalScaling(random_positive_diagonal(rng, n)))
+
+
+class TestAgainstFractionReference:
+    """The integer-form decomposition against the Fraction-entry one it
+    replaced: the same pattern and scaling, or the same message byte for
+    byte."""
+
+    def _agree(self, A):
+        ours = _decompose(extract_pattern, A)
+        assert ours == _decompose(fraction_extract_pattern, A)
+        assert has_sign_pattern_scaling(A) == \
+            (fraction_scaling_failure(A) is None)
+        return ours
+
+    def test_rational_roots(self, census):
+        rng = random.Random(401)
+        for A in _scaled_classes(census, rng):
+            _, scaling = self._agree(A)
+            assert scaling is not None
+
+    def test_irrational_root(self, census):
+        # a common factor with no rational square root: A_ii = c D_i^2
+        rng = random.Random(403)
+        for A in _scaled_classes(census, rng):
+            c = rng.choice((2, 3, F(1, 2), F(5, 3)))
+            A = SymMatrix.from_rows([[c * x for x in row] for row in A.rows()])
+            _, scaling = self._agree(A)
+            assert scaling is None
+
+    @pytest.mark.parametrize("kind", ["diagonal", "integral", "non-integral"])
+    def test_failing_conditions(self, kind, census):
+        rng = random.Random(f"scaling-{kind}")
+        seen = set()
+        for A in _scaled_classes(census, rng, orders=range(2, 6)):
+            rows = A.rows()
+            n = A.n
+            i, j = sorted(rng.sample(range(n), 2))
+            if kind == "diagonal":
+                rows[i][i] = F(-rng.randint(0, 4), rng.randint(1, 3))
+                prefix = f"diagonal entry {i + 1} is "
+            else:
+                while True:
+                    if kind == "integral":
+                        a = F(rng.choice([-6, -5, -4, -3, -2, -1,
+                                          1, 2, 3, 4, 5, 6]))
+                    else:
+                        a = F(rng.choice([-7, -5, -3, -1, 1, 3, 5, 7]),
+                              rng.choice([2, 4, 6]))
+                    if a * a != rows[i][i] * rows[j][j]:
+                        break
+                rows[i][j] = rows[j][i] = a
+                prefix = f"entry ({i + 1},{j + 1}): "
+                seen.add(a > 0)
+            message = self._agree(SymMatrix.from_rows(rows))
+            assert message.startswith(prefix)
+        if kind != "diagonal":
+            assert seen == {False, True}
