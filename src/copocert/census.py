@@ -97,9 +97,11 @@ class CensusRecord:
     def from_line(cls, line: str) -> "CensusRecord":
         """Parse a line written by ``to_line``; anything else is a ValueError.
 
-        The fields must describe a valid candidate, 1-based support indices
-        within the order and a positive orbit size, and the record must
-        render back to exactly this line (so flags are 0 or 1).
+        The fields must describe a valid candidate and an orbit size that
+        divides n!.  Supports hold increasing 1-based indices within the
+        order, and are distinct and in sorted order.  Only a copositive
+        record may be extremal or have supports.  The record must render
+        back to exactly this line (so flags are 0 or 1).
         """
         fields = line.split()
         if len(fields) != 6:
@@ -113,7 +115,11 @@ class CensusRecord:
         record = cls(order, off, fields[2] == "1", fields[3] == "1",
                      sups, int(fields[5]))
         if (order < 1 or record.orbit_size < 1
+                or math.factorial(order) % record.orbit_size
                 or any(not 0 <= i < order for s in sups for i in s)
+                or any(list(s) != sorted(set(s)) for s in sups)
+                or list(sups) != sorted(set(sups))
+                or (record.extremal or sups) and not record.copositive
                 or record.to_line() != line):
             raise ValueError(f"not a census record line: {line!r}")
         return record

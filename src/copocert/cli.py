@@ -129,9 +129,7 @@ def parse_matrix_file(path: str) -> SymMatrix:
                     f"asymmetric entries: ({i + 1},{j + 1}) is "
                     f"{entries[i][j]}, ({j + 1},{i + 1}) is {entries[j][i]}",
                     line=lineno, column=col)
-    # square and symmetric by the checks above, with Fraction entries
-    return SymMatrix(n, tuple(entries[i][j] for i in range(n)
-                              for j in range(i, n)))
+    return SymMatrix.from_rows(entries)
 
 
 def _yn(flag: bool) -> str:

@@ -1,11 +1,13 @@
 """Exact rational linear algebra: symmetric matrices, kernels, affine solves.
 
 Nothing here ever rounds, so rank and nullity results are decisions, not
-estimates.  The core runs on integers.  A ``SymMatrix`` caches its entries as
-integer numerators over one common denominator (``integer_form``), given
-at once when it is built from integer rows (``from_integer_rows``); rational
+estimates.  The core runs on integers.  A ``SymMatrix`` stores only its
+integer form ``(M, d)``: integer rows over their least common denominator,
+a canonical form, so equal forms are equal matrices.  ``from_rows`` brings
+rational rows to it, ``from_integer_rows`` takes integer rows as they are,
+and a ``Fraction`` entry is built only when one is read (``get``).  Rational
 rows are scaled to primitive integer rows only where they enter
-``solve_affine`` or ``kernel_basis``, integer rows go in as given.
+``solve_affine`` or ``kernel_basis``; integer rows go in as given.
 Elimination is the fraction-free Bareiss two-row determinant update, and
 back-substitution carries integer numerators over the last pivot, so one
 ``Fraction`` is built per coordinate at the end.  A symmetric system that
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 
@@ -30,11 +31,6 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def as_vector(entries) -> Vector:
-    """Entries as Fractions; entries that already are Fractions pass through."""
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def _primitive_int_row(row) -> list[int]:
@@ -302,40 +298,21 @@ def upper_index(n: int, i: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Order-n symmetric matrix with exact rational entries.
+    """Order-n symmetric matrix with exact rational entries, stored as its
+    integer form ``(M, d)``: ``A = M / d`` with ``M`` the full integer rows
+    and ``d >= 1`` the least common denominator, so ``gcd(d, M_ij...) == 1``.
 
-    Only the upper triangle is stored (row-major), so symmetry is structural
-    rather than validated data: ``get(i, j) == get(j, i)`` by construction.
+    The form is canonical, so ``==`` and ``hash`` are exact matrix equality.
+    Build matrices with ``from_rows`` or ``from_integer_rows``.
     """
 
-    n: int
-    upper: Vector
+    integer_form: tuple[tuple[tuple[int, ...], ...], int]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("matrix order must be >= 1")
-        if len(self.upper) != upper_size(self.n):
-            raise ValueError("upper triangle has wrong length")
-
-    @classmethod
-    def from_rows(cls, rows) -> "SymMatrix":
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix is not square")
-        rows = [[Fraction(x) for x in r] for r in rows]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"asymmetric entries at ({i},{j})/({j},{i})")
-        return cls(n, tuple(rows[i][j] for i in range(n) for j in range(i, n)))
-
-    @classmethod
-    def from_integer_rows(cls, rows) -> "SymMatrix":
-        """The matrix of square symmetric integer ``rows``, with
-        ``integer_form`` set to ``(rows, 1)`` at once instead of being
-        derived from the ``Fraction`` entries."""
-        M = tuple(map(tuple, rows))
+        M, d = self.integer_form
         n = len(M)
+        if n < 1:
+            raise ValueError("matrix order must be >= 1")
         if any(len(r) != n for r in M):
             raise ValueError("matrix is not square")
         if any(type(x) is not int for x in chain.from_iterable(M)):
@@ -344,42 +321,46 @@ class SymMatrix:
             for j in range(i + 1, n):
                 if M[i][j] != M[j][i]:
                     raise ValueError(f"asymmetric entries at ({i},{j})/({j},{i})")
-        as_fraction = {x: Fraction(x) for x in set(chain.from_iterable(M))}
-        A = cls(n, tuple(as_fraction[M[i][j]]
-                         for i in range(n) for j in range(i, n)))
-        A.__dict__["integer_form"] = M, 1  # where the cached_property keeps it
-        return A
+        if type(d) is not int or d < 1:
+            raise ValueError("common denominator must be an int >= 1")
+        if d > 1 and gcd(d, *chain.from_iterable(M)) != 1:
+            raise ValueError("integer form is not in lowest terms")
+
+    @classmethod
+    def from_rows(cls, rows) -> "SymMatrix":
+        """The matrix of square symmetric rational ``rows``: ints, Fractions
+        or anything ``Fraction`` accepts."""
+        ratios = [[(x if type(x) in (int, Fraction) else Fraction(x))
+                   .as_integer_ratio() for x in r] for r in rows]
+        d = lcm(*(q for r in ratios for _, q in r))
+        return cls((tuple(tuple(p * (d // q) for p, q in r) for r in ratios), d))
+
+    @classmethod
+    def from_integer_rows(cls, rows) -> "SymMatrix":
+        """The matrix of square symmetric integer ``rows``, whose integer
+        form is ``(rows, 1)``."""
+        return cls((tuple(map(tuple, rows)), 1))
 
     @classmethod
     def identity(cls, n) -> "SymMatrix":
-        return cls(n, tuple(ONE if i == j else ZERO
-                            for i in range(n) for j in range(i, n)))
+        return cls.from_integer_rows([[int(i == j) for j in range(n)]
+                                      for i in range(n)])
 
     @classmethod
     def all_ones(cls, n) -> "SymMatrix":
-        return cls(n, tuple([ONE] * upper_size(n)))
+        return cls.from_integer_rows([[1] * n] * n)
 
     @classmethod
     def rank_one(cls, x) -> "SymMatrix":
-        v = as_vector(x)
-        n = len(v)
-        return cls(n, tuple(v[i] * v[j] for i in range(n) for j in range(i, n)))
+        return cls.from_rows([[a * b for b in x] for a in x])
 
-    @cached_property
-    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """``(M, d)`` with ``A = M / d``: ``d`` is the least common
-        denominator of the entries, ``M`` the full integer matrix by rows."""
-        d = lcm(*(x.denominator for x in self.upper))
-        ints = iter([x.numerator * (d // x.denominator) for x in self.upper])
-        n = self.n
-        M = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                M[i][j] = M[j][i] = next(ints)
-        return tuple(map(tuple, M)), d
+    @property
+    def n(self) -> int:
+        return len(self.integer_form[0])
 
     def get(self, i, j) -> Fraction:
-        return self.upper[upper_index(self.n, i, j)]
+        M, d = self.integer_form
+        return Fraction(M[i][j], d)
 
     def row(self, i) -> Vector:
         return tuple(self.get(i, j) for j in range(self.n))
@@ -396,16 +377,10 @@ class SymMatrix:
         idx = sorted(indices)
         if not idx:
             raise ValueError("principal submatrix needs a nonempty index set")
-        return SymMatrix(len(idx), tuple(self.get(a, b)
-                                         for p, a in enumerate(idx)
-                                         for b in idx[p:]))
+        return SymMatrix.from_rows([[self.get(a, b) for b in idx] for a in idx])
 
     def is_zero(self) -> bool:
         return not any(map(any, self.integer_form[0]))
-
-    def __str__(self):
-        return "\n".join(" ".join(str(e) for e in self.row(i))
-                         for i in range(self.n))
 
 
 def eval_quadratic(A: SymMatrix, x) -> Fraction:
@@ -442,9 +417,6 @@ def is_proportional(u, v) -> bool:
 def horn_matrix() -> SymMatrix:
     """The order-5 Horn matrix: unit diagonal, -1 on cyclically adjacent
     index pairs, +1 on the remaining pairs."""
-    def entry(i, j):
-        if i == j:
-            return ONE
-        return -ONE if (j - i) % 5 in (1, 4) else ONE
-
-    return SymMatrix(5, tuple(entry(i, j) for i in range(5) for j in range(i, 5)))
+    return SymMatrix.from_integer_rows(
+        [[-1 if (j - i) % 5 in (1, 4) else 1 for j in range(5)]
+         for i in range(5)])

@@ -49,11 +49,12 @@ def scale(S: SymMatrix, D: DiagonalScaling) -> SymMatrix:
     """Congruence by the positive diagonal D: entries D_i S_ij D_j."""
     if D.n != S.n:
         raise ValueError("scaling order does not match matrix order")
-    entries = []
-    for i in range(S.n):
-        for j in range(i, S.n):
-            entries.append(D.entries[i] * S.get(i, j) * D.entries[j])
-    return SymMatrix(S.n, tuple(entries))
+    M, d = S.integer_form
+    # with D_i = p_i / q_i, entry (i, j) is p_i M_ij p_j / (q_i d q_j)
+    ratios = [x.as_integer_ratio() for x in D.entries]
+    return SymMatrix.from_rows(
+        [[Fraction(p * x * pj, q * d * qj) for x, (pj, qj) in zip(row, ratios)]
+         for row, (p, q) in zip(M, ratios)])
 
 
 def _scaling_failure(A: SymMatrix) -> str | None:

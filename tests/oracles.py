@@ -48,7 +48,6 @@ from copocert.linalg import (
     _bareiss_echelon,
     _prepare,
     _primitive_int_row,
-    as_vector,
     eval_quadratic,
     kernel_basis,
     solve_affine,
@@ -137,6 +136,23 @@ def burnside_class_count(n: int) -> int:
     return total // math.factorial(n)
 
 
+def upper_entries(A: SymMatrix) -> tuple[Fraction, ...]:
+    """A's entries on and above the diagonal in row-major order: its
+    coordinates in the unknowns of the extremality system."""
+    return tuple(A.get(i, j) for i in range(A.n) for j in range(i, A.n))
+
+
+def from_upper_entries(n: int, entries) -> SymMatrix:
+    """The order-n symmetric matrix whose row-major upper triangle is
+    ``entries``."""
+    rows = [[0] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return SymMatrix.from_rows(rows)
+
+
 def permuted_matrix(A: SymMatrix, perm) -> SymMatrix:
     """P A P^T built entry by entry."""
     return SymMatrix.from_rows(
@@ -165,7 +181,7 @@ def zero_from_coordinates(coords) -> Zero:
     ``minimal_zeros`` builds its zeros from the scan's points as they are,
     since the scan checks their sign and sum on integers.
     """
-    coords = as_vector(coords)
+    coords = tuple(map(Fraction, coords))
     if any(c < 0 for c in coords):
         raise ValueError("zero coordinates must be nonnegative")
     total = sum(coords, Fraction(0))

@@ -28,8 +28,10 @@ from copocert.zeros import minimal_zeros
 from oracles import (
     benchmark_families,
     dot,
+    from_upper_entries,
     permuted_matrix,
     random_positive_diagonal,
+    upper_entries,
 )
 
 F = Fraction
@@ -53,7 +55,7 @@ class TestBuildSystem:
         for A in (horn_matrix(), SymMatrix.rank_one((F(1), F(-1), F(1)))):
             system = build_system(A, minimal_zeros(A))
             for row in system.dense_rows():
-                assert dot(row, A.upper) == 0
+                assert dot(row, upper_entries(A)) == 0
 
     def test_rows_are_sparse(self):
         # Horn: one term per support index, columns ascending
@@ -73,7 +75,7 @@ class TestCertificate:
         cert = extremality_certificate(A)
         assert cert.extremal and cert.nullity == 1
         (line,) = kernel_basis(cert.system.dense_rows(), upper_size(2))
-        assert is_proportional(line, A.upper)
+        assert is_proportional(line, upper_entries(A))
 
     def test_identity_and_all_ones_nullities(self):
         for n in (2, 3):
@@ -197,30 +199,29 @@ class TestDecompositionWitness:
             A = Candidate(4, record.canonical_offdiag).matrix()
             cert = extremality_certificate(A)
             assert cert.nullity >= 2
+            a = upper_entries(A)
             direction = next(
-                (SymMatrix(4, v)
-                 for v in kernel_basis(cert.system.dense_rows(),
-                                       upper_size(4))
-                 if not is_proportional(v, A.upper)), None)
+                (v for v in kernel_basis(cert.system.dense_rows(),
+                                         upper_size(4))
+                 if not is_proportional(v, a)), None)
             assert direction is not None
             eps = F(1)
             for _ in range(40):
-                plus = SymMatrix(
-                    A.n, tuple(a + eps * x
-                               for a, x in zip(A.upper, direction.upper)))
-                minus = SymMatrix(
-                    A.n, tuple(a - eps * x
-                               for a, x in zip(A.upper, direction.upper)))
+                plus = from_upper_entries(
+                    A.n, [x + eps * y for x, y in zip(a, direction)])
+                minus = from_upper_entries(
+                    A.n, [x - eps * y for x, y in zip(a, direction)])
                 if is_copositive(plus).copositive and \
                         is_copositive(minus).copositive:
                     break
                 eps /= 2
             else:
                 pytest.fail("no copositive perturbation window found")
-            assert not is_proportional(plus.upper, A.upper)
-            assert not is_proportional(minus.upper, A.upper)
-            total = tuple(p + m for p, m in zip(plus.upper, minus.upper))
-            assert total == tuple(2 * a for a in A.upper)
+            assert not is_proportional(upper_entries(plus), a)
+            assert not is_proportional(upper_entries(minus), a)
+            total = tuple(p + m for p, m in
+                          zip(upper_entries(plus), upper_entries(minus)))
+            assert total == tuple(2 * x for x in a)
             checked += 1
         assert checked >= 5
 

@@ -6,6 +6,7 @@ asserts that the check fires instead of a wrong answer going through.
 """
 
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from copocert.zeros import MinimalZeroList, minimal_zeros
 from oracles import zero_from_coordinates
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src" / "copocert"
 
 PAIR = SymMatrix.from_rows([[1, -1], [-1, 1]])
 # positive semidefinite with kernel (1, 1, 1): its one minimal zero sits on
@@ -79,30 +81,58 @@ def test_no_assert_that_python_O_strips():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path
 
 
-def _entry_reads(node, scope):
-    """The scopes under ``node`` that read a matrix's ``Fraction`` entries:
-    the ``.upper`` tuple, a two-argument ``.get(i, j)`` or a ``.row(`` call."""
+def _scopes(node, scope, hit):
+    """The scopes under ``node`` (``module.function``) of the nodes for
+    which ``hit`` holds."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
-    func = node.func if isinstance(node, ast.Call) else None
-    if (isinstance(node, ast.Attribute) and node.attr == "upper"
-            or isinstance(func, ast.Attribute) and (
-                func.attr == "row"
-                or func.attr == "get" and len(node.args) == 2)):
+    if hit(node):
         yield scope
     for child in ast.iter_child_nodes(node):
-        yield from _entry_reads(child, scope)
+        yield from _scopes(child, scope, hit)
+
+
+def _outside_linalg(hit):
+    return {scope for path in SRC.glob("*.py") if path.name != "linalg.py"
+            for scope in _scopes(ast.parse(path.read_text()), path.stem, hit)}
+
+
+def _entry_read(node):
+    """A read of a matrix's ``Fraction`` entries: a two-argument
+    ``.get(i, j)`` or a ``.row(`` call."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "row" or func.attr == "get" and len(node.args) == 2)
 
 
 def test_fraction_entries_read_only_where_printed_or_built():
     # every layer reads the integer form A = M / d; outside linalg.py the
-    # entries are read only to print a matrix or to build one from factors
-    root = Path(__file__).resolve().parent.parent / "src" / "copocert"
-    readers = set()
-    for path in root.glob("*.py"):
-        if path.name != "linalg.py":
-            readers.update(_entry_reads(ast.parse(path.read_text()), path.stem))
-    assert readers == {"cli._rows", "scaling.scale"}
+    # entries are read only to print a matrix
+    assert _outside_linalg(_entry_read) == {"cli._rows"}
+
+
+def test_matrices_built_only_through_the_constructors():
+    # only linalg.py knows how a SymMatrix is stored
+    def direct(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "SymMatrix")
+    assert _outside_linalg(direct) == set()
+
+
+def test_library_imports_only_the_standard_library():
+    # stdlib-only, as pyproject.toml's empty dependency list says
+    foreign = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign.update((path.name, name) for name in names
+                           if name.split(".")[0] not in sys.stdlib_module_names)
+    assert foreign == set()
 
 
 class TestLinalg:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from copocert.linalg import (
     SymMatrix,
-    as_vector,
     bordered_adjugate,
     canonical_vector,
     eval_quadratic,
@@ -36,9 +35,6 @@ def random_int_rows(rng, m, n, lo=-5, hi=5):
 
 
 class TestVectors:
-    def test_as_vector_converts(self):
-        assert as_vector([1, "1/2", F(3, 4)]) == (F(1), F(1, 2), F(3, 4))
-
     # dot and matrix_apply are the Fraction references of tests/oracles.py
 
     def test_dot(self):
@@ -226,7 +222,56 @@ class TestSymMatrix:
         assert A == SymMatrix.from_rows(rows)
         assert A.integer_form == SymMatrix.from_rows(rows).integer_form
         assert A.integer_form == (tuple(map(tuple, rows)), 1)
-        assert all(type(e) is F for e in A.upper)
+        assert all(type(e) is F for e in A.row(1))
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_from_rows_of_integers_is_from_integer_rows(self, square):
+        n = len(square)
+        rows = [[square[min(i, j)][max(i, j)] for j in range(n)]
+                for i in range(n)]
+        A = SymMatrix.from_integer_rows(rows)
+        assert SymMatrix.from_rows(rows) == A
+        assert hash(SymMatrix.from_rows(rows)) == hash(A)
+
+    def test_integer_form_is_in_lowest_terms(self):
+        A = SymMatrix.from_rows([[F(1, 2), F(1, 3)], [F(1, 3), F(4, 6)]])
+        assert A.integer_form == (((3, 2), (2, 4)), 6)
+        assert A.get(1, 1) == F(2, 3) and type(A.get(0, 0)) is F
+        assert SymMatrix.from_rows([["1/2", 0], [0, 1.5]]).integer_form == \
+            (((1, 0), (0, 3)), 2)
+        assert SymMatrix.from_rows([[0, 0], [0, 0]]).integer_form == \
+            (((0, 0), (0, 0)), 1)
+
+    @pytest.mark.parametrize("c", [F(2), F(-1), F(1, 3), F(5, 7)])
+    def test_a_multiple_is_another_matrix(self, c):
+        A = horn_matrix()
+        cA = SymMatrix.from_rows([[c * x for x in row] for row in A.rows()])
+        assert cA != A
+
+    @pytest.mark.parametrize("form, message", [
+        ((((2,),), 2), "lowest terms"),
+        ((((2, 4), (4, 6)), 4), "lowest terms"),
+        ((((1,),), 0), "denominator"),
+        ((((1,),), -1), "denominator"),
+        ((((1,),), F(1)), "denominator"),
+        ((((1,),), True), "denominator"),
+        (((), 1), "order"),
+        ((((1, 2),), 1), "square"),
+        ((((1, 2), (3, 1)), 1), "asymmetric"),
+        ((((F(1),),), 1), "ints"),
+    ], ids=["not-lowest-1x1", "not-lowest-2x2", "d-0", "d-negative",
+            "d-fraction", "d-bool", "empty", "not-square", "asymmetric",
+            "fraction-entry"])
+    def test_rejects_a_form_that_is_not_canonical(self, form, message):
+        with pytest.raises(ValueError, match=message):
+            SymMatrix(form)
+
+    def test_accepts_a_canonical_form(self):
+        assert SymMatrix((((1, 0), (0, 3)), 2)) == \
+            SymMatrix.from_rows([[F(1, 2), 0], [0, F(3, 2)]])
+        assert SymMatrix((((2,),), 1)).n == 1
 
     @pytest.mark.parametrize("rows", [
         [[1, 2], [3, 1]], [[1, 2]], [[1, F(1, 2)], [F(1, 2), 1]], [[True]],

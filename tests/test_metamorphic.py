@@ -68,7 +68,7 @@ positive = st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12)
 @settings(max_examples=40, deadline=None)
 def test_positive_multiple(seed, n, c):
     A = drawn(seed, n)
-    cA = SymMatrix(n, tuple(c * x for x in A.upper))
+    cA = SymMatrix.from_rows([[c * x for x in row] for row in A.rows()])
     assert summary(cA) == summary(A)
     verdict = is_copositive(A)
     if verdict.copositive:
@@ -114,7 +114,7 @@ def test_scaled_and_permuted_hildebrand_t(seed):
 
 def test_scalar_multiple_changes_the_denominator():
     A = drawn(0, 4)
-    cA = SymMatrix(4, tuple(F(3, 7) * x for x in A.upper))
+    cA = SymMatrix.from_rows([[F(3, 7) * x for x in row] for row in A.rows()])
     assert A.integer_form[1] == 1 and cA.integer_form[1] == 7
     try:
         zeros = extremality_certificate(A).minimal_zeros

@@ -21,7 +21,7 @@ from copocert.census import ALPHABET, Candidate, read_records, run_census
 from copocert.copositivity import is_copositive, stationary_candidates
 from copocert.linalg import SymMatrix
 
-from oracles import bordered_system, random_symmetric
+from oracles import bordered_system, from_upper_entries, random_symmetric
 
 F = Fraction
 BASELINE = "tests/baselines/census_n5.txt"
@@ -63,7 +63,7 @@ def test_cached_systems_match_a_scan_without_cache():
     for key, (found, det, rows) in cache.items():
         *upper, d = key
         k = math.isqrt(8 * len(upper) + 1) // 2  # len(upper) = k(k+1)/2
-        A = SymMatrix(k, tuple(Fraction(x, d) for x in upper))
+        A = from_upper_entries(k, [Fraction(x, d) for x in upper])
         # the whole support of A_S is scanned last, so its point is last
         alone = [(v, x) for v, x in stationary_candidates(A) if all(x)]
         assert (None if found is None else (found[1], found[0])) == \
