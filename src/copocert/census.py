@@ -99,9 +99,11 @@ class CensusRecord:
 
         The fields must describe a valid candidate and an orbit size that
         divides n!.  Supports hold increasing 1-based indices within the
-        order, and are distinct and in sorted order.  Only a copositive
-        record may be extremal or have supports.  The record must render
-        back to exactly this line (so flags are 0 or 1).
+        order, are in sorted order and form an antichain (none contains
+        another, so they are distinct).  Only a copositive record may be
+        extremal or have supports, and every support of an extremal record
+        is a pair.  The record must render back to exactly this line (so
+        flags are 0 or 1).
         """
         fields = line.split()
         if len(fields) != 6:
@@ -119,7 +121,10 @@ class CensusRecord:
                 or any(not 0 <= i < order for s in sups for i in s)
                 or any(list(s) != sorted(set(s)) for s in sups)
                 or list(sups) != sorted(set(sups))
+                or any(set(a) <= set(b) for a, b in
+                       itertools.permutations(sups, 2))
                 or (record.extremal or sups) and not record.copositive
+                or record.extremal and any(len(s) != 2 for s in sups)
                 or record.to_line() != line):
             raise ValueError(f"not a census record line: {line!r}")
         return record

@@ -44,15 +44,23 @@ from .structure_graph import (
 from .zeros import minimal_zeros
 
 _TOKEN = re.compile(r"\S+")
-_ENTRY = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_ENTRY = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+
+
+def _column(text: str, t: int) -> int:
+    """1-based column of the t-th whitespace-separated token of ``text``."""
+    return [m.start() for m in _TOKEN.finditer(text)][t] + 1
 
 
 def parse_matrix_file(path: str) -> SymMatrix:
     """Read a symmetric rational matrix from a UTF-8 text file.
 
     First non-comment line holds the order n, then n rows of n entries,
-    each an integer p or a rational p/q with positive q.  Lines starting
-    with '#' and blank lines are skipped.  Asymmetric input is rejected.
+    each an integer p or a rational p/q with positive q, not necessarily in
+    lowest terms, in ASCII digits.  Lines starting with '#' and blank lines
+    are skipped.  Asymmetric input is rejected.  Entries are read as integer
+    pairs (p, q) and compared by cross-multiplying; a ``Fraction`` is built
+    only for a diagnostic, and token columns are found only for one.
     """
     try:
         with open(path, "rb") as handle:
@@ -68,68 +76,61 @@ def parse_matrix_file(path: str) -> SymMatrix:
             raise MatrixFormatError(
                 f"byte 0x{line[exc.start]:02x} is not UTF-8 text",
                 line=lineno, column=len(line[:exc.start].decode("utf-8")) + 1)
-        stripped = text.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(text)]
-        data.append((lineno, tokens))
+        tokens = text.split()
+        if tokens and not tokens[0].startswith("#"):
+            data.append((lineno, text, tokens))
     if not data:
         raise MatrixFormatError("no data lines", line=len(raw) + 1, column=1)
-    lineno, tokens = data[0]
+    lineno, text, tokens = data[0]
     if len(tokens) != 1:
         raise MatrixFormatError(
             f"order line must hold a single integer, got {len(tokens)} tokens",
-            line=lineno, column=tokens[1][0])
-    col, tok = tokens[0]
-    if not tok.isdecimal() or int(tok) < 1:
+            line=lineno, column=_column(text, 1))
+    tok = tokens[0]
+    if not (tok.isascii() and tok.isdecimal()) or int(tok) < 1:
         raise MatrixFormatError(f"order must be a positive integer, got {tok!r}",
-                                line=lineno, column=col)
+                                line=lineno, column=_column(text, 0))
     n = int(tok)
     if len(data) - 1 < n:
         raise MatrixFormatError(
             f"expected {n} matrix rows, found {len(data) - 1}",
             line=len(raw) + 1, column=1)
     if len(data) - 1 > n:
-        extra_line, extra_tokens = data[n + 1]
+        extra_line, extra_text, _ = data[n + 1]
         raise MatrixFormatError(
             f"unexpected content after {n} matrix rows",
-            line=extra_line, column=extra_tokens[0][0])
+            line=extra_line, column=_column(extra_text, 0))
     entries = []
-    positions = []
     for r in range(n):
-        lineno, tokens = data[r + 1]
+        lineno, text, tokens = data[r + 1]
         if len(tokens) != n:
-            bad_col = tokens[n][0] if len(tokens) > n else (
-                tokens[-1][0] if tokens else 1)
             raise MatrixFormatError(
                 f"row {r + 1} has {len(tokens)} entries, expected {n}",
-                line=lineno, column=bad_col)
+                line=lineno, column=_column(text, min(n, len(tokens) - 1)))
         row = []
-        pos = []
-        for col, tok in tokens:
+        for t, tok in enumerate(tokens):
             match = _ENTRY.match(tok)
             if not match:
                 raise MatrixFormatError(
                     f"entry {tok!r} is not an integer or p/q rational",
-                    line=lineno, column=col)
+                    line=lineno, column=_column(text, t))
             num, den = match.groups()
-            try:
-                row.append(Fraction(int(num), int(den or 1)))
-            except ZeroDivisionError:
+            den = int(den) if den else 1
+            if not den:
                 raise MatrixFormatError(f"zero denominator in {tok!r}",
-                                        line=lineno, column=col)
-            pos.append((lineno, col))
+                                        line=lineno, column=_column(text, t))
+            row.append((int(num), den))
         entries.append(row)
-        positions.append(pos)
     for i in range(n):
         for j in range(i + 1, n):
-            if entries[i][j] != entries[j][i]:
-                lineno, col = positions[j][i]
+            (p, q), (r, s) = entries[i][j], entries[j][i]
+            if p * s != r * q:
+                lineno, text, _ = data[j + 1]
                 raise MatrixFormatError(
                     f"asymmetric entries: ({i + 1},{j + 1}) is "
-                    f"{entries[i][j]}, ({j + 1},{i + 1}) is {entries[j][i]}",
-                    line=lineno, column=col)
-    return SymMatrix.from_rows(entries)
+                    f"{Fraction(p, q)}, ({j + 1},{i + 1}) is {Fraction(r, s)}",
+                    line=lineno, column=_column(text, i))
+    return SymMatrix.from_ratios(entries)
 
 
 def _yn(flag: bool) -> str:

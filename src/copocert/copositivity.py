@@ -78,9 +78,13 @@ largest index is not n - 1 (route 1), and for the supports
 other parents that ``P + {n - 1}`` borders by route 2.  Without a cache
 route 4 is thus taken only when every parent is singular and no carried
 kernel vector extends; rank-one ``v v^T``, singular on every support of
-size 3 or more, is decided by routes 1-3 alone.  Positivity is read off
-integer signs, and ``Fraction``s are built only for the points that are
-yielded.
+size 3 or more, is decided by routes 1-3 alone.
+
+The scan hands out integers only: each point as its numerators ``p`` over
+``q = |det K_S|``, with its value's numerator ``p^T M_S p`` over ``q^2 d``.
+``is_copositive`` decides on the signs of those numerators and compares
+values by cross-multiplying.  ``Fraction``s are built only for what it
+returns: the violator and its value, the zeros it keeps, and the minimum.
 
 Membership testing is co-NP-complete in general; the 2^n - 1 support scan is
 deliberate and fine for the orders this package targets (n <= 8).  The
@@ -97,7 +101,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
+from math import gcd
+from operator import itemgetter, mul
 
 from .errors import InvariantError, OrderTooLargeError
 from .linalg import (
@@ -129,20 +134,27 @@ class CopositivityVerdict:
     ``zeros`` holds each value-0 stationary point whose support contains no
     earlier one's, in scan order; it is empty when the matrix is not
     copositive.  On a copositive matrix these points are the sum-normalized
-    minimal zeros.
+    minimal zeros.  ``zero_points`` holds the primitive integer multiple of
+    each of them, in the same order.
     """
 
     copositive: bool
     violator: Vector | None
     simplex_minimum: Fraction
     zeros: tuple[Vector, ...] = ()
+    zero_points: tuple[tuple[int, ...], ...] = ()
 
 
-def _embed(values, support, n):
-    x = [ZERO] * n
+def _embed(values, support, n, fill=ZERO):
+    x = [fill] * n
     for v, i in zip(values, support):
         x[i] = v
     return tuple(x)
+
+
+def _point(support, p, q, n):
+    """The simplex point ``p / q`` on ``support``, embedded in order n."""
+    return _embed([Fraction(x, q) for x in p], support, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,25 +226,27 @@ def _support_system(M, support, parents, full):
 
 
 def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
-    """Yield ``(value, point)`` for every support whose stationarity system
-    has a unique solution, strictly positive on the support.
+    """Yield ``(support, p, q, total)`` for every support whose
+    stationarity system has a unique solution, strictly positive on the
+    support, all in integers: the point is ``p / q`` on ``support`` (0
+    elsewhere) and its form value is ``total / (q^2 d)``.
 
     Supports are scanned by cardinality, then lexicographically, so strict
     subsets come before their supersets.  Each system is solved on the
     integer numerators of ``A = M / d`` from a parent's (see the module
-    docstring).  With ``p`` the first column of ``adj K_S`` on the unknowns
-    u, the point is ``p / det K_S`` and the value is recomputed as
-    ``p^T M_S p / (det K_S^2 d)``, so each candidate is an attained simplex
-    value by construction; ``sum(p) == det K_S`` is checked on integers
-    (InvariantError).  Raises OrderTooLargeError for orders above
-    ``MAX_SCAN_ORDER`` when the scan starts.
+    docstring).  ``p`` is the first column of ``adj K_S`` on the unknowns
+    u and ``q = |det K_S|``, signs matched so that ``p > 0``; ``total`` is
+    recomputed as ``p^T M_S p``, so each candidate is an attained simplex
+    value by construction, and ``sum(p) == q`` is checked (InvariantError).
+    Raises OrderTooLargeError for orders above ``MAX_SCAN_ORDER`` when the
+    scan starts.
 
     The system of support S, its point and its value depend only on
     ``A_S = M_S / d``.  A caller that scans many matrices (the census) may
     pass one dict as ``cache``: it is keyed by the upper triangle of
     ``M_S`` followed by ``d``, and maps to ``(found, D, rows)``, where
-    ``found`` is ``None`` (no unique positive solution) or the point on S
-    with its value, and ``(D, rows)`` is what ``_support_system`` returned,
+    ``found`` is ``None`` (no unique positive solution) or ``(p, q, total)``
+    as yielded, and ``(D, rows)`` is what ``_support_system`` returned,
     so each distinct principal submatrix is solved once.  Every support
     smaller than the order then keeps its full adjugate, so that a hit can
     be bordered like a solved support wherever its key recurs (a hit that
@@ -266,7 +280,7 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
                     if not det or len(rows) > 1:
                         level[support] = det, rows
                     if found is not None:
-                        yield found[1], _embed(found[0], support, n)
+                        yield (support, *found)
                     continue
                 full = k < n
             det, rows, _ = _support_system(M, support, parents, full)
@@ -284,20 +298,19 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
                 q = det
                 if q < 0:
                     q, p = -q, [-x for x in p]
-                if all(x > 0 for x in p):
+                if min(p) > 0:
                     if sum(p) != q:  # the row sum(u) = 1 of the system
                         raise InvariantError(
                             "stationary point must have coordinate sum 1")
                     total = 0
                     for x, i in zip(p, support):
                         row = M[i]
-                        total += x * sum(row[j] * y for j, y in zip(support, p))
-                    found = (tuple([Fraction(x, q) for x in p]),
-                             Fraction(total, q * q * d))
+                        total += x * sum(map(mul, [row[j] for j in support], p))
+                    found = tuple(p), q, total
             if cache is not None:
                 cache[key] = found, det, rows
             if found is not None:
-                yield found[1], _embed(found[0], support, n)
+                yield (support, *found)
         parents = level
 
 
@@ -327,27 +340,39 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
 
     Stops at the first negative stationary value (census throughput); when
     the matrix is copositive the full scan has run, the reported minimum is
-    exact and the minimal zeros have been collected on the way.  ``cache``
-    is handed to ``stationary_candidates``.
+    exact and the minimal zeros have been collected on the way.  Values
+    ``total / (q^2 d)`` share ``d``, so their signs are those of ``total``
+    and they are compared as ``total / q^2`` by cross-multiplying; the
+    minimum is compared only if no zero turns up.  ``cache`` is handed to
+    ``stationary_candidates``.
     """
     hit = _prefilter_violator(A)
     if hit is not None:
         return CopositivityVerdict(False, hit[0], hit[1])
+    n = A.n
+    d = A.integer_form[1]
     values = []
     zeros = []
+    points = []
     supports = []
-    for value, point in stationary_candidates(A, cache=cache):
-        # signs are read off numerators; the positive values are compared
-        # only if no zero turns up, because Fraction comparisons are slow
-        if value.numerator < 0:
-            return CopositivityVerdict(False, point, value)
-        if value:
-            values.append(value)
+    for support, p, q, total in stationary_candidates(A, cache=cache):
+        if total < 0:
+            return CopositivityVerdict(False, _point(support, p, q, n),
+                                       Fraction(total, q * q * d))
+        if total:
+            values.append((total, q * q))
             continue
-        support = frozenset(i for i, c in enumerate(point) if c)
-        if not any(s < support for s in supports):
-            supports.append(support)
-            zeros.append(point)
-    return CopositivityVerdict(True, None, ZERO if zeros else min(values),
-                               tuple(zeros))
-
+        s = frozenset(support)
+        if not any(t < s for t in supports):
+            supports.append(s)
+            zeros.append(_point(support, p, q, n))
+            g = gcd(*p)
+            points.append(_embed([x // g for x in p], support, n, 0))
+    if zeros:
+        return CopositivityVerdict(True, None, ZERO, tuple(zeros),
+                                   tuple(points))
+    total, qq = values[0]
+    for t, r in values:
+        if t * qq < total * r:
+            total, qq = t, r
+    return CopositivityVerdict(True, None, Fraction(total, qq * d))

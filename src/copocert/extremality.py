@@ -40,7 +40,6 @@ from math import gcd, lcm
 from .errors import InvariantError
 from .linalg import (
     SymMatrix,
-    _primitive_int_row,
     canonical_vector,
     echelon,
     is_proportional,
@@ -89,7 +88,8 @@ class ExtremalityCertificate:
 
 
 def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
-    """Rows ``(X u^j)_k = 0`` for every j, k with ``(A u^j)_k = 0`` exactly."""
+    """Rows ``(X u^j)_k = 0`` for every j, k with ``(A u^j)_k = 0`` exactly,
+    read off each zero's ``integer_point``."""
     n = A.n
     if Z.matrix.n != n:
         raise ValueError("zero list order does not match matrix order")
@@ -97,8 +97,8 @@ def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
     gates = []
     rows = []
     for j, zero in enumerate(Z.zeros):
-        p = _primitive_int_row(zero.coordinates)
-        support = [l for l, c in enumerate(p) if c]
+        p = zero.integer_point
+        support = zero.sorted_support()
         for k in range(n):
             # (A u)_k = 0 exactly iff (M p)_k = 0
             if sum(M[k][l] * p[l] for l in support):

@@ -3,9 +3,10 @@
 Nothing here ever rounds, so rank and nullity results are decisions, not
 estimates.  The core runs on integers.  A ``SymMatrix`` stores only its
 integer form ``(M, d)``: integer rows over their least common denominator,
-a canonical form, so equal forms are equal matrices.  ``from_rows`` brings
-rational rows to it, ``from_integer_rows`` takes integer rows as they are,
-and a ``Fraction`` entry is built only when one is read (``get``).  Rational
+a canonical form, so equal forms are equal matrices.  ``from_ratios`` brings
+rows of integer pairs ``(p, q)`` to it, ``from_rows`` rational rows (through
+``from_ratios``), ``from_integer_rows`` takes integer rows as they are, and
+a ``Fraction`` entry is built only when one is read (``get``).  Rational
 rows are scaled to primitive integer rows only where they enter
 ``solve_affine`` or ``kernel_basis``; integer rows go in as given.
 Elimination is the fraction-free Bareiss two-row determinant update, and
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InvariantError
 
@@ -215,9 +217,8 @@ def bordered_adjugate(adj, det, b, c, *, full=True):
     item is the integer kernel vector ``(w, -det K')`` of K in its place:
     ``K' w = det K' b`` and ``b^T w = c det K'``.
     """
-    terms = [(j, x) for j, x in enumerate(b) if x]
-    w = [sum(row[j] * x for j, x in terms) for row in adj]
-    new = c * det - sum(x * w[j] for j, x in terms)
+    w = [sum(map(mul, row, b)) for row in adj]
+    new = c * det - sum(map(mul, b, w))
     if not new:
         return 0, w + [-det]
     k = len(adj)
@@ -303,7 +304,8 @@ class SymMatrix:
     and ``d >= 1`` the least common denominator, so ``gcd(d, M_ij...) == 1``.
 
     The form is canonical, so ``==`` and ``hash`` are exact matrix equality.
-    Build matrices with ``from_rows`` or ``from_integer_rows``.
+    Build matrices with ``from_rows``, ``from_ratios`` or
+    ``from_integer_rows``.
     """
 
     integer_form: tuple[tuple[tuple[int, ...], ...], int]
@@ -330,10 +332,24 @@ class SymMatrix:
     def from_rows(cls, rows) -> "SymMatrix":
         """The matrix of square symmetric rational ``rows``: ints, Fractions
         or anything ``Fraction`` accepts."""
-        ratios = [[(x if type(x) in (int, Fraction) else Fraction(x))
-                   .as_integer_ratio() for x in r] for r in rows]
-        d = lcm(*(q for r in ratios for _, q in r))
-        return cls((tuple(tuple(p * (d // q) for p, q in r) for r in ratios), d))
+        return cls.from_ratios(
+            [[(x if type(x) in (int, Fraction) else Fraction(x))
+              .as_integer_ratio() for x in r] for r in rows])
+
+    @classmethod
+    def from_ratios(cls, rows) -> "SymMatrix":
+        """The matrix whose entry (i, j) is ``p / q`` for the integer pair
+        ``rows[i][j] = (p, q)``, ``q >= 1``, not necessarily in lowest
+        terms: the rows are brought over the lcm of the ``q`` and then
+        divided by the gcd they share with it."""
+        d = lcm(*(q for r in rows for _, q in r))
+        M = [[p * (d // q) for p, q in r] for r in rows]
+        if d > 1:
+            g = gcd(d, *chain.from_iterable(M))
+            if g > 1:
+                d //= g
+                M = [[x // g for x in r] for r in M]
+        return cls((tuple(map(tuple, M)), d))
 
     @classmethod
     def from_integer_rows(cls, rows) -> "SymMatrix":

@@ -81,7 +81,7 @@ def build_graph(A: SymMatrix, Z: MinimalZeroList) -> StructureGraph:
                 f"support {tuple(s + 1 for s in support)} has cardinality "
                 f"{len(support)}, expected 2")
         i, j = support
-        if zero.coordinates[i] != zero.coordinates[j]:
+        if zero.integer_point[i] != zero.integer_point[j]:
             raise InvariantError(
                 "pair-supported zero of a unit-diagonal matrix must be balanced")
     system = build_system(A, Z)

@@ -30,10 +30,12 @@ from .copositivity import is_copositive
 
 @dataclass(frozen=True)
 class Zero:
-    """A sum-normalized zero together with its support."""
+    """A sum-normalized zero together with its support and its primitive
+    integer multiple ``integer_point``."""
 
     coordinates: Vector
     support: frozenset[int]
+    integer_point: tuple[int, ...]
 
     def sorted_support(self) -> tuple[int, ...]:
         return tuple(sorted(self.support))
@@ -71,5 +73,5 @@ def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> MinimalZeroList
     if not verdict.copositive:
         raise NotCopositiveError(violator=verdict.violator)
     return MinimalZeroList(A, tuple(
-        Zero(point, frozenset(i for i, c in enumerate(point) if c))
-        for point in verdict.zeros))
+        Zero(point, frozenset(i for i, c in enumerate(p) if c), p)
+        for point, p in zip(verdict.zeros, verdict.zero_points)))

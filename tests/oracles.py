@@ -189,7 +189,8 @@ def zero_from_coordinates(coords) -> Zero:
         raise ValueError("zero vector is not a zero of a matrix")
     if total != 1:
         coords = tuple(c / total for c in coords)
-    return Zero(coords, frozenset(i for i, c in enumerate(coords) if c > 0))
+    return Zero(coords, frozenset(i for i, c in enumerate(coords) if c > 0),
+                tuple(_primitive_int_row(coords)))
 
 
 def subspace_positive_point(solset: AffineSolutionSet):
@@ -579,11 +580,24 @@ def random_psd(rng, n: int, rank: int) -> SymMatrix:
 
 # --- former library functions that only tests used ---------------------------
 
+def fraction_candidates(A: SymMatrix, *, cache: dict | None = None):
+    """``stationary_candidates`` as it yielded before it handed out
+    integers: ``(value, point)``, the point ``p / q`` embedded in order n
+    as ``Fraction``s and the value ``total / (q^2 d)``."""
+    n = A.n
+    d = A.integer_form[1]
+    for support, p, q, total in stationary_candidates(A, cache=cache):
+        x = [Fraction(0)] * n
+        for c, i in zip(p, support):
+            x[i] = Fraction(c, q)
+        yield Fraction(total, q * q * d), tuple(x)
+
+
 def min_on_simplex(A: SymMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact minimum of ``x^T A x`` over the standard simplex, with minimizer."""
     best = None
     arg = None
-    for value, point in stationary_candidates(A):
+    for value, point in fraction_candidates(A):
         if best is None or value < best:
             best, arg = value, point
     return best, arg

@@ -30,6 +30,7 @@ from copocert.scaling import DiagonalScaling, scale
 from oracles import (
     benchmark_families,
     bordered_system,
+    fraction_candidates,
     random_positive_diagonal,
     random_psd,
     random_symmetric,
@@ -94,7 +95,7 @@ def agree(A: SymMatrix, solves, branches: Counter) -> None:
     """Scan A without a cache and compare every support with the oracle."""
     solves.clear()
     found = {}
-    for value, x in stationary_candidates(A):
+    for value, x in fraction_candidates(A):
         support = tuple(i for i, c in enumerate(x) if c)
         assert support not in found, (A, support)
         found[support] = (x, value)
@@ -233,3 +234,46 @@ def test_benchmark_families_make_no_elimination(solves):
     assert branches["rank1", "kernel vector"] > 0
     assert branches["dsd", "other parent"] > 0
     assert branches["refute", "other parent"] > 0
+
+
+def check_yielded(A: SymMatrix, candidates) -> int:
+    """Every ``(support, p, q, total)`` the scan yields is an integer point
+    ``p / q`` on the simplex, positive on its increasing support, and
+    ``total`` is ``p^T M_S p`` summed entry by entry."""
+    M, _ = A.integer_form
+    count = 0
+    for support, p, q, total in candidates:
+        assert list(support) == sorted(set(support)), (A, support)
+        assert len(p) == len(support), (A, support)
+        assert all(type(x) is int for x in (*p, q, total)), (A, support)
+        assert min(p) > 0 and sum(p) == q, (A, support)
+        assert total == sum(p[a] * M[i][j] * p[b]
+                            for a, i in enumerate(support)
+                            for b, j in enumerate(support)), (A, support)
+        count += 1
+    return count
+
+
+def test_every_yielded_point_checks_out():
+    # census classes of order <= 5 through one shared cache, and seeded
+    # rational matrices, PSD ones and the benchmark families without one
+    cache = {}
+    count = 0
+    for n in range(1, 5):
+        for offdiag in itertools.product(ALPHABET, repeat=n * (n - 1) // 2):
+            A = Candidate(n, offdiag).matrix()
+            count += check_yielded(A, stationary_candidates(A, cache=cache))
+    for record in read_records(BASELINE):
+        A = Candidate(5, record.canonical_offdiag).matrix()
+        count += check_yielded(A, stationary_candidates(A, cache=cache))
+    rng = random.Random(14)
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(6):
+            for A in (random_symmetric(rng, n), random_psd(rng, n, n - 1)):
+                count += check_yielded(A, stationary_candidates(A))
+    families = benchmark_families()
+    for family in ("dsd", "bbt", "rank1", "refute"):
+        case = families.generate(family, 7, 14, (0, 0))
+        A = SymMatrix.from_rows(case.matrix)
+        count += check_yielded(A, stationary_candidates(A))
+    assert count > 10000

@@ -141,12 +141,17 @@ class TestRecordFormat:
         "3 -1,-1,1 1 1 1,2;1,3 7",
         "3 -1,-1,-1 0 1 - 1",
         "3 -1,-1,-1 0 0 1,2 1",
+        "3 -1,-1,1 1 1 1,2,3 3",
+        "3 -1,-1,1 1 1 1,2;1,2,3 3",
+        "3 -1,-1,1 1 0 1,2;1,2,3 3",
     ], ids=["flag-2", "support-index-0", "support-index-past-order",
             "entry-5", "short-offdiag", "order-0", "orbit-0",
             "not-canonical-text", "garbage", "support-not-increasing",
             "support-repeated-index", "supports-unsorted",
             "support-duplicate", "orbit-not-dividing-n-factorial",
-            "extremal-not-copositive", "supports-not-copositive"])
+            "extremal-not-copositive", "supports-not-copositive",
+            "extremal-triple-support", "supports-not-antichain",
+            "supports-not-antichain-not-extremal"])
     def test_from_line_rejects(self, line):
         with pytest.raises(ValueError):
             CensusRecord.from_line(line)

