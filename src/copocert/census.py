@@ -203,7 +203,7 @@ def _classify(cand: Candidate, orbit: int, cache: dict) -> CensusRecord:
         raise CensusInvariantError(
             f"class {cand.offdiag} has no violating triple but the exact scan "
             f"refutes it, against Hoffman and Pereira's rule") from exc
-    supports = tuple(sorted(z.sorted_support() for z in cert.minimal_zeros))
+    supports = tuple(sorted(z.support for z in cert.minimal_zeros))
     return CensusRecord(cand.order, cand.offdiag, True, cert.extremal,
                         supports, orbit)
 
@@ -313,7 +313,7 @@ def verify_pair_scaling_equivalence(A: SymMatrix) -> EquivalenceReport:
     if not cert.extremal:
         raise NotExtremalError(
             f"input is not extremal, nullity {cert.nullity}")
-    supports = tuple(sorted(z.sorted_support() for z in cert.minimal_zeros))
+    supports = tuple(sorted(z.support for z in cert.minimal_zeros))
     pair = all(len(s) == 2 for s in supports)
     decomposition = None
     pattern_nullity = None

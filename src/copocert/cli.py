@@ -206,11 +206,10 @@ def cmd_zeros(args) -> int:
                ("copositive", "yes"), ("zero_count", len(zeros))]
     human = [("order", A.n), ("minimal zeros", len(zeros))]
     for k, zero in enumerate(zeros, start=1):
-        machine += [(f"zero_{k}", _vec(zero.coordinates)),
-                    (f"support_{k}", _support(zero.support))]
-        human.append((f"zero {k}",
-                      f"({_vec(zero.coordinates)})  support {{{_support(zero.support)}}}"))
-    if not len(zeros):
+        point, support = _vec(zero.coordinates), _support(zero.support)
+        machine += [(f"zero_{k}", point), (f"support_{k}", support)]
+        human.append((f"zero {k}", f"({point})  support {{{support}}}"))
+    if not zeros:
         human.append(("note", "no zeros"))
     _emit(machine, human)
     return 0

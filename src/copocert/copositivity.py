@@ -34,6 +34,12 @@ at most mu.  By induction on |S|:
 The same scan therefore yields the minimal zeros of a copositive matrix: a
 zero with support S is exactly a positive solution of S's system with value
 0, and by (3) a minimal one is the unique solution of its support's system.
+Conversely, every value-0 point u the scan yields is a minimal zero.  Let z
+be a zero of a copositive A with support inside u's support S.  z
+minimizes the form over the orthant, so ``(A z)_k >= 0`` for every k, and
+``A_S u = 0``, so ``0 = z^T A u = sum over k in S of u_k (A z)_k`` forces
+``(A z)_k = 0`` on S.  Then ``z / sum(z)`` solves S's system with value 0,
+and by uniqueness it is u: no zero sits on a proper subset of S.
 
 Each system is solved on integers.  With ``A = M / d`` and ``nu = -d mu``,
 the system of S reads ``K_S (nu, u) = e_0`` for the symmetric bordered matrix
@@ -84,7 +90,8 @@ The scan hands out integers only: each point as its numerators ``p`` over
 ``q = |det K_S|``, with its value's numerator ``p^T M_S p`` over ``q^2 d``.
 ``is_copositive`` decides on the signs of those numerators and compares
 values by cross-multiplying.  ``Fraction``s are built only for what it
-returns: the violator and its value, the zeros it keeps, and the minimum.
+returns: the violator and its value, and the minimum.  A zero it keeps is
+the primitive integer multiple of ``p``.
 
 Membership testing is co-NP-complete in general; the 2^n - 1 support scan is
 deliberate and fine for the orders this package targets (n <= 8).  The
@@ -120,6 +127,25 @@ MAX_SCAN_ORDER = 16
 
 
 @dataclass(frozen=True)
+class Zero:
+    """A zero stored as its primitive integer multiple ``point``:
+    nonnegative ints with gcd 1.  ``support`` and the sum-normalized
+    ``coordinates`` are read off it."""
+
+    point: tuple[int, ...]
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The indices of the nonzero coordinates, ascending."""
+        return tuple(i for i, x in enumerate(self.point) if x)
+
+    @property
+    def coordinates(self) -> Vector:
+        total = sum(self.point)
+        return tuple(Fraction(x, total) for x in self.point)
+
+
+@dataclass(frozen=True)
 class CopositivityVerdict:
     """Outcome of the membership test.
 
@@ -131,18 +157,15 @@ class CopositivityVerdict:
     negative value (an upper bound for the true minimum, attained by the
     violator).
 
-    ``zeros`` holds each value-0 stationary point whose support contains no
-    earlier one's, in scan order; it is empty when the matrix is not
-    copositive.  On a copositive matrix these points are the sum-normalized
-    minimal zeros.  ``zero_points`` holds the primitive integer multiple of
-    each of them, in the same order.
+    ``zeros`` holds a ``Zero`` for each value-0 stationary point, in scan
+    order; it is empty when the matrix is not copositive.  On a copositive
+    matrix these are exactly the minimal zeros (see the module docstring).
     """
 
     copositive: bool
     violator: Vector | None
     simplex_minimum: Fraction
-    zeros: tuple[Vector, ...] = ()
-    zero_points: tuple[tuple[int, ...], ...] = ()
+    zeros: tuple[Zero, ...] = ()
 
 
 def _embed(values, support, n, fill=ZERO):
@@ -150,11 +173,6 @@ def _embed(values, support, n, fill=ZERO):
     for v, i in zip(values, support):
         x[i] = v
     return tuple(x)
-
-
-def _point(support, p, q, n):
-    """The simplex point ``p / q`` on ``support``, embedded in order n."""
-    return _embed([Fraction(x, q) for x in p], support, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -353,24 +371,18 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
     d = A.integer_form[1]
     values = []
     zeros = []
-    points = []
-    supports = []
     for support, p, q, total in stationary_candidates(A, cache=cache):
         if total < 0:
-            return CopositivityVerdict(False, _point(support, p, q, n),
+            violator = _embed([Fraction(x, q) for x in p], support, n)
+            return CopositivityVerdict(False, violator,
                                        Fraction(total, q * q * d))
         if total:
             values.append((total, q * q))
-            continue
-        s = frozenset(support)
-        if not any(t < s for t in supports):
-            supports.append(s)
-            zeros.append(_point(support, p, q, n))
+        else:  # a minimal zero, by the module docstring
             g = gcd(*p)
-            points.append(_embed([x // g for x in p], support, n, 0))
+            zeros.append(Zero(_embed([x // g for x in p], support, n, 0)))
     if zeros:
-        return CopositivityVerdict(True, None, ZERO, tuple(zeros),
-                                   tuple(points))
+        return CopositivityVerdict(True, None, ZERO, tuple(zeros))
     total, qq = values[0]
     for t, r in values:
         if t * qq < total * r:

@@ -26,10 +26,9 @@ forces the root to 0.  The nullity is therefore the number of components
 not forced to 0, and a weighted union-find on integer ratio pairs counts
 them without elimination; for nullity 1 the ratios of the one free
 component are the kernel vector.  A system with a longer row (a zero with
-support of size 3 or more, as in Hildebrand's T-matrices) is eliminated
-once instead: the nullity is the number of unknowns minus the pivot count,
-and a kernel vector is back-substituted only for nullity 1.  Either way a
-one-dimensional solution space must be spanned by A.
+support of size 3 or more, as in Hildebrand's T-matrices) goes to
+``kernel_basis`` instead, and the nullity is the size of the basis.  Either
+way a one-dimensional solution space must be spanned by A.
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ from .errors import InvariantError
 from .linalg import (
     SymMatrix,
     canonical_vector,
-    echelon,
     is_proportional,
+    kernel_basis,
     upper_index,
     upper_size,
 )
-from .zeros import MinimalZeroList, minimal_zeros
+from .zeros import Zero, minimal_zeros
 
 
 @dataclass(frozen=True)
@@ -84,21 +83,21 @@ class ExtremalityCertificate:
     nullity: int
     extremal: bool
     system: ExtremalitySystem
-    minimal_zeros: MinimalZeroList
+    minimal_zeros: tuple[Zero, ...]
 
 
-def build_system(A: SymMatrix, Z: MinimalZeroList) -> ExtremalitySystem:
+def build_system(A: SymMatrix, zeros: tuple[Zero, ...]) -> ExtremalitySystem:
     """Rows ``(X u^j)_k = 0`` for every j, k with ``(A u^j)_k = 0`` exactly,
-    read off each zero's ``integer_point``."""
+    read off each zero's integer ``point``."""
     n = A.n
-    if Z.matrix.n != n:
-        raise ValueError("zero list order does not match matrix order")
     M, _ = A.integer_form
     gates = []
     rows = []
-    for j, zero in enumerate(Z.zeros):
-        p = zero.integer_point
-        support = zero.sorted_support()
+    for j, zero in enumerate(zeros):
+        p = zero.point
+        if len(p) != n:
+            raise ValueError("zero order does not match matrix order")
+        support = zero.support
         for k in range(n):
             # (A u)_k = 0 exactly iff (M p)_k = 0
             if sum(M[k][l] * p[l] for l in support):
@@ -189,11 +188,10 @@ def extremality_certificate(A: SymMatrix, *,
 
     When no row of the system has more than two terms (every minimal zero
     has a support of size at most 2), the nullity is counted by a weighted
-    union-find (``_TwoTermSolutions``); otherwise the system is eliminated
-    once and the nullity is its column count minus its pivot count.  Only a
-    one-dimensional solution space is turned into a vector, to check that
-    it is spanned by A; a larger one is reported by its dimension alone
-    (``kernel_basis(cert.system.dense_rows())`` recovers a basis).
+    union-find (``_TwoTermSolutions``), and a vector is built from it only
+    for a one-dimensional solution space, to check that it is spanned by A
+    (``kernel_basis(cert.system.dense_rows())`` recovers a larger basis).
+    Otherwise the nullity is the size of the system's ``kernel_basis``.
     ``cache`` is handed to the copositivity scan (see
     ``stationary_candidates``).
     Raises NotCopositiveError (from ``minimal_zeros``) when A is not
@@ -209,14 +207,16 @@ def extremality_certificate(A: SymMatrix, *,
         raise InvariantError("input matrix must satisfy its own system")
     ncols = upper_size(n)
     if all(len(row) <= 2 for row in system.rows):
-        reduced = _TwoTermSolutions(system.rows, ncols)
+        solutions = _TwoTermSolutions(system.rows, ncols)
+        nullity = solutions.nullity
+        basis = solutions.kernel() if nullity == 1 else ()
     else:
-        reduced = echelon(system.dense_rows(), ncols)
-    nullity = reduced.nullity
+        basis = kernel_basis(system.dense_rows(), ncols)
+        nullity = len(basis)
     if nullity == 0 and not A.is_zero():
         raise InvariantError("a nonzero matrix lies in its own solution space")
     extremal = nullity == 1
-    if extremal and not is_proportional(reduced.kernel()[0], upper):
+    if extremal and not is_proportional(basis[0], upper):
         raise InvariantError("one-dimensional solution space must be "
                              "spanned by a multiple of the matrix")
     return ExtremalityCertificate(nullity, extremal, system, zeros)

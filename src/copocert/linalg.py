@@ -143,40 +143,16 @@ def _kernel_from_echelon(ech, pivots, ncols):
             for f in range(ncols) if f not in pivot_cols]
 
 
-@dataclass(frozen=True)
-class Echelon:
-    """A homogeneous system ``Mx = 0`` after one fraction-free elimination.
-
-    The nullity is read off the pivot count; kernel vectors are only
-    back-substituted when ``kernel`` is asked for.
-    """
-
-    rows: list
-    pivots: list
-    ncols: int
-
-    @property
-    def nullity(self) -> int:
-        return self.ncols - len(self.pivots)
-
-    def kernel(self) -> list[Vector]:
-        """One canonical kernel vector per non-pivot column, in column order."""
-        return _kernel_from_echelon(self.rows, self.pivots, self.ncols)
-
-
-def echelon(rows, ncols=None) -> Echelon:
-    """Eliminate ``rows`` once (integer rows as given, rational rows scaled)."""
-    int_rows, ncols = _prepare(rows, ncols)
-    return Echelon(*_bareiss_echelon(int_rows, ncols), ncols)
-
-
 def kernel_basis(rows, ncols=None) -> list[Vector]:
-    """Basis of ``{x : Mx = 0}`` with deterministic primitive entries.
+    """Basis of ``{x : Mx = 0}`` with deterministic primitive entries, from
+    one fraction-free elimination (integer rows as given, rational rows
+    scaled).
 
     Empty list iff M has full column rank; a matrix with no rows (or only
     zero rows) yields the standard basis.
     """
-    return echelon(rows, ncols).kernel()
+    int_rows, ncols = _prepare(rows, ncols)
+    return _kernel_from_echelon(*_bareiss_echelon(int_rows, ncols), ncols)
 
 
 def inverse_rows(rows, count):

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .extremality import _TwoTermSolutions, build_system
 from .linalg import SymMatrix
-from .zeros import MinimalZeroList
+from .zeros import Zero
 
 Vertex = tuple[int, int]
 
@@ -69,22 +69,22 @@ class ComponentReport:
     bipartite_count: int
 
 
-def build_graph(A: SymMatrix, Z: MinimalZeroList) -> StructureGraph:
-    """One edge ``{X_ik, X_jk}`` per row of ``build_system(A, Z)``, after
-    checking that every zero is a balanced pair."""
+def build_graph(A: SymMatrix, zeros: tuple[Zero, ...]) -> StructureGraph:
+    """One edge ``{X_ik, X_jk}`` per row of ``build_system(A, zeros)``,
+    after checking that every zero is a balanced pair."""
     if not A.has_unit_diagonal():
         raise NotUnitDiagonalError("entry graph requires a unit diagonal")
-    for zero in Z.zeros:
-        support = zero.sorted_support()
+    for zero in zeros:
+        support = zero.support
         if len(support) != 2:
             raise SupportCardinalityError(
                 f"support {tuple(s + 1 for s in support)} has cardinality "
                 f"{len(support)}, expected 2")
         i, j = support
-        if zero.integer_point[i] != zero.integer_point[j]:
+        if zero.point[i] != zero.point[j]:
             raise InvariantError(
                 "pair-supported zero of a unit-diagonal matrix must be balanced")
-    system = build_system(A, Z)
+    system = build_system(A, zeros)
     vertices = _entries(A.n)
     edges = set()
     for (a, _), (b, _) in system.rows:

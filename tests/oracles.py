@@ -176,21 +176,18 @@ def brute_canonical(c: Candidate) -> tuple[tuple[int, ...], int]:
 
 
 def zero_from_coordinates(coords) -> Zero:
-    """The ``Zero`` of a nonnegative nonzero vector, scaled to sum 1.
+    """The ``Zero`` of a nonnegative nonzero rational vector: its primitive
+    integer multiple.
 
-    ``minimal_zeros`` builds its zeros from the scan's points as they are,
-    since the scan checks their sign and sum on integers.
+    ``minimal_zeros`` builds its zeros from the scan's integer points as
+    they are, since the scan checks their sign and sum on integers.
     """
     coords = tuple(map(Fraction, coords))
     if any(c < 0 for c in coords):
         raise ValueError("zero coordinates must be nonnegative")
-    total = sum(coords, Fraction(0))
-    if total == 0:
+    if not any(coords):
         raise ValueError("zero vector is not a zero of a matrix")
-    if total != 1:
-        coords = tuple(c / total for c in coords)
-    return Zero(coords, frozenset(i for i, c in enumerate(coords) if c > 0),
-                tuple(_primitive_int_row(coords)))
+    return Zero(tuple(_primitive_int_row(coords)))
 
 
 def subspace_positive_point(solset: AffineSolutionSet):
@@ -408,17 +405,17 @@ def matrix_apply(A: SymMatrix, x) -> tuple[Fraction, ...]:
     return tuple(dot(A.row(i), x) for i in range(A.n))
 
 
-def fraction_build_graph(A: SymMatrix, Z) -> StructureGraph:
+def fraction_build_graph(A: SymMatrix, zeros) -> StructureGraph:
     """``build_graph`` as it was before it read its edges off
     ``build_system``: the gate ``(A u)_k = 0`` tested again on ``A u`` in
     ``Fraction`` arithmetic, with the same preconditions."""
     if not A.has_unit_diagonal():
         raise NotUnitDiagonalError("entry graph requires a unit diagonal")
-    if Z.matrix.n != A.n:
-        raise ValueError("zero list order does not match matrix order")
     edges = set()
-    for zero in Z.zeros:
-        support = zero.sorted_support()
+    for zero in zeros:
+        if len(zero.point) != A.n:
+            raise ValueError("zero order does not match matrix order")
+        support = zero.support
         if len(support) != 2:
             raise SupportCardinalityError(f"support {support}")
         i, j = support
@@ -548,8 +545,8 @@ def lp_stationary_candidates(A: SymMatrix):
 
 def lp_is_copositive(A: SymMatrix) -> CopositivityVerdict:
     """``is_copositive`` over ``lp_stationary_candidates``, with the same
-    prefilter; ``zeros`` pairs each kept point with its support's
-    solution-set dimension."""
+    prefilter; ``zeros`` pairs the ``Zero`` of each kept point with its
+    support's solution-set dimension."""
     hit = _prefilter_violator(A)
     if hit is not None:
         return CopositivityVerdict(False, hit[0], hit[1])
@@ -565,7 +562,7 @@ def lp_is_copositive(A: SymMatrix) -> CopositivityVerdict:
             support = frozenset(i for i, c in enumerate(point) if c)
             if not any(s < support for s in supports):
                 supports.append(support)
-                zeros.append((point, dimension))
+                zeros.append((zero_from_coordinates(point), dimension))
     return CopositivityVerdict(True, None, best, tuple(zeros))
 
 

@@ -98,8 +98,8 @@ def test_criterion_1_worked_instance(criterion):
         assert is_copositive(A).copositive
         zeros = minimal_zeros(A)
         assert len(zeros) == 1
-        assert zeros.zeros[0].coordinates == (F(1, 2), F(1, 2))
-        assert zeros.supports() == ((0, 1),)
+        assert zeros[0].coordinates == (F(1, 2), F(1, 2))
+        assert tuple(z.support for z in zeros) == ((0, 1),)
         cert = extremality_certificate(A)
         assert cert.nullity == 1 and cert.extremal
         graph = build_graph(A, zeros)
@@ -113,7 +113,7 @@ def test_criterion_2_rank_one_patterns(criterion):
     with criterion(2, "rank-one patterns", 1.0):
         A = SymMatrix.rank_one((F(1), F(-1), F(1)))
         zeros = minimal_zeros(A)
-        assert zeros.supports() == ((0, 1), (1, 2))
+        assert tuple(z.support for z in zeros) == ((0, 1), (1, 2))
         cert = extremality_certificate(A)
         assert cert.nullity == 1
         report = component_analysis(build_graph(A, zeros))
@@ -125,7 +125,7 @@ def test_criterion_2_rank_one_patterns(criterion):
         assert reconstruct_pattern(report) == A
 
         B = SymMatrix.rank_one((F(1), F(-2), F(1)))
-        by_support = {z.sorted_support(): z for z in minimal_zeros(B)}
+        by_support = {z.support: z for z in minimal_zeros(B)}
         assert by_support[(0, 1)].coordinates == (F(2, 3), F(1, 3), F(0))
         assert has_sign_pattern_scaling(B)
         dec = extract_pattern(B)
@@ -140,7 +140,8 @@ def test_criterion_3_horn_matrix(criterion):
         assert is_copositive(H).copositive
         zeros = minimal_zeros(H)
         assert len(zeros) == 5
-        assert set(zeros.supports()) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        assert {z.support for z in zeros} == \
+            {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
         cert = extremality_certificate(H)
         assert len(cert.system) == 20
         assert cert.nullity == 1 and cert.extremal
@@ -203,9 +204,10 @@ def test_criterion_6_pair_supports_census(criterion, census):
                 if not record.copositive:
                     continue
                 zeros = minimal_zeros(record_matrix(record))
-                assert zeros.supports() == record.minimal_supports
+                assert tuple(z.support for z in zeros) == \
+                    record.minimal_supports
                 for zero in zeros:
-                    support = zero.sorted_support()
+                    support = zero.support
                     assert len(support) == 2
                     i, j = support
                     assert zero.coordinates[i] == zero.coordinates[j]
@@ -242,7 +244,7 @@ def test_criterion_8_scaling_invariance(criterion, census):
             D = DiagonalScaling(random_positive_diagonal(rng, record.order))
             A = scale(sigma, D)
             zeros = minimal_zeros(A)
-            assert zeros.supports() == record.minimal_supports
+            assert tuple(z.support for z in zeros) == record.minimal_supports
             cert = extremality_certificate(A)
             assert cert.minimal_zeros == zeros
             assert cert.extremal == record.extremal == True

@@ -17,7 +17,6 @@ from copocert.extremality import (
 )
 from copocert.linalg import (
     SymMatrix,
-    echelon,
     horn_matrix,
     is_proportional,
     kernel_basis,
@@ -67,6 +66,14 @@ class TestBuildSystem:
     def test_no_zeros_no_rows(self):
         A = SymMatrix.identity(3)
         assert len(build_system(A, minimal_zeros(A))) == 0
+
+    def test_rejects_zeros_of_another_order(self):
+        # the Horn matrix's zeros have five coordinates, the pair's two
+        pair = SymMatrix.from_rows([[1, -1], [-1, 1]])
+        with pytest.raises(ValueError, match="order"):
+            build_system(pair, minimal_zeros(horn_matrix()))
+        with pytest.raises(ValueError, match="order"):
+            build_system(horn_matrix(), minimal_zeros(pair))
 
 
 class TestCertificate:
@@ -233,19 +240,19 @@ def _paths_agree(A: SymMatrix) -> int:
     assert all(len(row) <= 2 for row in cert.system.rows), A
     fast = _TwoTermSolutions(cert.system.rows, ncols)
     dense = cert.system.dense_rows()
-    slow = echelon(dense, ncols)
-    assert fast.nullity == slow.nullity == cert.nullity, A
+    slow = kernel_basis(dense, ncols)
+    assert fast.nullity == len(slow) == cert.nullity, A
     basis = fast.kernel()
     assert len(basis) == fast.nullity, A
     assert all(dot(row, v) == 0 for v in basis for row in dense), A
     if fast.nullity == 1:
-        assert basis == slow.kernel(), A
+        assert basis == slow, A
     return fast.nullity
 
 
 class TestTwoTermNullity:
     """The union-find nullity of pair and singleton systems against
-    ``echelon``: the same nullity, a basis of solutions, and for nullity 1
+    ``kernel_basis``: the same nullity, a basis of solutions, and for nullity 1
     the same canonical kernel vector."""
 
     def test_every_copositive_class_up_to_order_5(self, census):
@@ -284,19 +291,19 @@ class TestTwoTermNullity:
         rows = [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 1), (2, 2))]
         dense = [(1, -1, 0, 0), (0, 1, -1, 0), (1, 0, 2, 0)]
         fast = _TwoTermSolutions(rows, 4)
-        assert fast.nullity == echelon(dense, 4).nullity == 1
+        assert fast.nullity == len(kernel_basis(dense, 4)) == 1
         assert fast.kernel() == [(F(0), F(0), F(0), F(1))]
 
     def test_longer_rows_are_eliminated(self, monkeypatch):
         # Hildebrand's T has minimal zeros on triples: three-term rows
         calls = []
-        real = extremality_mod.echelon
+        real = extremality_mod.kernel_basis
 
         def counting(rows, ncols):
             calls.append(ncols)
             return real(rows, ncols)
 
-        monkeypatch.setattr(extremality_mod, "echelon", counting)
+        monkeypatch.setattr(extremality_mod, "kernel_basis", counting)
         for name in ("hildebrand_equal", "hildebrand_mixed"):
             A = parse_matrix_file(str(FIXTURES / f"{name}.txt"))
             cert = extremality_certificate(A)

@@ -61,7 +61,7 @@ def test_extremal_with_triple_supports(ts):
     A = hildebrand_t(ts)
     cert = extremality_certificate(A)
     assert cert.nullity == 1 and cert.extremal
-    assert set(cert.minimal_zeros.supports()) == TRIPLES
+    assert {z.support for z in cert.minimal_zeros} == TRIPLES
     for support in TRIPLES:
         sub = A.principal(support)
         assert len(kernel_basis(sub.rows(), 3)) == 1  # A_S is singular

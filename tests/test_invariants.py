@@ -33,14 +33,13 @@ from copocert.linalg import (
     SymMatrix,
     _back_substitute,
     bordered_adjugate,
-    echelon,
     horn_matrix,
     kernel_basis,
 )
 from copocert.lp import simplex_maximize, strictly_positive_point
 from copocert.scaling import extract_pattern
 from copocert.structure_graph import build_graph
-from copocert.zeros import MinimalZeroList, minimal_zeros
+from copocert.zeros import minimal_zeros
 
 from oracles import zero_from_coordinates
 
@@ -55,8 +54,8 @@ TRIPLE = SymMatrix.from_rows([[2, 0, -2], [0, 2, -2], [-2, -2, 4]])
 
 def full_rank(rows, ncols):
     """Stand-in elimination with every column a pivot: nullity 0."""
-    return echelon([[int(i == j) for j in range(ncols)]
-                    for i in range(ncols)], ncols)
+    return kernel_basis([[int(i == j) for j in range(ncols)]
+                         for i in range(ncols)], ncols)
 
 
 def all_forced(rows, ncols):
@@ -206,7 +205,7 @@ class TestExtremality:
             extremality_certificate(TRIPLE)
 
     def test_nonzero_matrix_with_trivial_solution_space(self, monkeypatch):
-        monkeypatch.setattr(extremality_mod, "echelon", full_rank)
+        monkeypatch.setattr(extremality_mod, "kernel_basis", full_rank)
         with pytest.raises(InvariantError, match="own solution space"):
             extremality_certificate(TRIPLE)
 
@@ -218,9 +217,10 @@ class TestExtremality:
     def test_line_not_spanned_by_the_matrix(self, monkeypatch):
         # rows fixing every unknown but X_11 leave the line through e_0
         monkeypatch.setattr(
-            extremality_mod, "echelon",
-            lambda rows, ncols: echelon([[int(j == i) for j in range(ncols)]
-                                         for i in range(1, ncols)], ncols))
+            extremality_mod, "kernel_basis",
+            lambda rows, ncols: kernel_basis(
+                [[int(j == i) for j in range(ncols)]
+                 for i in range(1, ncols)], ncols))
         with pytest.raises(InvariantError, match="multiple of the matrix"):
             extremality_certificate(TRIPLE)
 
@@ -244,9 +244,9 @@ class TestExtremality:
                 return real(rows, ncols)
             return wrapper
 
-        for name in ("_TwoTermSolutions", "echelon"):
+        for name in ("_TwoTermSolutions", "kernel_basis"):
             monkeypatch.setattr(extremality_mod, name, counting(name))
-        for A, path in ((PAIR, "_TwoTermSolutions"), (TRIPLE, "echelon")):
+        for A, path in ((PAIR, "_TwoTermSolutions"), (TRIPLE, "kernel_basis")):
             calls.clear()
             extremality_certificate(A)
             assert calls == [path]
@@ -297,7 +297,7 @@ class TestCopositivity:
 
 class TestStructureGraph:
     def test_unbalanced_pair_zero(self):
-        zeros = MinimalZeroList(PAIR, (zero_from_coordinates((F(2), F(1))),))
+        zeros = (zero_from_coordinates((F(2), F(1))),)
         with pytest.raises(InvariantError, match="balanced"):
             build_graph(PAIR, zeros)
 
@@ -311,9 +311,9 @@ class TestStructureGraph:
 
     def test_repeated_gate(self):
         # the same zero twice fires every gate twice onto the same edges
-        zero = minimal_zeros(PAIR).zeros[0]
+        zero = minimal_zeros(PAIR)[0]
         with pytest.raises(InvariantError, match="distinct edges"):
-            build_graph(PAIR, MinimalZeroList(PAIR, (zero, zero)))
+            build_graph(PAIR, (zero, zero))
 
 
 class TestScaling:
@@ -325,7 +325,7 @@ class TestScaling:
 
 
 def test_cli_reports_invariant_violation(monkeypatch, capsys, write_matrix):
-    monkeypatch.setattr(extremality_mod, "echelon", full_rank)
+    monkeypatch.setattr(extremality_mod, "kernel_basis", full_rank)
     monkeypatch.setattr(extremality_mod, "_TwoTermSolutions", all_forced)
     assert main(["extremal", write_matrix(horn_matrix())]) == 1
     out = capsys.readouterr().out

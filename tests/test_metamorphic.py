@@ -122,5 +122,5 @@ def test_scalar_multiple_changes_the_denominator():
         zeros = None
     assert summary(cA) == summary(A)
     if zeros is not None:
-        assert extremality_certificate(cA).minimal_zeros.supports() == \
-            zeros.supports()
+        assert [z.support for z in extremality_certificate(cA).minimal_zeros] \
+            == [z.support for z in zeros]

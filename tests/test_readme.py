@@ -1,0 +1,27 @@
+"""The README's library quick start runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start() -> str:
+    """The ``python`` block under the "Library quick start" heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_quick_start_prints_its_comments():
+    code = quick_start()
+    # the value after "# " on each print line, up to any "  ->" remark
+    expected = [line.split("  # ", 1)[1].split("  ->")[0].strip()
+                for line in code.splitlines() if line.startswith("print(")]
+    assert len(expected) == 5
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -131,8 +131,8 @@ class TestExtractPattern:
         H = horn_matrix()
         D = DiagonalScaling(random_positive_diagonal(rng, 5))
         A = scale(H, D)
-        assert sorted(z.sorted_support() for z in minimal_zeros(A).zeros) == \
-            sorted(z.sorted_support() for z in minimal_zeros(H).zeros)
+        assert sorted(z.support for z in minimal_zeros(A)) == \
+            sorted(z.support for z in minimal_zeros(H))
 
 
 def _decompose(extract, A):

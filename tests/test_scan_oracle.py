@@ -35,7 +35,7 @@ def agree(A: SymMatrix) -> None:
     assert got.violator == ref.violator, A
     assert got.simplex_minimum == ref.simplex_minimum, A
     assert all(dimension == 0 for _, dimension in ref.zeros), A
-    assert got.zeros == tuple(point for point, _ in ref.zeros), A
+    assert got.zeros == tuple(zero for zero, _ in ref.zeros), A
 
 
 def degenerate(A: SymMatrix) -> bool:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,15 +23,16 @@ from oracles import (
 F = Fraction
 
 
-def supports_of(zero_list):
-    return sorted(z.sorted_support() for z in zero_list.zeros)
+def supports_of(zeros):
+    return sorted(z.support for z in zeros)
 
 
 class TestZeroType:
     def test_from_coordinates_normalizes(self):
         z = zero_from_coordinates((F(2), F(2), F(0)))
+        assert z.point == (1, 1, 0)
         assert z.coordinates == (F(1, 2), F(1, 2), F(0))
-        assert z.support == frozenset({0, 1})
+        assert z.support == (0, 1)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -46,14 +48,14 @@ class TestMinimalZeros:
         A = SymMatrix.from_rows([[1, -1], [-1, 1]])
         zl = minimal_zeros(A)
         assert len(zl) == 1
-        assert zl.zeros[0].coordinates == (F(1, 2), F(1, 2))
-        assert zl.zeros[0].sorted_support() == (0, 1)
+        assert zl[0].coordinates == (F(1, 2), F(1, 2))
+        assert zl[0].support == (0, 1)
 
     def test_horn_cycle(self):
         zl = minimal_zeros(horn_matrix())
         assert supports_of(zl) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-        for z in zl.zeros:
-            i, j = z.sorted_support()
+        for z in zl:
+            i, j = z.support
             assert z.coordinates[i] == z.coordinates[j] == F(1, 2)
 
     def test_no_zeros_identity_and_all_ones(self):
@@ -65,7 +67,7 @@ class TestMinimalZeros:
         A = SymMatrix.rank_one((F(1), F(-2), F(1)))
         zl = minimal_zeros(A)
         assert supports_of(zl) == [(0, 1), (1, 2)]
-        coords = {z.sorted_support(): z.coordinates for z in zl.zeros}
+        coords = {z.support: z.coordinates for z in zl}
         assert coords[(0, 1)] == (F(2, 3), F(1, 3), F(0))
         assert coords[(1, 2)] == (F(0), F(1, 3), F(2, 3))
 
@@ -73,7 +75,7 @@ class TestMinimalZeros:
         A = SymMatrix.from_rows([[1, 0], [0, 0]])
         zl = minimal_zeros(A)
         assert supports_of(zl) == [(1,)]
-        assert zl.zeros[0].coordinates == (F(0), F(1))
+        assert zl[0].coordinates == (F(0), F(1))
 
     def test_zero_matrix_has_singleton_zeros(self):
         A = SymMatrix.from_rows([[0, 0], [0, 0]])
@@ -86,7 +88,7 @@ class TestMinimalZeros:
                                  [F(-1, 2), F(-1, 2), 1]])
         zl = minimal_zeros(A)
         assert supports_of(zl) == [(0, 1, 2)]
-        assert zl.zeros[0].coordinates == (F(1, 3), F(1, 3), F(1, 3))
+        assert zl[0].coordinates == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_gate_rejects_noncopositive(self):
         with pytest.raises(NotCopositiveError) as err:
@@ -106,18 +108,24 @@ class TestMinimalZeros:
             if len(zl):
                 interesting += 1
             seen = set()
-            for z in zl.zeros:
+            for z in zl:
+                assert all(type(x) is int and x >= 0 for x in z.point)
+                assert len(z.point) == n and gcd(*z.point) == 1
+                assert z.support == tuple(
+                    i for i, x in enumerate(z.point) if x)
+                assert z.coordinates == tuple(
+                    F(x, sum(z.point)) for x in z.point)
                 assert eval_quadratic(A, z.coordinates) == 0
                 assert all(matrix_apply(A, z.coordinates)[k] >= 0 for k in range(n))
                 assert sum(z.coordinates) == 1
-                assert z.support == frozenset(
+                assert z.support == tuple(
                     i for i, c in enumerate(z.coordinates) if c > 0)
                 assert z.support not in seen
                 seen.add(z.support)
-            for a in zl.zeros:
-                for b in zl.zeros:
+            for a in zl:
+                for b in zl:
                     if a is not b:
-                        assert not a.support < b.support
+                        assert not set(a.support) < set(b.support)
         assert interesting > 0
 
     def test_scaling_transports_supports(self):
@@ -143,7 +151,7 @@ class TestZerosWithSupport:
         # the query is per-support and does not impose minimality
         A = SymMatrix.from_rows([[0, 0], [0, 0]])
         z = zero_with_support(A, (0, 1))
-        assert z is not None and z.sorted_support() == (0, 1)
+        assert z is not None and z.support == (0, 1)
 
     def test_validates_support(self):
         with pytest.raises(ValueError):
@@ -176,7 +184,7 @@ class TestKernelCrossCheck:
         zl = minimal_zeros(A)
         assert supports_of(zl) == sorted(kernel_minimal_supports(A))
         for zero in zl:
-            idx = zero.sorted_support()
+            idx = zero.support
             sub = A.principal(idx)
             kernel = kernel_basis(sub.rows(), sub.n)
             assert len(kernel) == 1
