@@ -22,8 +22,9 @@ The sweep keeps one mark per candidate and marks a representative's whole
 orbit when it meets it, so it stops only at representatives, and the orbit
 sizes must add up to the candidate count.  The representatives of one run
 that reach the certificate share a cache of support systems: they have few
-distinct principal submatrices between them (8,454 at order 6, against
-247,338 supports scanned), and each is solved once.
+distinct principal submatrices between them, and each is solved once (at
+order 6, 24 systems for the 95,570 supports visited out of the 247,338 of
+the certified classes).
 
 The sweep also aborts if an extremal record has a minimal support that is
 not a pair; ``copocert census`` reports whether every copositive record has

@@ -155,26 +155,6 @@ def kernel_basis(rows, ncols=None) -> list[Vector]:
     return _kernel_from_echelon(*_bareiss_echelon(int_rows, ncols), ncols)
 
 
-def inverse_rows(rows, count):
-    """``(p, Y)`` for a square integer matrix K: ``p`` is the last pivot of
-    one fraction-free elimination, which is ``det K`` up to sign, and ``Y``
-    holds the first ``count`` columns of ``p K^-1`` (its first rows when K
-    is symmetric), integral by Cramer's rule.  ``(0, None)`` when K is
-    singular, decided by the pivot count alone.
-    """
-    m = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(count)]
-           for i, r in enumerate(rows)]
-    ech, pivots = _bareiss_echelon(aug, m)
-    if len(pivots) < m:
-        return 0, None
-    cols = []
-    for j in range(count):
-        y, p = _back_substitute(ech, pivots, m, rhs_col=m + j)
-        cols.append(y)
-    return p, cols
-
-
 def bordered_adjugate(adj, det, b, c, *, full=True):
     """``(det K, adj K)`` for ``K = [[K', b], [b^T, c]]`` from the adjugate
     and determinant of a nonsingular symmetric integer matrix K'.
@@ -186,10 +166,9 @@ def bordered_adjugate(adj, det, b, c, *, full=True):
         adj K = [[(det K adj K' + w w^T) / det K', -w], [-w^T, det K']].
 
     ``adj K`` is an integer matrix, so every division is exact; each one is
-    checked.  Both identities are homogeneous of degree one in
-    ``(adj K', det K')``, so a pair scaled by -1 (``inverse_rows``) yields
-    ``(det K, adj K)`` scaled by -1.  ``adj K`` is returned by rows; only
-    its first row when ``full`` is false.  When ``det K`` is 0 the second
+    checked.  No sign is lost: the result is exact, given the exact pair
+    ``(adj K', det K')``.  ``adj K`` is returned by rows; only its first
+    row when ``full`` is false.  When ``det K`` is 0 the second
     item is the integer kernel vector ``(w, -det K')`` of K in its place:
     ``K' w = det K' b`` and ``b^T w = c det K'``.
     """

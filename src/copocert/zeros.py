@@ -5,8 +5,8 @@ A zero of a copositive A is a nonzero nonnegative vector u with
 zero is minimal when no other zero has a support strictly contained in its
 own.  Up to positive scaling there are finitely many minimal zeros, and each
 support carries at most one.  That uniqueness is structural here: the
-copositivity scan only visits supports whose stationarity system has a
-unique solution, and every minimal zero's support is one of them.
+copositivity scan only yields points of supports whose stationarity system
+has a unique solution, and every minimal zero's support is one of them.
 
 Support characterization used throughout: for copositive A, the zeros with
 support exactly S are precisely the embeddings of strictly positive vectors
@@ -16,9 +16,9 @@ the first-order conditions give (A u)_i >= 0 with equality wherever u_i > 0,
 i.e. A_S u_S = 0; conversely A_S u_S = 0 with u_S > 0 makes
 ``u^T A u = u_S^T A_S u_S = 0``.  This equivalence needs copositivity, which
 is why ``minimal_zeros`` checks it.  The zeros themselves are read off the
-copositivity scan (see ``copositivity``), which visits every support once,
-each as a ``Zero``: its primitive integer point, from which its support and
-its sum-normalized coordinates are read.
+copositivity scan (see ``copositivity``), which visits once every support
+that can hold one, each as a ``Zero``: its primitive integer point, from
+which its support and its sum-normalized coordinates are read.
 """
 
 from __future__ import annotations

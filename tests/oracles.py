@@ -13,6 +13,11 @@ the ``Fraction`` back-substitution and form evaluation the integer-native
 core replaced, kept as the reference for it.  ``lp_is_copositive`` is the
 support scan as it was before it skipped systems with a positive-dimensional
 solution set: the exact LP decides positivity on every feasible support.
+``unpruned_is_copositive`` is the scan as it was before it skipped the
+supports with a parent that is not conditionally positive definite, which
+``conditionally_positive_definite`` decides from leading minors instead of
+bordered determinants; ``degenerate_matrix`` draws the seeded families that
+the two are compared on.
 ``fraction_build_graph`` and ``bfs_component_analysis`` are the entry graph
 as it was built before it was read off the extremality system: the gate
 ``(A u)_k = 0`` tested again in ``Fraction`` arithmetic (``matrix_apply``,
@@ -21,7 +26,8 @@ and ``fraction_scaling_failure`` are the D S D decomposition as it was
 before it read the integer form: signs, square roots and the square-product
 condition on the ``Fraction`` entries.  ``hoffman_pereira_supports`` reads
 the minimal supports of a copositive census class off its -1 entries.  The
-helpers at the end were library functions that only tests called, and
+helpers at the end were library functions that only tests called (among
+them ``inverse_rows``, the scan's former elimination fallback), and
 ``zero_from_coordinates`` is the ``Zero`` constructor ``minimal_zeros`` used
 before it took the scan's points as they are.
 """
@@ -32,6 +38,7 @@ import collections
 import importlib.util
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +52,7 @@ from copocert.copositivity import (
 from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
+    _back_substitute,
     _bareiss_echelon,
     _prepare,
     _primitive_int_row,
@@ -566,6 +574,147 @@ def lp_is_copositive(A: SymMatrix) -> CopositivityVerdict:
     return CopositivityVerdict(True, None, best, tuple(zeros))
 
 
+# --- the support scan without pruning ---------------------------------------
+
+def conditionally_positive_definite(A: SymMatrix, support) -> bool:
+    """Whether ``A_S`` is positive definite on ``{v : sum(v) = 0}``: every
+    leading principal minor of ``Z^T A_S Z`` is positive, for the basis
+    ``Z = [e_i - e_last]`` of that subspace, in ``Fraction`` arithmetic."""
+    *rest, last = support
+    B = [[A.get(i, j) - A.get(i, last) - A.get(last, j) + A.get(last, last)
+          for j in rest] for i in rest]
+    # the r-th pivot of an elimination without row exchanges is the ratio
+    # of the r-th leading minor to the one before it
+    for r in range(len(B)):
+        if B[r][r] <= 0:
+            return False
+        for i in range(r + 1, len(B)):
+            f = B[i][r] / B[r][r]
+            for j in range(r, len(B)):
+                B[i][j] -= f * B[r][j]
+    return True
+
+
+def parents_of(support) -> list[tuple[int, ...]]:
+    """The supports one smaller than ``support`` inside it (none for a
+    singleton)."""
+    if len(support) == 1:
+        return []
+    return [support[:j] + support[j + 1:] for j in range(len(support))]
+
+
+def scan_visits(A: SymMatrix):
+    """``(visits, pd)``: the supports whose parents are all conditionally
+    positive definite, by cardinality and then lexicographically, which
+    are the supports the pruned scan must visit; and
+    ``conditionally_positive_definite`` on every support."""
+    pd = {}
+    visits = []
+    for k in range(1, A.n + 1):
+        for support in itertools.combinations(range(A.n), k):
+            pd[support] = conditionally_positive_definite(A, support)
+            if all(pd[p] for p in parents_of(support)):
+                visits.append(support)
+    return visits, pd
+
+
+def unpruned_is_copositive(A: SymMatrix) -> CopositivityVerdict:
+    """``is_copositive``'s decision rule over every support whose system
+    has a unique solution, positive on the support, each solved by
+    ``solve_affine``: the first negative value is the violator, else every
+    value-0 point is a zero and the minimum is exact."""
+    hit = _prefilter_violator(A)
+    if hit is not None:
+        return CopositivityVerdict(False, hit[0], hit[1])
+    n = A.n
+    best = None
+    zeros = []
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            sol = solve_affine(*rational_support_system(A, support), k + 1)
+            if not sol.feasible or sol.dimension:
+                continue
+            if min(sol.particular[:k]) <= 0:
+                continue
+            x = [Fraction(0)] * n
+            for v, i in zip(sol.particular, support):
+                x[i] = v
+            value = fraction_quadratic(A, x)
+            if value < 0:
+                return CopositivityVerdict(False, tuple(x), value)
+            if value == 0:
+                zeros.append(zero_from_coordinates(x))
+            if best is None or value < best:
+                best = value
+    return CopositivityVerdict(True, None, best, tuple(zeros))
+
+
+DEGENERATE_FAMILIES = ("zero_diagonal", "psd_plus_nonnegative", "sign_pattern",
+                       "hildebrand", "rank_one")
+
+
+def degenerate_matrix(family: str, n: int, seed: int) -> SymMatrix:
+    """A seeded order-n matrix of one of ``DEGENERATE_FAMILIES``, whose
+    support systems are often singular or indefinite:
+
+    - ``zero_diagonal``: small rational entries, about half the diagonal 0,
+      mostly nonnegative in the rows of a zero diagonal entry;
+    - ``psd_plus_nonnegative``: ``B B^T`` of rank 1 or 2 plus a sparse
+      nonnegative symmetric part, scaled by a positive diagonal;
+    - ``sign_pattern``: every entry, the diagonal too, in ``{-1, 0, 1}``,
+      leaning to +1;
+    - ``hildebrand``: T(psi) for random rational ``t`` in (0, 0.7), on either
+      side of ``sum(psi) = pi``, with ``n - 5`` of its indices repeated
+      (``n >= 5``), permuted and scaled by a positive diagonal;
+    - ``rank_one``: ``v v^T`` for a rational v of mixed signs (``n >= 2``).
+    """
+    rng = random.Random(f"{family}/{n}/{seed}")
+    F = Fraction
+    if family == "zero_diagonal":
+        zero = [rng.random() < 0.5 for _ in range(n)]
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            if not zero[i]:
+                rows[i][i] = F(rng.randint(1, 4), rng.randint(1, 3))
+            for j in range(i + 1, n):
+                # mostly nonnegative next to a zero diagonal entry
+                low = 0 if (zero[i] or zero[j]) and rng.random() < 0.9 else -2
+                rows[i][j] = rows[j][i] = F(rng.randint(low, 3),
+                                            rng.randint(1, 3))
+        return SymMatrix.from_rows(rows)
+    if family == "psd_plus_nonnegative":
+        A = random_psd(rng, n, rng.randint(1, 2))
+        rows = [list(A.row(i)) for i in range(n)]
+        for _ in range(rng.randint(0, n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += rng.randint(1, 3)
+            if i != j:
+                rows[j][i] = rows[i][j]
+        return scale(SymMatrix.from_rows(rows),
+                     DiagonalScaling(random_positive_diagonal(rng, n)))
+    if family == "sign_pattern":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice((-1, 0, 0, 1, 1, 1, 1, 1, 1, 1))
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice((-1, 0, 1, 1))
+        return SymMatrix.from_integer_rows(rows)
+    if family == "hildebrand":
+        if n < 5:
+            raise ValueError("the hildebrand family starts at order 5")
+        T = hildebrand_t([F(rng.randint(1, 6), 10) for _ in range(5)])
+        index = list(range(5)) + [rng.randrange(5) for _ in range(n - 5)]
+        perm = rng.sample(index, n)
+        A = SymMatrix.from_rows([[T.get(a, b) for b in perm] for a in perm])
+        return scale(A, DiagonalScaling(random_positive_diagonal(rng, n)))
+    if family == "rank_one":
+        signs = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)]
+        rng.shuffle(signs)
+        return SymMatrix.rank_one(
+            [s * F(rng.randint(1, 5), rng.randint(1, 4)) for s in signs])
+    raise ValueError(f"unknown family {family!r}")
+
+
 def random_psd(rng, n: int, rank: int) -> SymMatrix:
     """``B B^T`` for a random integer ``n x rank`` matrix B with entries in
     [-2, 2]: positive semidefinite, of rank at most ``rank``."""
@@ -588,6 +737,26 @@ def fraction_candidates(A: SymMatrix, *, cache: dict | None = None):
         for c, i in zip(p, support):
             x[i] = Fraction(c, q)
         yield Fraction(total, q * q * d), tuple(x)
+
+
+def inverse_rows(rows, count):
+    """``(p, Y)`` for a square integer matrix K: ``p`` is the last pivot of
+    one fraction-free elimination, which is ``det K`` up to sign, and ``Y``
+    holds the first ``count`` columns of ``p K^-1`` (its first rows when K
+    is symmetric), integral by Cramer's rule.  ``(0, None)`` when K is
+    singular, decided by the pivot count alone.
+    """
+    m = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(count)]
+           for i, r in enumerate(rows)]
+    ech, pivots = _bareiss_echelon(aug, m)
+    if len(pivots) < m:
+        return 0, None
+    cols = []
+    for j in range(count):
+        y, p = _back_substitute(ech, pivots, m, rhs_col=m + j)
+        cols.append(y)
+    return p, cols
 
 
 def min_on_simplex(A: SymMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:

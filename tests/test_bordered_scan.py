@@ -1,16 +1,20 @@
-"""The bordered support scan against the general solve it replaced.
+"""The pruned bordered support scan against the general solve it replaced.
 
-``stationary_candidates`` solves each support's system ``K_S (nu, u) = e_0``
-in closed form at size 1, by bordering the adjugate of its parent
-``S[:-1]``, else of another nonsingular parent ``S - {s}``, else by
-extending a singular parent's kernel vector, and as a last resort by one
-elimination.  The replaced chain stays in ``src/`` as the oracle:
-``solve_affine`` gives the solution set, ``strictly_positive_point`` decides
-positivity and ``eval_quadratic`` the value.  For every support the two must
+``stationary_candidates`` solves a support's system ``K_S (nu, u) = e_0``
+only when every parent ``S - {s}`` is conditionally positive definite: in
+closed form at size 1, else by bordering the adjugate of ``S[:-1]``.  The
+replaced chain stays in ``src/`` as the oracle: ``solve_affine`` gives the
+solution set, ``strictly_positive_point`` decides positivity and
+``eval_quadratic`` the value.  ``oracles.conditionally_positive_definite``
+decides, from the leading minors of ``Z^T A_S Z``, which supports the scan
+must visit.  The visited supports must be exactly those whose parents it
+accepts, and the sign of each determinant must say whether the support is
+accepted itself.  For every visited support the scan and the oracle must
 agree on whether the solution is unique, whether it is positive, the point
 and the value; every full adjugate the scan keeps must satisfy
-``adj K_S K_S = det K_S I``, and every kernel vector it carries must solve
-``K_S z = 0``.  Each test also asserts which branches its inputs reached.
+``adj K_S K_S = det K_S I``, and every kernel vector it returns must solve
+``K_S z = 0``.  Each test also asserts which branches its inputs reached
+and which supports the pruning skipped.
 """
 
 import itertools
@@ -22,7 +26,7 @@ import pytest
 
 import copocert.copositivity as copositivity_mod
 from copocert.census import ALPHABET, Candidate, read_records
-from copocert.copositivity import stationary_candidates
+from copocert.copositivity import is_copositive, stationary_candidates
 from copocert.linalg import SymMatrix, eval_quadratic, solve_affine
 from copocert.lp import strictly_positive_point
 from copocert.scaling import DiagonalScaling, scale
@@ -31,10 +35,13 @@ from oracles import (
     benchmark_families,
     bordered_system,
     fraction_candidates,
+    parents_of,
     random_positive_diagonal,
     random_psd,
     random_symmetric,
     rational_support_system,
+    scan_visits,
+    unpruned_is_copositive,
 )
 
 F = Fraction
@@ -44,15 +51,15 @@ BASELINE = "tests/baselines/census_n5.txt"
 @pytest.fixture
 def solves(monkeypatch):
     """Every ``_support_system`` call of the scan as ``(support, branch,
-    det, rows)``, with branch "size 1", "bordered", "other parent",
-    "kernel vector" or "eliminated"."""
+    det, rows)``, with branch "size 1" or "bordered"."""
     calls = []
     real = copositivity_mod._support_system
 
     def recording(M, support, parents, full):
-        det, rows, branch = real(M, support, parents, full)
+        det, rows = real(M, support, parents, full)
+        branch = "size 1" if len(support) == 1 else "bordered"
         calls.append((support, branch, det, rows))
-        return det, rows, branch
+        return det, rows
 
     monkeypatch.setattr(copositivity_mod, "_support_system", recording)
     return calls
@@ -91,38 +98,54 @@ def check_solve(A: SymMatrix, support, det, rows):
     return expected
 
 
+def count_pruned(A: SymMatrix, visits, branches: Counter) -> None:
+    """Count each support the scan skipped by why: a parent with a
+    singular system, else an indefinite one; and, apart, each skipped
+    nonsingular support whose ``S[:-1]`` is singular."""
+    unique = {}
+
+    def nonsingular(support):
+        if support not in unique:
+            unique[support] = oracle(A, support)[0]
+        return unique[support]
+
+    visited = set(visits)
+    for k in range(2, A.n + 1):
+        for support in itertools.combinations(range(A.n), k):
+            if support in visited:
+                continue
+            singular = not all(map(nonsingular, parents_of(support)))
+            branches["pruned", "singular" if singular else "indefinite"] += 1
+            if not nonsingular(support[:-1]) and nonsingular(support):
+                branches["pruned", "nonsingular child"] += 1
+
+
 def agree(A: SymMatrix, solves, branches: Counter) -> None:
-    """Scan A without a cache and compare every support with the oracle."""
+    """Scan A without a cache and compare every visited support with the
+    oracle; the visited supports are exactly the expected ones."""
     solves.clear()
     found = {}
     for value, x in fraction_candidates(A):
         support = tuple(i for i, c in enumerate(x) if c)
         assert support not in found, (A, support)
         found[support] = (x, value)
+    visits, pd = scan_visits(A)
+    assert [s for s, _, _, _ in solves] == visits, A
     det_of = {}
     for support, branch, det, rows in solves:
         det_of[support] = det
         _, point, value = check_solve(A, support, det, rows)
+        assert (det < 0) == pd[support], (A, support)
         got = found.pop(support, (None, None))
         assert got == (point, value), (A, support)
         assert all(type(c) is Fraction for c in got[0] or ()), (A, support)
         branches[branch, "singular" if not det else
                  "negative" if det < 0 else "positive"] += 1
-        if branch == "size 1":
-            continue
-        parent_dets = [det_of[support[:j] + support[j + 1:]]
-                       for j in range(len(support))]
         if branch == "bordered":
-            assert det_of[support[:-1]] != 0, (A, support)
-        else:
-            assert det_of[support[:-1]] == 0, (A, support)
-            # without a cache, every nonsingular parent of a support whose
-            # S[:-1] is singular keeps its full adjugate for it
-            assert any(parent_dets) == (branch == "other parent"), (A, support)
+            assert all(det_of[p] < 0 for p in parents_of(support)), \
+                (A, support)
     assert not found, A
-    assert [s for s, _, _, _ in solves] == [
-        s for k in range(1, A.n + 1)
-        for s in itertools.combinations(range(A.n), k)], A
+    count_pruned(A, visits, branches)
 
 
 def test_every_candidate_up_to_order_4_and_the_order5_classes(solves):
@@ -139,15 +162,12 @@ def test_every_candidate_up_to_order_4_and_the_order5_classes(solves):
     assert count == 1 + 3 + 27 + 729 + 792
     assert branches["size 1", "negative"] > 0
     assert branches["bordered", "negative"] > 0
-    assert branches["bordered", "positive"] > 0
+    # no visited support of these classes is indefinite: a bordered solve
+    # with a positive determinant is reached by the seeded matrices below
     assert branches["bordered", "singular"] > 0
-    assert branches["other parent", "negative"] > 0
-    assert branches["other parent", "positive"] > 0
-    assert branches["other parent", "singular"] > 0
-    assert branches["kernel vector", "singular"] > 0
-    # every parent singular and no kernel vector extends: one class
-    assert branches["eliminated", "negative"] + \
-        branches["eliminated", "positive"] > 0
+    assert branches["pruned", "singular"] > 0
+    assert branches["pruned", "indefinite"] > 0
+    assert branches["pruned", "nonsingular child"] > 0
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -165,36 +185,50 @@ def test_seeded_rationals(solves, n):
     for A in matrices:
         agree(A, solves, branches)
     assert branches["bordered", "singular"] > 0
-    assert branches["kernel vector", "singular"] > 0
-    assert not branches["eliminated", "singular"]
+    assert branches["pruned", "singular"] > 0
+
+
+def test_rank_one_stops_at_triples(solves):
+    # v v^T is conditionally positive definite on the pairs of distinct
+    # entries (det K = -(v_i - v_j)^2) and singular on every triple, so
+    # order 8 solves its 8 + 28 nonsingular systems, finds the 56 triples
+    # singular and visits no larger support
+    v = [F(1, 2), -1, F(3, 2), -2, 3, F(-1, 3), 5, F(-7, 4)]
+    A = SymMatrix.rank_one(v)
+    assert is_copositive(A) == unpruned_is_copositive(A)
+    solves.clear()
+    list(stationary_candidates(A))
+    sizes = Counter((len(s), det != 0) for s, _, det, _ in solves)
+    assert sizes == {(1, True): 8, (2, True): 28, (3, False): 56}
 
 
 def test_singular_parent_with_a_nonsingular_child(solves):
     # a seeded search over small-integer matrices for nonsingular systems
-    # whose S[:-1] is singular: each borders another parent instead
+    # whose S[:-1] is singular: the scan skips each of them
     rng = random.Random(41)
     branches = Counter()
     hits = 0
     for _ in range(200):
         A = random_symmetric(rng, rng.randint(3, 5), num_range=(-2, 2),
                              den_range=(1, 1), diag_range=(-1, 2))
-        before = branches["other parent", "negative"] + \
-            branches["other parent", "positive"]
+        before = branches["pruned", "nonsingular child"]
         agree(A, solves, branches)
-        hits += branches["other parent", "negative"] + \
-            branches["other parent", "positive"] > before
+        assert is_copositive(A) == unpruned_is_copositive(A), A
+        hits += branches["pruned", "nonsingular child"] > before
     assert hits >= 10
-    assert branches["other parent", "negative"] > 0
-    assert branches["other parent", "positive"] > 0
-    assert branches["other parent", "singular"] > 0
-    assert branches["kernel vector", "singular"] > 0
+    assert branches["bordered", "negative"] > 0
+    assert branches["bordered", "positive"] > 0
+    assert branches["bordered", "singular"] > 0
+    assert branches["pruned", "singular"] > 0
 
 
-def test_eliminated_when_no_parent_borders(solves):
+def test_first_row_hits_are_solved_again(solves):
     # a cache shared across orders: each principal submatrix of order n - 1
     # is scanned first as a matrix of its own, where its top support keeps
-    # only the first adjugate row, so an order-n support whose parents are
-    # all nonsingular has none to border and is eliminated (integer entries,
+    # only the first adjugate row.  The order-n scan hits every support
+    # below n; it solves S[:-1] = (0, ..., n - 2) again, when that is
+    # conditionally positive definite, so that the top support can border
+    # it, and then the top support if all its parents are (integer entries,
     # so that the submatrices have the common denominator 1 of the whole,
     # and its keys)
     rng = random.Random(5)
@@ -209,31 +243,40 @@ def test_eliminated_when_no_parent_borders(solves):
                     list(stationary_candidates(A.principal(rest), cache=cache))
                 solves.clear()
                 assert list(stationary_candidates(A, cache=cache)) == alone, A
-                ((support, branch, det, rows),) = solves
-                assert support == tuple(range(n)), A
-                check_solve(A, support, det, rows)
-                branches[branch, "singular" if not det else "nonsingular"] += 1
-    assert branches["eliminated", "singular"] > 0
-    assert branches["eliminated", "nonsingular"] > 0
+                visits, pd = scan_visits(A)
+                top = tuple(range(n))
+                head = [top[:-1]] if pd[top[:-1]] else []
+                assert [s for s, _, _, _ in solves] == head + [
+                    s for s in visits if s == top], A
+                for support, _, det, rows in solves:
+                    check_solve(A, support, det, rows)
+                    branches[len(support) == n,
+                             "singular" if not det else "nonsingular"] += 1
+                assert is_copositive(A, cache=cache) == \
+                    unpruned_is_copositive(A), A
+    assert branches[False, "nonsingular"] > 0  # S[:-1] solved again
+    assert branches[True, "singular"] > 0
+    assert branches[True, "nonsingular"] > 0
 
 
 def test_benchmark_families_make_no_elimination(solves):
     # one full scan each of the dsd, bbt, rank1 and refute families at
-    # n = 6..8 (seed 77), which made 333 eliminations, 249 on rank1, when
-    # only S[:-1] was bordered
+    # n = 6..8 (seed 77): every support solved has conditionally positive
+    # definite parents, and each family skips some
     families = benchmark_families()
-    branches = Counter()
+    pruned = Counter()
     for family in ("dsd", "bbt", "rank1", "refute"):
         for n in (6, 7, 8):
             case = families.generate(family, n, 77, (0, 0))
+            A = SymMatrix.from_rows(case.matrix)
             solves.clear()
-            list(stationary_candidates(SymMatrix.from_rows(case.matrix)))
-            for _, branch, _, _ in solves:
-                branches[family, branch] += 1
-    assert not sum(v for (_, b), v in branches.items() if b == "eliminated")
-    assert branches["rank1", "kernel vector"] > 0
-    assert branches["dsd", "other parent"] > 0
-    assert branches["refute", "other parent"] > 0
+            list(stationary_candidates(A))
+            visits, _ = scan_visits(A)
+            assert [s for s, _, _, _ in solves] == visits, (family, n)
+            assert is_copositive(A) == unpruned_is_copositive(A), (family, n)
+            pruned[family] += 2 ** n - 1 - len(visits)
+    assert all(pruned[family] > 0 for family in ("dsd", "bbt", "rank1",
+                                                 "refute")), pruned
 
 
 def check_yielded(A: SymMatrix, candidates) -> int:

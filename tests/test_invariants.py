@@ -290,7 +290,7 @@ class TestCopositivity:
         monkeypatch.setattr(
             copositivity_mod, "_support_system",
             lambda M, support, parents, full:
-                (-1, [[0] + [-1] * len(support)], "stub"))
+                (-1, [[0] + [-1] * len(support)]))
         with pytest.raises(InvariantError, match="sum 1"):
             is_copositive(SymMatrix.identity(2))
 

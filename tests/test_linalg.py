@@ -14,7 +14,6 @@ from copocert.linalg import (
     canonical_vector,
     eval_quadratic,
     horn_matrix,
-    inverse_rows,
     is_proportional,
     kernel_basis,
     solve_affine,
@@ -22,7 +21,7 @@ from copocert.linalg import (
     upper_size,
 )
 
-from oracles import dot, matrix_apply, rank_nullity
+from oracles import dot, inverse_rows, matrix_apply, rank_nullity
 
 F = Fraction
 

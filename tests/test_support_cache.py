@@ -3,11 +3,12 @@
 ``stationary_candidates`` keys each support's system by the upper triangle
 of the integer numerators ``M_S`` followed by the matrix's common
 denominator ``d``, and caches the integer point and value numerator with
-the determinant and the adjugate (or kernel vector), so that a hit can be
-bordered like a solved support.  A scan through a shared cache must report exactly what a
-scan without one reports, every cached system must be what a scan of
-``M_S / d`` alone finds, and a ``run_census`` call must start from an empty
-cache.
+the determinant and, for a conditionally positive definite support, the
+adjugate, so that a hit can be bordered like a solved support, and a hit
+that is not conditionally positive definite prunes its supersets.  A scan
+through a shared cache must report exactly what a scan without one
+reports, every cached system must be what a scan of ``M_S / d`` alone
+finds, and a ``run_census`` call must start from an empty cache.
 """
 
 import itertools
@@ -21,7 +22,14 @@ from copocert.census import ALPHABET, Candidate, read_records, run_census
 from copocert.copositivity import is_copositive, stationary_candidates
 from copocert.linalg import SymMatrix
 
-from oracles import bordered_system, from_upper_entries, random_symmetric
+from oracles import (
+    bordered_system,
+    conditionally_positive_definite,
+    from_upper_entries,
+    parents_of,
+    random_symmetric,
+    scan_visits,
+)
 
 F = Fraction
 BASELINE = "tests/baselines/census_n5.txt"
@@ -68,11 +76,14 @@ def test_cached_systems_match_a_scan_without_cache():
         alone = [tuple(c[1:]) for c in stationary_candidates(A)
                  if len(c[0]) == k]
         assert found == (alone[0] if alone else None), key
+        # a support is cached only where the scan visits it
+        assert all(conditionally_positive_definite(A, p)
+                   for p in parents_of(tuple(range(k)))), key
+        assert (det < 0) == conditionally_positive_definite(A, range(k)), key
         K = bordered_system(A.integer_form[0], range(k))
-        if not det:
-            kept["kernel vector" if rows else "singular"] += 1
-            assert rows is None or any(rows) and all(
-                sum(a * z for a, z in zip(r, rows)) == 0 for r in K), key
+        if det >= 0:
+            kept["not positive definite"] += 1
+            assert rows is None, key
         elif len(rows) > 1:
             kept["adjugate"] += 1
             assert [[sum(a * b for a, b in zip(r, col)) for col in zip(*K)]
@@ -80,26 +91,38 @@ def test_cached_systems_match_a_scan_without_cache():
                                        for i in range(k + 1)], key
         else:
             kept["first row"] += 1
-    # hits keep what a parent needs: full adjugates below each scan's order
-    assert kept["adjugate"] > 0 and kept["kernel vector"] > 0
+    # hits keep what a parent needs: full adjugates below each scan's order,
+    # and the sign that prunes the supersets of the other supports
+    assert kept["adjugate"] > 0 and kept["not positive definite"] > 0
     assert kept["first row"] > 0
 
 
 def test_hits_serve_as_parents(monkeypatch):
     # with hits that kept no adjugate, the order-5 census made 520
-    # eliminations and 2 bordered solves
+    # eliminations and 2 bordered solves.  Every solve above size 1 now
+    # borders the full adjugate of S[:-1], and some of those parents are
+    # hits, not solved in the same scan.  The pruned census solves 16
+    # systems in all at order 5, against 520 with every support scanned
     routes = Counter()
+    solved = set()
     real = copositivity_mod._support_system
 
-    def counting(*args):
-        det, rows, route = real(*args)
-        routes[route] += 1
-        return det, rows, route
+    def counting(M, support, parents, full):
+        rest = support[:-1]
+        if len(support) == 1:
+            routes["size 1"] += 1
+        elif rest in parents and len(parents[rest][1]) == len(support):
+            routes["bordered" if (M, rest) in solved else "hit bordered"] += 1
+        else:
+            routes["eliminated"] += 1
+        solved.add((M, support))
+        return real(M, support, parents, full)
 
     monkeypatch.setattr(copositivity_mod, "_support_system", counting)
     run_census(5)
     assert routes["eliminated"] <= 1
-    assert routes["bordered"] + routes["other parent"] > 100
+    assert routes["hit bordered"] > 0
+    assert sum(routes.values()) < 100
 
 
 def test_shared_cache_across_denominators():
@@ -141,3 +164,35 @@ def test_no_state_between_census_calls(monkeypatch):
     solved = len(calls)
     assert run_census(4) == first
     assert solved > 0 and len(calls) == 2 * solved
+
+
+class AskedDict(dict):
+    """A cache that records every key the scan looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+def test_keys_only_for_visited_supports():
+    # the second scan is all hits, and a hit that is not conditionally
+    # positive definite prunes like a solve: both scans look up exactly the
+    # supports that the oracle says the pruned scan visits
+    rng = random.Random(29)
+    pruned = 0
+    for _ in range(40):
+        A = random_symmetric(rng, rng.randint(2, 6), num_range=(-3, 3),
+                             den_range=(1, 2), diag_range=(0, 3))
+        visits, _ = scan_visits(A)
+        cache = AskedDict()
+        alone = list(stationary_candidates(A))
+        for _ in range(2):
+            cache.asked.clear()
+            assert list(stationary_candidates(A, cache=cache)) == alone, A
+            assert len(cache.asked) == len(visits), A
+        pruned += 2 ** A.n - 1 - len(visits)
+    assert pruned > 0
