@@ -75,23 +75,44 @@ This loses nothing:
     the same support, with the same violator and the same
     ``simplex_minimum``.
 
-Each visited support is its parent ``S' = S[:-1]`` (s the largest index,
-so the new row and column come last, in sorted order) plus one bordered row
-and column: ``b = (1, M_st for t in S')`` and ``c = M_ss``.  S' is PD, so
-``K_S'`` is nonsingular, and from its adjugate and determinant D, with
-``w = adj(K_S') b``,
+The scan keeps 2k + 2 integers for each PD support Y of size k:
+``D_Y = det K_Y``; ``f_Y``, the first column of ``adj K_Y``, whose tail
+over ``D_Y`` is Y's point; and ``v_Y = adj(K_Y') b_Y`` for ``Y' = Y[:-1]``,
+where ``b_Y`` is the last column of ``K_Y`` above its diagonal (the new
+row and column come last, as indices are sorted).  Bordering a
+nonsingular symmetric K' with a column b and a corner c gives, with
+``w = adj(K') b`` and ``D' = det K'``,
 
-    det K_S = c D - b^T w,
-    adj K_S = [[(det K_S adj K_S' + w w^T) / D, -w], [-w^T, D]]
+    det K = c D' - b^T w,
+    adj K = [[(det K adj K' + w w^T) / D', -w], [-w^T, D']]
 
-(Sylvester's identity, as in fraction-free elimination).  The divisions are
-exact because ``adj K_S`` is an integer matrix, and each is checked.  Size
-1 is closed form: ``det = -1`` and ``adj = [[c, -1], [-1, 0]]``.  Every
-determinant comes from that closed form through this recurrence, so its
-sign, which decides PD, is exact.  A parent can be bordered only if its full
-adjugate was kept, and a full adjugate costs O(k^2) against O(k) for the
-first row, so the scan keeps one only for the supports that a child
-borders: those whose largest index is not n - 1.
+(Sylvester's identity, as in fraction-free elimination).  A visited X of
+size k >= 3 is ``S + (s, t)``, ``s < t``, and joins two PD parents that
+differ in their last index, ``X1 = S + (s,)`` and ``X2 = S + (t,)``; S is
+PD as a subset of X1.  With ``b = (1, M_tu for u in S)``, ``b_X`` is
+``(b, M_st)`` and ``adj(K_S) b = v_X2``, so the identity for ``K_X1``
+(``K' = K_S``, ``w = v_X1``) times ``b_X``, and then for ``K_X`` read at
+column 0, give
+
+    v_X = ((D_X1 v_X2 + (v_X1 . b) v_X1) / D_S - M_st v_X1,
+           D_S M_st - v_X1 . b),
+    D_X = M_tt D_X1 - b_X . v_X,
+    f_X = ((D_X f_X1 + v_X[0] v_X) / D_X1, -v_X[0]),
+
+each in O(k).  Both divisions are exact: the first numerator is ``D_S``
+times a block of the integer matrix ``adj K_X1`` times b, the second
+``D_X1`` times the head of column 0 of the integer ``adj K_X``; each is
+checked.  Singletons and pairs are closed forms: ``D = -1``,
+``f = (M_ii, -1)``, ``v = (1,)`` (``adj`` of the 1 x 1 ``K_()`` is
+``[[1]]``), and ``D = 2 M_st - M_ss - M_tt``,
+``f = (M_ss M_tt - M_st^2, M_st - M_tt, M_st - M_ss)``,
+``v = (M_ss - M_st, -1)``.  Every determinant comes from those closed
+forms through exact integer steps, so its sign, which decides PD, is
+exact.  ``D_X``, ``f_X`` and ``v_X``, like the point and its value's
+numerator, are functions of ``M_X`` alone (``K_X`` and ``K_X1`` are its
+bordered matrices), so the cache key of ``stationary_candidates``, the
+upper triangle of ``M_X`` followed by ``d``, still determines everything
+the scan keeps for X, whichever matrix the entry came from.
 
 The scan hands out integers only: each point as its numerators ``p`` over
 ``q = |det K_S|``, with its value's numerator ``p^T M_S p`` over ``q^2 d``.
@@ -102,8 +123,10 @@ the primitive integer multiple of ``p``.
 
 Membership testing is co-NP-complete in general; the support scan, up to
 2^n - 1 supports, is deliberate and fine for the orders this package
-targets (n <= 8).  The adjugates kept per level grow like C(n, n/2)
-(n/2)^2, so the scan refuses orders above ``MAX_SCAN_ORDER``.  The tests
+targets (n <= 8).  The states kept per level grow like C(n, n/2) n,
+and a full scan visits all 2^n - 1 supports, so the scan refuses orders
+above ``MAX_SCAN_ORDER``: a ``check`` at order 16, where every support is
+PD, takes seconds, and each order above it doubles the supports.  The tests
 cross-check it against the general elimination and sign check it replaced,
 against the unpruned scan and the exact LP on every feasible support, and
 against an independent one-sided falsifier that bisects the simplex
@@ -115,20 +138,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
 from operator import itemgetter, mul
 
 from .errors import InvariantError, OrderTooLargeError
-from .linalg import (
-    ONE,
-    ZERO,
-    SymMatrix,
-    Vector,
-    bordered_adjugate,
-    upper_index,
-    upper_size,
-)
+from .linalg import ONE, ZERO, SymMatrix, Vector, upper_index, upper_size
 
 MAX_SCAN_ORDER = 16
 
@@ -193,36 +208,66 @@ def _key_getters(n):
             for k in range(1, n + 1) for s in combinations(range(n), k)}
 
 
-def _children(parents, n):
-    """The supports one larger than those in ``parents`` whose every parent
-    is in ``parents``, in lexicographic order when ``parents`` is.
+def _children(parents, grand):
+    """``(X, det K_S, first, second)`` for each support ``X = S + (s, t)``,
+    ``s < t``, whose parents are all in ``parents``, in lexicographic order
+    when ``parents`` is: ``first`` and ``second`` are the entries of the two
+    siblings it joins, ``S + (s,)`` and ``S + (t,)``, and ``det K_S`` is
+    read from ``grand``, the level of S (None for pairs, whose S is
+    empty).
 
-    A support ``S = P + (s,)`` with ``s > max(P)`` comes from ``P = S[:-1]``
-    alone, and tuples of one length order by their last entry after their
-    prefix, so extending each parent in order keeps the order."""
-    for parent in parents:
-        for s in range(parent[-1] + 1 if parent else 0, n):
-            support = (*parent, s)
-            for j in range(len(parent)):
-                if support[:j] + support[j + 1:] not in parents:
-                    break
-            else:
-                yield support
+    Siblings share their prefix S, so in lexicographic order they are
+    consecutive, and joining each with the later ones in order keeps the
+    order.  The other parents, X without an element of S, are looked up."""
+    for prefix, group in groupby(parents.items(), key=lambda kv: kv[0][:-1]):
+        group = list(group)
+        det = grand[prefix][1] if prefix else None
+        for a, (first, entry) in enumerate(group):
+            for second, sibling in group[a + 1:]:
+                support = first + second[-1:]
+                for j in range(len(prefix)):
+                    if support[:j] + support[j + 1:] not in parents:
+                        break
+                else:
+                    yield support, det, entry, sibling
 
 
-def _support_system(M, support, parents, full):
-    """``(det K_S, rows)`` for the system of ``support``: ``rows`` is the
-    first row of ``adj K_S`` (all rows when ``full``), or a kernel vector
-    when the determinant is 0.  ``parents`` maps ``support[:-1]`` to its
-    determinant and full adjugate (see the module docstring)."""
+def _support_state(M, support, det, first, second):
+    """``(D, f, v)`` for ``X = support``: ``D = det K_X``, ``f`` the first
+    column of ``adj K_X`` and ``v = adj(K_X1) b``, where ``X1 = X[:-1]``
+    and ``b`` is the last column of ``K_X`` above its diagonal.  Sizes 1
+    and 2 are closed forms; a larger X is computed in O(k) from
+    ``det = det K_S``, ``S = X[:-2]``, and the entries ``first`` of ``X1``
+    and ``second`` of its sibling ``S + X[-1:]`` (see the module
+    docstring).  Each division is checked exact (InvariantError): floor
+    remainders share the sign of the divisor, so they sum to 0 only if
+    each is 0, and one comparison of sums checks them all."""
     if len(support) == 1:
-        c = M[support[0]][support[0]]
-        return -1, [[c, -1], [-1, 0]]
-    rest = support[:-1]
-    det, adj = parents[rest]
+        i = support[0]
+        return -1, [M[i][i], -1], [1]
+    s = support[-2]
     row = M[support[-1]]
-    return bordered_adjugate(adj, det, [1] + [row[t] for t in rest],
-                             row[support[-1]], full=full)
+    mss, mst, mtt = M[s][s], row[s], row[support[-1]]
+    if len(support) == 2:
+        return (2 * mst - mss - mtt, [mss * mtt - mst * mst, mst - mtt,
+                                      mst - mss], [mss - mst, -1])
+    _, d1, f1, v1 = first
+    b = [1]
+    b += map(row.__getitem__, support[:-2])
+    c = sum(map(mul, v1, b)) - mst * det
+    num = [d1 * y + c * x for x, y in zip(v1, second[3])]
+    v = [x // det for x in num]
+    if sum(num) != det * sum(v):
+        raise InvariantError("bordered recurrence division must be exact")
+    D = mtt * d1 - sum(map(mul, b, v)) + mst * c
+    v.append(-c)
+    w = v[0]
+    num = [D * x + w * y for x, y in zip(f1, v)]
+    f = [x // d1 for x in num]
+    if sum(num) != d1 * sum(f):
+        raise InvariantError("bordered recurrence division must be exact")
+    f.append(-w)
+    return D, f, v
 
 
 def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
@@ -236,8 +281,9 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
 
     Supports are scanned by cardinality, then lexicographically, so strict
     subsets come before their supersets.  Each system is solved on the
-    integer numerators of ``A = M / d`` by bordering its parent's.  ``p``
-    is the first column of ``adj K_S`` on the unknowns u and
+    integer numerators of ``A = M / d`` from the states of its two parents
+    ``S[:-1]`` and ``S[:-2] + S[-1:]`` in O(k).  ``p`` is ``f[1:]``, the
+    first column of ``adj K_S`` on the unknowns u, and
     ``q = |det K_S|``, signs matched so that ``p > 0``; ``total`` is
     recomputed as ``p^T M_S p``, so each candidate is an attained simplex
     value by construction, and ``sum(p) == q`` is checked (InvariantError).
@@ -245,19 +291,15 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
     scan starts.
 
     The system of support S, its point and its value depend only on
-    ``A_S = M_S / d``.  A caller that scans many matrices (the census) may
-    pass one dict as ``cache``: it is keyed by the upper triangle of
-    ``M_S`` followed by ``d``, built only for the supports the scan
-    visits, and maps to ``(found, D, rows)``, where ``found`` is ``None``
-    (no unique positive solution) or ``(p, q, total)`` as yielded, ``D``
-    is ``det K_S`` and ``rows`` is ``None`` unless S is conditionally
-    positive definite (``D < 0``), so each distinct principal submatrix is
-    solved once, and a hit with ``D >= 0`` prunes its supersets like a
-    solve.  Every support smaller than the order then keeps its full
-    adjugate, so that a hit can be bordered wherever its key recurs; a hit
-    that kept only a first row, from a scan of a smaller order, is solved
-    again (and stored so) before a child borders it.  Without a cache no
-    key is built.
+    ``A_S = M_S / d``, and so do ``D``, ``f`` and ``v``.  A caller that
+    scans many matrices (the census) may pass one dict as ``cache``: it is
+    keyed by the upper triangle of ``M_S`` followed by ``d``, built only
+    for the supports the scan visits, and maps to ``(found, D, f, v)``,
+    where ``found`` is ``None`` (no unique positive solution) or
+    ``(p, q, total)`` as yielded.  Each distinct principal submatrix is
+    solved once, whatever order the matrix that first met it had: a hit
+    with ``D < 0`` serves as a parent as stored, and a hit with ``D >= 0``
+    prunes its supersets like a solve.  Without a cache no key is built.
     """
     n = A.n
     if n > MAX_SCAN_ORDER:
@@ -267,50 +309,46 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
     if cache is not None:
         flat = (*[x for i, row in enumerate(M) for x in row[i:]], d)
         getters = _key_getters(n)
-    parents = {(): None}
+    grand = parents = {}
     for k in range(1, n + 1):
         level = {}  # the conditionally positive definite supports of size k
-        for support in _children(parents, n):
-            if cache is None:
-                full = support[-1] < n - 1
-            else:
+        if k == 1:
+            visits = [((i,), None, None, None) for i in range(n)]
+        else:
+            visits = _children(parents, grand)
+        for support, det, first, second in visits:
+            if cache is not None:
                 key = getters[support](flat)
-                hit = cache.get(key)
-                if hit is not None:
-                    found, det, rows = hit
-                    if det < 0:
-                        if support[-1] < n - 1 and len(rows) == 1:
-                            det, rows = _support_system(M, support, parents,
-                                                        True)
-                            cache[key] = found, det, rows
-                        level[support] = det, rows
-                    if found is not None:
-                        yield (support, *found)
+                entry = cache.get(key)
+                if entry is not None:
+                    if entry[1] < 0:
+                        level[support] = entry
+                    if entry[0] is not None:
+                        yield (support, *entry[0])
                     continue
-                full = k < n
-            det, rows = _support_system(M, support, parents, full)
+            D, f, v = _support_state(M, support, det, first, second)
             found = None
-            if det:
-                if det < 0:
-                    level[support] = det, rows
-                p = rows[0][1:]
-                q = det
+            p = f[1:]
+            if D < 0 and max(p) < 0 or D > 0 and min(p) > 0:
+                q = D
                 if q < 0:
                     q, p = -q, [-x for x in p]
-                if min(p) > 0:
-                    if sum(p) != q:  # the row sum(u) = 1 of the system
-                        raise InvariantError(
-                            "stationary point must have coordinate sum 1")
-                    total = 0
-                    for x, i in zip(p, support):
-                        row = M[i]
-                        total += x * sum(map(mul, [row[j] for j in support], p))
-                    found = tuple(p), q, total
+                if sum(p) != q:  # the row sum(u) = 1 of the system
+                    raise InvariantError(
+                        "stationary point must have coordinate sum 1")
+                total = 0
+                for x, i in zip(p, support):
+                    row = M[i]
+                    total += x * sum(map(mul, [row[j] for j in support], p))
+                found = tuple(p), q, total
+            entry = found, D, f, v
+            if D < 0:
+                level[support] = entry
             if cache is not None:
-                cache[key] = found, det, rows if det < 0 else None
+                cache[key] = entry
             if found is not None:
                 yield (support, *found)
-        parents = level
+        grand, parents = parents, level
 
 
 def _prefilter_violator(A: SymMatrix):

@@ -11,12 +11,11 @@ rows are scaled to primitive integer rows only where they enter
 ``solve_affine`` or ``kernel_basis``; integer rows go in as given.
 Elimination is the fraction-free Bareiss two-row determinant update, and
 back-substitution carries integer numerators over the last pivot, so one
-``Fraction`` is built per coordinate at the end.  A symmetric system that
-grows by one bordered row and column is updated through its integer
-adjugate instead (``bordered_adjugate``), which yields a kernel vector when
-the grown system is singular.  The pivot is always the
+``Fraction`` is built per coordinate at the end.  The pivot is always the
 first nonzero entry in column order, so echelon forms, kernel bases and
-downstream certificates are reproducible run to run.
+downstream certificates are reproducible run to run.  The support scan
+uses none of this: it solves each bordered system from the integer states
+of its parents (``copositivity``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
 
 from .errors import InvariantError
 
@@ -153,45 +151,6 @@ def kernel_basis(rows, ncols=None) -> list[Vector]:
     """
     int_rows, ncols = _prepare(rows, ncols)
     return _kernel_from_echelon(*_bareiss_echelon(int_rows, ncols), ncols)
-
-
-def bordered_adjugate(adj, det, b, c, *, full=True):
-    """``(det K, adj K)`` for ``K = [[K', b], [b^T, c]]`` from the adjugate
-    and determinant of a nonsingular symmetric integer matrix K'.
-
-    With ``w = adj(K') b``, Sylvester's identity (the step behind
-    fraction-free elimination; Bareiss, Math. Comp. 22, 1968) gives
-
-        det K = c det K' - b^T w,
-        adj K = [[(det K adj K' + w w^T) / det K', -w], [-w^T, det K']].
-
-    ``adj K`` is an integer matrix, so every division is exact; each one is
-    checked.  No sign is lost: the result is exact, given the exact pair
-    ``(adj K', det K')``.  ``adj K`` is returned by rows; only its first
-    row when ``full`` is false.  When ``det K`` is 0 the second
-    item is the integer kernel vector ``(w, -det K')`` of K in its place:
-    ``K' w = det K' b`` and ``b^T w = c det K'``.
-    """
-    w = [sum(map(mul, row, b)) for row in adj]
-    new = c * det - sum(map(mul, b, w))
-    if not new:
-        return 0, w + [-det]
-    k = len(adj)
-    rows = []
-    for r in range(k if full else 1):
-        wr = w[r]
-        old = adj[r]
-        row = [rows[s][r] for s in range(r)]  # symmetric: rows above hold it
-        for s in range(r, k):
-            q, rem = divmod(new * old[s] + wr * w[s], det)
-            if rem:
-                raise InvariantError("bordered adjugate division must be exact")
-            row.append(q)
-        row.append(-wr)
-        rows.append(row)
-    if full:
-        rows.append([-x for x in w] + [det])
-    return new, rows
 
 
 @dataclass(frozen=True)

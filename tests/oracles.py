@@ -27,20 +27,26 @@ before it read the integer form: signs, square roots and the square-product
 condition on the ``Fraction`` entries.  ``hoffman_pereira_supports`` reads
 the minimal supports of a copositive census class off its -1 entries.  The
 helpers at the end were library functions that only tests called (among
-them ``inverse_rows``, the scan's former elimination fallback), and
+them ``inverse_rows``, the scan's former elimination fallback, and
+``bordered_adjugate``, its former O(k^2) bordering step), and
 ``zero_from_coordinates`` is the ``Zero`` constructor ``minimal_zeros`` used
-before it took the scan's points as they are.
+before it took the scan's points as they are.  ``bordered_state``
+recomputes the state that the scan keeps per support from determinants
+(``fraction_det``) and adjugate columns (``adjugate_columns``);
+``block_state`` memoizes it by the principal submatrix.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import importlib.util
 import itertools
 import math
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from copocert.census import ALPHABET, MAX_ORDER, Candidate
@@ -757,6 +763,112 @@ def inverse_rows(rows, count):
         y, p = _back_substitute(ech, pivots, m, rhs_col=m + j)
         cols.append(y)
     return p, cols
+
+
+def bordered_adjugate(adj, det, b, c, *, full=True):
+    """``(det K, adj K)`` for ``K = [[K', b], [b^T, c]]`` from the adjugate
+    and determinant of a nonsingular symmetric integer matrix K'.
+
+    With ``w = adj(K') b``, Sylvester's identity (the step behind
+    fraction-free elimination; Bareiss, Math. Comp. 22, 1968) gives
+
+        det K = c det K' - b^T w,
+        adj K = [[(det K adj K' + w w^T) / det K', -w], [-w^T, det K']].
+
+    ``adj K`` is an integer matrix, so every division is exact; each one is
+    checked.  No sign is lost: the result is exact, given the exact pair
+    ``(adj K', det K')``.  ``adj K`` is returned by rows; only its first
+    row when ``full`` is false.  When ``det K`` is 0 the second
+    item is the integer kernel vector ``(w, -det K')`` of K in its place:
+    ``K' w = det K' b`` and ``b^T w = c det K'``.
+    """
+    w = [sum(map(mul, row, b)) for row in adj]
+    new = c * det - sum(map(mul, b, w))
+    if not new:
+        return 0, w + [-det]
+    k = len(adj)
+    rows = []
+    for r in range(k if full else 1):
+        wr = w[r]
+        old = adj[r]
+        row = [rows[s][r] for s in range(r)]  # symmetric: rows above hold it
+        for s in range(r, k):
+            q, rem = divmod(new * old[s] + wr * w[s], det)
+            if rem:
+                raise InvariantError("bordered adjugate division must be exact")
+            row.append(q)
+        row.append(-wr)
+        rows.append(row)
+    if full:
+        rows.append([-x for x in w] + [det])
+    return new, rows
+
+
+def fraction_det(K) -> int:
+    """``det K`` of a square integer matrix, by Gaussian elimination in
+    ``Fraction`` arithmetic with every row exchange counted (1 when K is
+    empty)."""
+    rows = [[Fraction(x) for x in r] for r in K]
+    m = len(rows)
+    det = Fraction(1)
+    for c in range(m):
+        r = next((i for i in range(c, m) if rows[i][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, m):
+            f = rows[i][c] / rows[c][c]
+            for j in range(c, m):
+                rows[i][j] -= f * rows[c][j]
+    if det.denominator != 1:
+        raise InvariantError("the determinant of an integer matrix is an integer")
+    return int(det)
+
+
+def adjugate_columns(K, count):
+    """``(det K, cols)`` with ``cols`` the first ``count`` columns of
+    ``adj K``: ``det K`` times the columns ``inverse_rows`` gives over its
+    pivot when K is nonsingular, else cofactors, ``adj[i][j]`` being
+    ``(-1)^(i+j)`` times the determinant of K without row j and column i."""
+    m = len(K)
+    det = fraction_det(K)
+    pivot, cols = inverse_rows(K, count)
+    if pivot:
+        if det not in (pivot, -pivot):
+            raise InvariantError("the last Bareiss pivot is det K up to sign")
+        return det, [[det // pivot * y for y in col] for col in cols]
+    return det, [[(-1) ** (i + j) * fraction_det(
+        [[K[r][c] for c in range(m) if c != i] for r in range(m) if r != j])
+        for i in range(m)] for j in range(count)]
+
+
+def bordered_state(M, support):
+    """``(D, f, v)`` that the scan keeps for ``support`` X, recomputed from
+    the matrices: ``D = det K_X`` and ``f``, column 0 of ``adj K_X``, by
+    ``adjugate_columns``, and ``v = adj(K_X1) b`` for ``X1 = X[:-1]`` and
+    ``b`` the last column of ``K_X`` above its diagonal (``adj`` of the
+    1 x 1 ``K_()`` = [[0]] is [[1]])."""
+    K = bordered_system(M, support)
+    D, (f,) = adjugate_columns(K, 1)
+    _, adj = adjugate_columns([r[:-1] for r in K[:-1]], len(K) - 1)
+    b = [r[-1] for r in K[:-1]]
+    v = [sum(col[i] * x for col, x in zip(adj, b)) for i in range(len(b))]
+    return D, f, v
+
+
+@functools.lru_cache(maxsize=None)
+def block_state(block):
+    """``bordered_state`` of the whole support of the integer block
+    ``M_S``, given as a tuple of rows, on which alone it depends."""
+    return bordered_state(block, range(len(block)))
+
+
+def principal_block(M, support):
+    """The rows of ``M_S`` as a tuple of tuples, a key for ``block_state``."""
+    return tuple(tuple(M[i][j] for j in support) for i in support)
 
 
 def min_on_simplex(A: SymMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:

@@ -2,19 +2,20 @@
 
 ``stationary_candidates`` solves a support's system ``K_S (nu, u) = e_0``
 only when every parent ``S - {s}`` is conditionally positive definite: in
-closed form at size 1, else by bordering the adjugate of ``S[:-1]``.  The
-replaced chain stays in ``src/`` as the oracle: ``solve_affine`` gives the
-solution set, ``strictly_positive_point`` decides positivity and
-``eval_quadratic`` the value.  ``oracles.conditionally_positive_definite``
-decides, from the leading minors of ``Z^T A_S Z``, which supports the scan
-must visit.  The visited supports must be exactly those whose parents it
-accepts, and the sign of each determinant must say whether the support is
-accepted itself.  For every visited support the scan and the oracle must
-agree on whether the solution is unique, whether it is positive, the point
-and the value; every full adjugate the scan keeps must satisfy
-``adj K_S K_S = det K_S I``, and every kernel vector it returns must solve
-``K_S z = 0``.  Each test also asserts which branches its inputs reached
-and which supports the pruning skipped.
+closed form at sizes 1 and 2, else from the states of its parents
+``S[:-1]`` and ``S[:-2] + S[-1:]``.  The replaced chain stays in ``src/``
+as the oracle: ``solve_affine`` gives the solution set,
+``strictly_positive_point`` decides positivity and ``eval_quadratic`` the
+value.  ``oracles.conditionally_positive_definite`` decides, from the
+leading minors of ``Z^T A_S Z``, which supports the scan must visit.  The
+visited supports must be exactly those whose parents it accepts, and the
+sign of each determinant must say whether the support is accepted itself.
+For every visited support the scan and the oracle must agree on whether
+the solution is unique, whether it is positive, the point and the value,
+and the state ``(D, f, v)`` the scan computes must be what
+``oracles.bordered_state`` recomputes from ``K_S``.  Each test also
+asserts which branches its inputs reached and which supports the pruning
+skipped.
 """
 
 import itertools
@@ -33,9 +34,10 @@ from copocert.scaling import DiagonalScaling, scale
 
 from oracles import (
     benchmark_families,
-    bordered_system,
+    block_state,
     fraction_candidates,
     parents_of,
+    principal_block,
     random_positive_diagonal,
     random_psd,
     random_symmetric,
@@ -50,18 +52,19 @@ BASELINE = "tests/baselines/census_n5.txt"
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every ``_support_system`` call of the scan as ``(support, branch,
-    det, rows)``, with branch "size 1" or "bordered"."""
+    """Every ``_support_state`` call of the scan as ``(support, branch,
+    state)``, with branch "size 1" or "bordered" and ``state`` the
+    ``(D, f, v)`` it returned."""
     calls = []
-    real = copositivity_mod._support_system
+    real = copositivity_mod._support_state
 
-    def recording(M, support, parents, full):
-        det, rows = real(M, support, parents, full)
+    def recording(M, support, det, first, second):
+        state = real(M, support, det, first, second)
         branch = "size 1" if len(support) == 1 else "bordered"
-        calls.append((support, branch, det, rows))
-        return det, rows
+        calls.append((support, branch, state))
+        return state
 
-    monkeypatch.setattr(copositivity_mod, "_support_system", recording)
+    monkeypatch.setattr(copositivity_mod, "_support_state", recording)
     return calls
 
 
@@ -80,21 +83,13 @@ def oracle(A: SymMatrix, support):
     return unique, tuple(x), eval_quadratic(A, tuple(x))
 
 
-def check_solve(A: SymMatrix, support, det, rows):
-    """The oracle's decision and the integer identities of ``rows``;
+def check_solve(A: SymMatrix, support, state):
+    """The oracle's decision, and ``state`` against ``block_state``;
     returns the oracle's ``(unique, point, value)``."""
     expected = oracle(A, support)
-    assert (det != 0) == expected[0], (A, support)
-    K = bordered_system(A.integer_form[0], support)
-    if not det:
-        if rows is not None:
-            assert any(rows), (A, support)
-            assert all(sum(a * z for a, z in zip(r, rows)) == 0 for r in K), \
-                (A, support)
-    elif len(rows) > 1:
-        assert [[sum(a * b for a, b in zip(r, col)) for col in zip(*K)]
-                for r in rows] == [[det * (i == j) for j in range(len(K))]
-                                   for i in range(len(K))], (A, support)
+    assert (state[0] != 0) == expected[0], (A, support)
+    block = principal_block(A.integer_form[0], support)
+    assert tuple(state) == block_state(block), (A, support)
     return expected
 
 
@@ -130,11 +125,11 @@ def agree(A: SymMatrix, solves, branches: Counter) -> None:
         assert support not in found, (A, support)
         found[support] = (x, value)
     visits, pd = scan_visits(A)
-    assert [s for s, _, _, _ in solves] == visits, A
+    assert [s for s, _, _ in solves] == visits, A
     det_of = {}
-    for support, branch, det, rows in solves:
-        det_of[support] = det
-        _, point, value = check_solve(A, support, det, rows)
+    for support, branch, state in solves:
+        det = det_of[support] = state[0]
+        _, point, value = check_solve(A, support, state)
         assert (det < 0) == pd[support], (A, support)
         got = found.pop(support, (None, None))
         assert got == (point, value), (A, support)
@@ -198,7 +193,7 @@ def test_rank_one_stops_at_triples(solves):
     assert is_copositive(A) == unpruned_is_copositive(A)
     solves.clear()
     list(stationary_candidates(A))
-    sizes = Counter((len(s), det != 0) for s, _, det, _ in solves)
+    sizes = Counter((len(s), state[0] != 0) for s, _, state in solves)
     assert sizes == {(1, True): 8, (2, True): 28, (3, False): 56}
 
 
@@ -222,15 +217,14 @@ def test_singular_parent_with_a_nonsingular_child(solves):
     assert branches["pruned", "singular"] > 0
 
 
-def test_first_row_hits_are_solved_again(solves):
+def test_hits_from_a_scan_of_another_order_are_used_as_stored(solves):
     # a cache shared across orders: each principal submatrix of order n - 1
-    # is scanned first as a matrix of its own, where its top support keeps
-    # only the first adjugate row.  The order-n scan hits every support
-    # below n; it solves S[:-1] = (0, ..., n - 2) again, when that is
-    # conditionally positive definite, so that the top support can border
-    # it, and then the top support if all its parents are (integer entries,
-    # so that the submatrices have the common denominator 1 of the whole,
-    # and its keys)
+    # is scanned first as a matrix of its own.  Every entry keeps the whole
+    # state (D, f, v), so the order-n scan hits every support below n and
+    # solves only the top support, if all its parents are conditionally
+    # positive definite: no support is solved twice (integer entries, so
+    # that the submatrices have the common denominator 1 of the whole, and
+    # its keys)
     rng = random.Random(5)
     branches = Counter()
     for n in (3, 4, 5):
@@ -239,24 +233,28 @@ def test_first_row_hits_are_solved_again(solves):
                       random_psd(rng, n, n - 2)):
                 alone = list(stationary_candidates(A))
                 cache = {}
+                solved = []  # each solved support's M_S
                 for rest in itertools.combinations(range(n), n - 1):
-                    list(stationary_candidates(A.principal(rest), cache=cache))
+                    solves.clear()
+                    B = A.principal(rest)
+                    list(stationary_candidates(B, cache=cache))
+                    solved += [principal_block(B.integer_form[0], support)
+                               for support, _, _ in solves]
+                assert len(set(solved)) == len(solved), A
                 solves.clear()
                 assert list(stationary_candidates(A, cache=cache)) == alone, A
                 visits, pd = scan_visits(A)
                 top = tuple(range(n))
-                head = [top[:-1]] if pd[top[:-1]] else []
-                assert [s for s, _, _, _ in solves] == head + [
+                assert [s for s, _, _ in solves] == [
                     s for s in visits if s == top], A
-                for support, _, det, rows in solves:
-                    check_solve(A, support, det, rows)
-                    branches[len(support) == n,
-                             "singular" if not det else "nonsingular"] += 1
+                for support, _, state in solves:
+                    check_solve(A, support, state)
+                    branches["singular" if not state[0] else
+                             "nonsingular"] += 1
                 assert is_copositive(A, cache=cache) == \
                     unpruned_is_copositive(A), A
-    assert branches[False, "nonsingular"] > 0  # S[:-1] solved again
-    assert branches[True, "singular"] > 0
-    assert branches[True, "nonsingular"] > 0
+    assert branches["singular"] > 0
+    assert branches["nonsingular"] > 0
 
 
 def test_benchmark_families_make_no_elimination(solves):
@@ -272,7 +270,7 @@ def test_benchmark_families_make_no_elimination(solves):
             solves.clear()
             list(stationary_candidates(A))
             visits, _ = scan_visits(A)
-            assert [s for s, _, _, _ in solves] == visits, (family, n)
+            assert [s for s, _, _ in solves] == visits, (family, n)
             assert is_copositive(A) == unpruned_is_copositive(A), (family, n)
             pruned[family] += 2 ** n - 1 - len(visits)
     assert all(pruned[family] > 0 for family in ("dsd", "bbt", "rank1",

@@ -476,7 +476,7 @@ class TestOrderGuard:
         def no_scan(*args):
             raise AssertionError("a support system was solved")
 
-        monkeypatch.setattr(copositivity_mod, "_support_system", no_scan)
+        monkeypatch.setattr(copositivity_mod, "_support_state", no_scan)
         path = write_matrix(SymMatrix.identity(17))
         code, out = run(capsys, [command, path])
         mach = machine_block(out)

@@ -21,7 +21,7 @@ import copocert.scaling as scaling_mod
 import copocert.structure_graph as structure_graph_mod
 from copocert.census import CensusRecord, run_census
 from copocert.cli import main
-from copocert.copositivity import is_copositive
+from copocert.copositivity import _support_state, is_copositive
 from copocert.errors import CensusInvariantError, CopocertError, InvariantError
 from copocert.extremality import (
     ExtremalitySystem,
@@ -32,7 +32,6 @@ from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
     _back_substitute,
-    bordered_adjugate,
     horn_matrix,
     kernel_basis,
 )
@@ -148,13 +147,6 @@ class TestLinalg:
         ech = [[2, 0, 1], [0, 3, 3]]
         with pytest.raises(InvariantError, match="back-substitution"):
             _back_substitute(ech, [(0, 0), (1, 1)], 2, rhs_col=2)
-
-    def test_bordered_adjugate_inexact_division(self):
-        # (I, 2) is no adjugate-determinant pair (adj of I is I, det 1):
-        # bordering it with b = (1, 0), c = 0 gives det -1, and the entry
-        # (1, 1) of the new adjugate would be (-1 * 1 + 0 * 0) / 2
-        with pytest.raises(InvariantError, match="bordered adjugate"):
-            bordered_adjugate([[1, 0], [0, 1]], 2, [1, 0], 0)
 
 
 class TestLP:
@@ -288,11 +280,29 @@ class TestCopositivity:
         # every support "solved" to the point (1, ..., 1) with D = -1, which
         # sums to 1 only on singletons
         monkeypatch.setattr(
-            copositivity_mod, "_support_system",
-            lambda M, support, parents, full:
-                (-1, [[0] + [-1] * len(support)]))
+            copositivity_mod, "_support_state",
+            lambda M, support, det, first, second:
+                (-1, [0] + [-1] * len(support), [1] * len(support)))
         with pytest.raises(InvariantError, match="sum 1"):
             is_copositive(SymMatrix.identity(2))
+
+    def test_support_state_inexact_division(self):
+        # on the identity of order 3, X = (0, 1, 2) borders X1 = (0, 1)
+        # with its sibling X2 = (0, 2), each with state D = -2,
+        # f = (1, -1, -1), v = (1, -1), over S = (0,) with det K_S = -1
+        M = SymMatrix.identity(3).integer_form[0]
+        pair = (None, -2, [1, -1, -1], [1, -1])
+        D, f, v = _support_state(M, (0, 1, 2), -1, pair, pair)
+        assert (D, f, v) == (-3, [1, -1, -1, -1], [1, -1, -1])
+        # (det K_S, v) = (2, v) is no adjugate pair: the first numerators
+        # (-1, 1) of v_X are not multiples of 2
+        with pytest.raises(InvariantError, match="bordered recurrence"):
+            _support_state(M, (0, 1, 2), 2, pair, pair)
+        # nor is (D_X1, v_X1) = (-4, v): v_X is exact, but the numerators
+        # (2, -2, 4) of f_X are not multiples of -4
+        with pytest.raises(InvariantError, match="bordered recurrence"):
+            _support_state(M, (0, 1, 2), -1, (None, -4, [1, -1, -1], [1, -1]),
+                           pair)
 
 
 class TestStructureGraph:

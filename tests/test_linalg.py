@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from copocert.linalg import (
     SymMatrix,
-    bordered_adjugate,
     canonical_vector,
     eval_quadratic,
     horn_matrix,
@@ -21,7 +20,15 @@ from copocert.linalg import (
     upper_size,
 )
 
-from oracles import dot, inverse_rows, matrix_apply, rank_nullity
+from copocert.errors import InvariantError
+
+from oracles import (
+    bordered_adjugate,
+    dot,
+    inverse_rows,
+    matrix_apply,
+    rank_nullity,
+)
 
 F = Fraction
 
@@ -192,6 +199,13 @@ class TestBorderedAdjugate:
                                      full=False) == (new, full[:1])
             grown += 1
         assert grown > 50 and singular > 0
+
+    def test_bordered_adjugate_inexact_division(self):
+        # (I, 2) is no adjugate-determinant pair (adj of I is I, det 1):
+        # bordering it with b = (1, 0), c = 0 gives det -1, and the entry
+        # (1, 1) of the new adjugate would be (-1 * 1 + 0 * 0) / 2
+        with pytest.raises(InvariantError, match="bordered adjugate"):
+            bordered_adjugate([[1, 0], [0, 1]], 2, [1, 0], 0)
 
     def test_inverse_rows_of_a_singular_matrix(self):
         assert inverse_rows([[1, 2], [2, 4]], 2) == (0, None)

@@ -3,9 +3,9 @@
 ``stationary_candidates`` keys each support's system by the upper triangle
 of the integer numerators ``M_S`` followed by the matrix's common
 denominator ``d``, and caches the integer point and value numerator with
-the determinant and, for a conditionally positive definite support, the
-adjugate, so that a hit can be bordered like a solved support, and a hit
-that is not conditionally positive definite prunes its supersets.  A scan
+the state ``(D, f, v)`` the scan keeps per support, so that a conditionally
+positive definite hit serves as a parent as stored, and a hit that is not
+conditionally positive definite prunes its supersets.  A scan
 through a shared cache must report exactly what a scan without one
 reports, every cached system must be what a scan of ``M_S / d`` alone
 finds, and a ``run_census`` call must start from an empty cache.
@@ -23,7 +23,7 @@ from copocert.copositivity import is_copositive, stationary_candidates
 from copocert.linalg import SymMatrix
 
 from oracles import (
-    bordered_system,
+    bordered_state,
     conditionally_positive_definite,
     from_upper_entries,
     parents_of,
@@ -68,7 +68,7 @@ def test_cached_systems_match_a_scan_without_cache():
         is_copositive(Candidate(5, record.canonical_offdiag).matrix(),
                       cache=cache)
     kept = Counter()
-    for key, (found, det, rows) in cache.items():
+    for key, (found, *state) in cache.items():
         *upper, d = key
         k = math.isqrt(8 * len(upper) + 1) // 2  # len(upper) = k(k+1)/2
         A = from_upper_entries(k, [Fraction(x, d) for x in upper])
@@ -79,46 +79,41 @@ def test_cached_systems_match_a_scan_without_cache():
         # a support is cached only where the scan visits it
         assert all(conditionally_positive_definite(A, p)
                    for p in parents_of(tuple(range(k)))), key
-        assert (det < 0) == conditionally_positive_definite(A, range(k)), key
-        K = bordered_system(A.integer_form[0], range(k))
-        if det >= 0:
-            kept["not positive definite"] += 1
-            assert rows is None, key
-        elif len(rows) > 1:
-            kept["adjugate"] += 1
-            assert [[sum(a * b for a, b in zip(r, col)) for col in zip(*K)]
-                    for r in rows] == [[det * (i == j) for j in range(k + 1)]
-                                       for i in range(k + 1)], key
-        else:
-            kept["first row"] += 1
-    # hits keep what a parent needs: full adjugates below each scan's order,
-    # and the sign that prunes the supersets of the other supports
-    assert kept["adjugate"] > 0 and kept["not positive definite"] > 0
-    assert kept["first row"] > 0
+        assert (state[0] < 0) == \
+            conditionally_positive_definite(A, range(k)), key
+        # every entry keeps the whole state, whatever the order of the scan
+        # that stored it: a parent needs it, and the sign of D prunes
+        assert tuple(state) == bordered_state(A.integer_form[0], range(k)), key
+        kept["positive definite" if state[0] < 0 else
+             "not positive definite"] += 1
+    assert kept["positive definite"] > 0 and kept["not positive definite"] > 0
 
 
 def test_hits_serve_as_parents(monkeypatch):
     # with hits that kept no adjugate, the order-5 census made 520
     # eliminations and 2 bordered solves.  Every solve above size 1 now
-    # borders the full adjugate of S[:-1], and some of those parents are
-    # hits, not solved in the same scan.  The pruned census solves 16
+    # comes from the states of S[:-1] and its sibling, each a conditionally
+    # positive definite entry of the right size, and some of those parents
+    # are hits, not solved in the same scan.  The pruned census solves 16
     # systems in all at order 5, against 520 with every support scanned
     routes = Counter()
     solved = set()
-    real = copositivity_mod._support_system
+    real = copositivity_mod._support_state
 
-    def counting(M, support, parents, full):
+    def counting(M, support, det, first, second):
         rest = support[:-1]
-        if len(support) == 1:
+        k = len(support)
+        if k == 1:
             routes["size 1"] += 1
-        elif rest in parents and len(parents[rest][1]) == len(support):
+        elif all(entry[1] < 0 and len(entry[2]) == k and len(entry[3]) == k - 1
+                 for entry in (first, second)):
             routes["bordered" if (M, rest) in solved else "hit bordered"] += 1
         else:
             routes["eliminated"] += 1
         solved.add((M, support))
-        return real(M, support, parents, full)
+        return real(M, support, det, first, second)
 
-    monkeypatch.setattr(copositivity_mod, "_support_system", counting)
+    monkeypatch.setattr(copositivity_mod, "_support_state", counting)
     run_census(5)
     assert routes["eliminated"] <= 1
     assert routes["hit bordered"] > 0
@@ -150,16 +145,16 @@ def test_key_holds_the_denominator():
 
 
 def test_no_state_between_census_calls(monkeypatch):
-    # every support system the scan solves goes through _support_system,
+    # every support system the scan solves goes through _support_state,
     # so a second run that starts from an empty cache solves as many again
     calls = []
-    real = copositivity_mod._support_system
+    real = copositivity_mod._support_state
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(copositivity_mod, "_support_system", counting)
+    monkeypatch.setattr(copositivity_mod, "_support_state", counting)
     first = run_census(4)
     solved = len(calls)
     assert run_census(4) == first
