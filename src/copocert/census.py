@@ -39,7 +39,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     CensusInvariantError,
@@ -48,6 +47,7 @@ from .errors import (
 )
 from .extremality import extremality_certificate
 from .linalg import SymMatrix
+from .records import record
 from .scaling import ScalingDecomposition, extract_pattern, has_sign_pattern_scaling
 
 MAX_ORDER = 6
@@ -55,17 +55,20 @@ MAX_ORDER = 6
 ALPHABET = (-1, 0, 1)
 
 
-@dataclass(frozen=True)
+@record
 class Candidate:
     order: int
     offdiag: tuple[int, ...]
 
-    def __post_init__(self):
-        m = self.order * (self.order - 1) // 2
-        if len(self.offdiag) != m:
-            raise ValueError(f"need {m} off-diagonal entries, got {len(self.offdiag)}")
-        if any(e not in ALPHABET for e in self.offdiag):
+    def __init__(self, order, offdiag):
+        # written out (see records): the sweep builds one per class
+        m = order * (order - 1) // 2
+        if len(offdiag) != m:
+            raise ValueError(f"need {m} off-diagonal entries, got {len(offdiag)}")
+        if any(e not in ALPHABET for e in offdiag):
             raise ValueError("off-diagonal entries must be -1, 0, or 1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "offdiag", offdiag)
 
     def matrix(self) -> SymMatrix:
         n = self.order
@@ -78,7 +81,7 @@ class Candidate:
         return SymMatrix.from_integer_rows(rows)
 
 
-@dataclass(frozen=True)
+@record
 class CensusRecord:
     order: int
     canonical_offdiag: tuple[int, ...]
@@ -86,6 +89,17 @@ class CensusRecord:
     extremal: bool
     minimal_supports: tuple[tuple[int, ...], ...]
     orbit_size: int
+
+    def __init__(self, order, canonical_offdiag, copositive, extremal,
+                 minimal_supports, orbit_size):
+        # written out (see records): the sweep builds one per class
+        assign = object.__setattr__
+        assign(self, "order", order)
+        assign(self, "canonical_offdiag", canonical_offdiag)
+        assign(self, "copositive", copositive)
+        assign(self, "extremal", extremal)
+        assign(self, "minimal_supports", minimal_supports)
+        assign(self, "orbit_size", orbit_size)
 
     def to_line(self) -> str:
         off = ",".join(str(e) for e in self.canonical_offdiag) or "-"
@@ -282,7 +296,7 @@ def read_records(path: str) -> list[CensusRecord]:
     return records
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceReport:
     """Two faces of the same extremality property, computed independently.
 

@@ -136,7 +136,6 @@ against an independent one-sided falsifier that bisects the simplex
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd
@@ -144,11 +143,12 @@ from operator import itemgetter, mul
 
 from .errors import InvariantError, OrderTooLargeError
 from .linalg import ONE, ZERO, SymMatrix, Vector, upper_index, upper_size
+from .records import record
 
 MAX_SCAN_ORDER = 16
 
 
-@dataclass(frozen=True)
+@record
 class Zero:
     """A zero stored as its primitive integer multiple ``point``:
     nonnegative ints with gcd 1.  ``support`` and the sum-normalized
@@ -167,7 +167,7 @@ class Zero:
         return tuple(Fraction(x, total) for x in self.point)
 
 
-@dataclass(frozen=True)
+@record
 class CopositivityVerdict:
     """Outcome of the membership test.
 

@@ -33,7 +33,6 @@ way a one-dimensional solution space must be spanned by A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InvariantError
@@ -45,10 +44,11 @@ from .linalg import (
     upper_index,
     upper_size,
 )
+from .records import record
 from .zeros import Zero, minimal_zeros
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalitySystem:
     """The assembled constraint rows, one per fired gate.
 
@@ -76,7 +76,7 @@ class ExtremalitySystem:
         return dense
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalityCertificate:
     """Verdict plus the data needed to re-derive it."""
 

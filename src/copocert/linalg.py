@@ -20,12 +20,12 @@ of its parents (``copositivity``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
 from .errors import InvariantError
+from .records import record
 
 Vector = tuple[Fraction, ...]
 
@@ -153,7 +153,7 @@ def kernel_basis(rows, ncols=None) -> list[Vector]:
     return _kernel_from_echelon(*_bareiss_echelon(int_rows, ncols), ncols)
 
 
-@dataclass(frozen=True)
+@record
 class AffineSolutionSet:
     """Solution set of a linear system: one particular point plus a kernel.
 
@@ -211,7 +211,7 @@ def upper_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
-@dataclass(frozen=True)
+@record
 class SymMatrix:
     """Order-n symmetric matrix with exact rational entries, stored as its
     integer form ``(M, d)``: ``A = M / d`` with ``M`` the full integer rows

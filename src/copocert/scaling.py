@@ -13,14 +13,14 @@ perfect square (all-or-nothing), and is otherwise reported as implicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, ScalingConditionError
 from .linalg import SymMatrix
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalScaling:
     entries: tuple[Fraction, ...]
 
@@ -33,7 +33,7 @@ class DiagonalScaling:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@record
 class ScalingDecomposition:
     """Core pattern plus the scaling, explicit only when it is rational."""
 

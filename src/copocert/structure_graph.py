@@ -23,7 +23,6 @@ entries to +1 recovers the unit-diagonal {-1,0,1} matrix itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import (
     AmbiguousPatternError,
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .extremality import _TwoTermSolutions, build_system
 from .linalg import SymMatrix
+from .records import record
 from .zeros import Zero
 
 Vertex = tuple[int, int]
@@ -44,7 +44,7 @@ def _entries(n) -> tuple[Vertex, ...]:
     return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
-@dataclass(frozen=True)
+@record
 class StructureGraph:
     order: int
     edges: tuple[tuple[Vertex, Vertex], ...]
@@ -53,7 +53,7 @@ class StructureGraph:
         return _entries(self.order)
 
 
-@dataclass(frozen=True)
+@record
 class GraphComponent:
     vertices: tuple[Vertex, ...]
     bipartite: bool
@@ -61,7 +61,7 @@ class GraphComponent:
     classes: tuple[tuple[Vertex, ...], tuple[Vertex, ...]] | None
 
 
-@dataclass(frozen=True)
+@record
 class ComponentReport:
     order: int
     components: tuple[GraphComponent, ...]

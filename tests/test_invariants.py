@@ -6,6 +6,8 @@ asserts that the check fires instead of a wrong answer going through.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -117,20 +119,43 @@ def test_matrices_built_only_through_the_constructors():
     assert _outside_linalg(direct) == set()
 
 
-def test_library_imports_only_the_standard_library():
-    # stdlib-only, as pyproject.toml's empty dependency list says
-    foreign = set()
+def _absolute_imports():
+    """``(file name, module)`` for every absolute import in the library."""
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            foreign.update((path.name, name) for name in names
-                           if name.split(".")[0] not in sys.stdlib_module_names)
+                yield path.name, node.module
+
+
+def test_library_imports_only_the_standard_library():
+    # stdlib-only, as pyproject.toml's empty dependency list says
+    foreign = {(name, module) for name, module in _absolute_imports()
+               if module.split(".")[0] not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses loads inspect and execs generated source per class, which
+    # was a third of the CLI's start-up; records.record replaces it
+    assert {name for name, module in _absolute_imports()
+            if module.split(".")[0] == "dataclasses"} == set()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter, so that nothing imported by pytest counts
+    child = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import copocert.cli\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    done = subprocess.run([sys.executable, "-c", child],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          stdout=subprocess.PIPE, text=True, check=True,
+                          timeout=60)
+    added = set(done.stdout.split())
+    assert "copocert.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 class TestLinalg:
