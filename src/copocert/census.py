@@ -298,7 +298,8 @@ def read_records(path: str) -> list[CensusRecord]:
 
 @record
 class EquivalenceReport:
-    """Two faces of the same extremality property, computed independently.
+    """Two faces of the same extremality property, computed independently
+    (a pattern equal to the input shares the input's certificate).
 
     pair_supports: all minimal supports of A have cardinality two.
     scaled_extremal_pattern: A is a diagonal scaling of a unit-diagonal
@@ -321,8 +322,11 @@ def verify_pair_scaling_equivalence(A: SymMatrix) -> EquivalenceReport:
     """Check both characterizations of A on one certified extremal input.
 
     Raises NotCopositiveError or NotExtremalError when the input fails its
-    precondition; the two predicates are computed by disjoint code paths
-    (zero enumeration vs scaling extraction plus pattern extremality).
+    precondition.  The two predicates are computed by disjoint code paths
+    (zero enumeration vs scaling extraction plus pattern extremality),
+    except that a pattern equal to A itself (a unit-diagonal {-1,0,1}
+    input) takes A's certificate instead of scanning A a second time; the
+    scaling extraction still runs independently.
     """
     cert = extremality_certificate(A)
     if not cert.extremal:
@@ -335,7 +339,8 @@ def verify_pair_scaling_equivalence(A: SymMatrix) -> EquivalenceReport:
     scaled = False
     if has_sign_pattern_scaling(A):
         decomposition = extract_pattern(A)
-        pattern_cert = extremality_certificate(decomposition.pattern)
+        pattern_cert = (cert if decomposition.pattern == A else
+                        extremality_certificate(decomposition.pattern))
         pattern_nullity = pattern_cert.nullity
         scaled = pattern_cert.extremal
     return EquivalenceReport(A.n, supports, pair, decomposition,

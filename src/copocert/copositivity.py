@@ -79,7 +79,8 @@ The scan keeps 2k + 2 integers for each PD support Y of size k:
 ``D_Y = det K_Y``; ``f_Y``, the first column of ``adj K_Y``, whose tail
 over ``D_Y`` is Y's point; and ``v_Y = adj(K_Y') b_Y`` for ``Y' = Y[:-1]``,
 where ``b_Y`` is the last column of ``K_Y`` above its diagonal (the new
-row and column come last, as indices are sorted).  Bordering a
+row and column come last, as indices are sorted), and ``D`` alone for
+a visited support that is not PD, which is never a parent.  Bordering a
 nonsingular symmetric K' with a column b and a corner c gives, with
 ``w = adj(K') b`` and ``D' = det K'``,
 
@@ -114,8 +115,19 @@ bordered matrices), so the cache key of ``stationary_candidates``, the
 upper triangle of ``M_X`` followed by ``d``, still determines everything
 the scan keeps for X, whichever matrix the entry came from.
 
-The scan hands out integers only: each point as its numerators ``p`` over
-``q = |det K_S|``, with its value's numerator ``p^T M_S p`` over ``q^2 d``.
+The scan hands out integers only, and only on PD supports, as no other
+support holds the violator, the minimum or a minimal zero: each point as
+its numerators ``p = -f[1:]`` over ``q = -D > 0``, with its value's
+numerator ``total`` over ``q^2 d``.  ``total`` is read off ``f[0]`` in
+O(1).  The value at u is ``u^T A_S u = mu sum(u) = mu``, and
+``nu = f[0] / D = -d mu``, so
+
+    p^T M_S p = q^2 d mu = -q^2 f[0] / D = f[0] q.
+
+Where a verdict reports a value, at each ``total <= 0`` (every zero and
+violator) and at a positive minimum, ``p^T M_S p`` is also summed in
+O(k^2) and must equal ``f[0] q``, which cross-checks ``f[0]`` against
+``f[1:]``: every reported value is attained at the reported point.
 ``is_copositive`` decides on the signs of those numerators and compares
 values by cross-multiplying.  ``Fraction``s are built only for what it
 returns: the violator and its value, and the minimum.  A zero it keeps is
@@ -235,13 +247,15 @@ def _children(parents, grand):
 def _support_state(M, support, det, first, second):
     """``(D, f, v)`` for ``X = support``: ``D = det K_X``, ``f`` the first
     column of ``adj K_X`` and ``v = adj(K_X1) b``, where ``X1 = X[:-1]``
-    and ``b`` is the last column of ``K_X`` above its diagonal.  Sizes 1
-    and 2 are closed forms; a larger X is computed in O(k) from
-    ``det = det K_S``, ``S = X[:-2]``, and the entries ``first`` of ``X1``
-    and ``second`` of its sibling ``S + X[-1:]`` (see the module
-    docstring).  Each division is checked exact (InvariantError): floor
-    remainders share the sign of the divisor, so they sum to 0 only if
-    each is 0, and one comparison of sums checks them all."""
+    and ``b`` is the last column of ``K_X`` above its diagonal; when
+    ``D >= 0``, X is not conditionally positive definite, never a parent,
+    and only ``(D, None, None)`` is returned.  Sizes 1 and 2 are closed
+    forms; a larger X is computed in O(k) from ``det = det K_S``,
+    ``S = X[:-2]``, and the entries ``first`` of ``X1`` and ``second`` of
+    its sibling ``S + X[-1:]`` (see the module docstring).  Each division
+    is checked exact (InvariantError): floor remainders share the sign of
+    the divisor, so they sum to 0 only if each is 0, and one comparison of
+    sums checks them all."""
     if len(support) == 1:
         i = support[0]
         return -1, [M[i][i], -1], [1]
@@ -249,8 +263,11 @@ def _support_state(M, support, det, first, second):
     row = M[support[-1]]
     mss, mst, mtt = M[s][s], row[s], row[support[-1]]
     if len(support) == 2:
-        return (2 * mst - mss - mtt, [mss * mtt - mst * mst, mst - mtt,
-                                      mst - mss], [mss - mst, -1])
+        D = 2 * mst - mss - mtt
+        if D >= 0:
+            return D, None, None
+        return (D, [mss * mtt - mst * mst, mst - mtt, mst - mss],
+                [mss - mst, -1])
     _, d1, f1, v1 = first
     b = [1]
     b += map(row.__getitem__, support[:-2])
@@ -260,6 +277,8 @@ def _support_state(M, support, det, first, second):
     if sum(num) != det * sum(v):
         raise InvariantError("bordered recurrence division must be exact")
     D = mtt * d1 - sum(map(mul, b, v)) + mst * c
+    if D >= 0:
+        return D, None, None
     v.append(-c)
     w = v[0]
     num = [D * x + w * y for x, y in zip(f1, v)]
@@ -270,35 +289,50 @@ def _support_state(M, support, det, first, second):
     return D, f, v
 
 
+def _check_attained(M, support, p, total):
+    """Raise InvariantError unless ``total``, read off ``f[0]``, is
+    ``p^T M_S p`` summed row by row: the value a verdict reports must be
+    attained at the point it reports."""
+    form = 0
+    for x, i in zip(p, support):
+        row = M[i]
+        form += x * sum(map(mul, [row[j] for j in support], p))
+    if form != total:
+        raise InvariantError("stationary value must be attained at its point")
+
+
 def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
-    """Yield ``(support, p, q, total)`` for every support whose parents are
-    all conditionally positive definite and whose stationarity system has
-    a unique solution, strictly positive on the support, all in integers:
-    the point is ``p / q`` on ``support`` (0 elsewhere) and its form value
-    is ``total / (q^2 d)``.  These include the simplex minimum, the first
-    negative value of an unpruned scan and every minimal zero (see the
-    module docstring).
+    """Yield ``(support, p, q, total)`` for every conditionally positive
+    definite support whose parents are all conditionally positive definite
+    and whose stationarity system has a solution strictly positive on the
+    support, all in integers: the point is ``p / q`` on ``support`` (0
+    elsewhere) and its form value is ``total / (q^2 d)``.  These include
+    the simplex minimum, the first negative value of an unpruned scan and
+    every minimal zero (see the module docstring); no other support can
+    hold one.
 
     Supports are scanned by cardinality, then lexicographically, so strict
     subsets come before their supersets.  Each system is solved on the
     integer numerators of ``A = M / d`` from the states of its two parents
-    ``S[:-1]`` and ``S[:-2] + S[-1:]`` in O(k).  ``p`` is ``f[1:]``, the
-    first column of ``adj K_S`` on the unknowns u, and
-    ``q = |det K_S|``, signs matched so that ``p > 0``; ``total`` is
-    recomputed as ``p^T M_S p``, so each candidate is an attained simplex
-    value by construction, and ``sum(p) == q`` is checked (InvariantError).
-    Raises OrderTooLargeError for orders above ``MAX_SCAN_ORDER`` when the
-    scan starts.
+    ``S[:-1]`` and ``S[:-2] + S[-1:]`` in O(k).  ``p`` is ``-f[1:]``, the
+    first column of ``adj K_S`` on the unknowns u, negated, and
+    ``q = -det K_S > 0``; ``total`` is ``f[0] q``, read in O(1).
+    ``sum(p) == q`` is checked, and so is ``total == p^T M_S p`` wherever
+    ``total <= 0``, at every zero and every violator (InvariantError):
+    each value a verdict reports is attained at its point (a positive
+    minimum is checked by ``is_copositive``).  Raises OrderTooLargeError
+    for orders above ``MAX_SCAN_ORDER`` when the scan starts.
 
     The system of support S, its point and its value depend only on
     ``A_S = M_S / d``, and so do ``D``, ``f`` and ``v``.  A caller that
     scans many matrices (the census) may pass one dict as ``cache``: it is
     keyed by the upper triangle of ``M_S`` followed by ``d``, built only
     for the supports the scan visits, and maps to ``(found, D, f, v)``,
-    where ``found`` is ``None`` (no unique positive solution) or
-    ``(p, q, total)`` as yielded.  Each distinct principal submatrix is
-    solved once, whatever order the matrix that first met it had: a hit
-    with ``D < 0`` serves as a parent as stored, and a hit with ``D >= 0``
+    where ``found`` is ``None`` (no positive solution, or ``D >= 0``, when
+    ``f`` and ``v`` are ``None`` too) or ``(p, q, total)`` as yielded and
+    checked when solved.  Each distinct principal submatrix is solved
+    once, whatever order the matrix that first met it had: a hit with
+    ``D < 0`` serves as a parent as stored, and a hit with ``D >= 0``
     prunes its supersets like a solve.  Without a cache no key is built.
     """
     n = A.n
@@ -328,18 +362,15 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
                     continue
             D, f, v = _support_state(M, support, det, first, second)
             found = None
-            p = f[1:]
-            if D < 0 and max(p) < 0 or D > 0 and min(p) > 0:
-                q = D
-                if q < 0:
-                    q, p = -q, [-x for x in p]
+            if D < 0 and max(f[1:]) < 0:
+                q = -D
+                p = [-x for x in f[1:]]
                 if sum(p) != q:  # the row sum(u) = 1 of the system
                     raise InvariantError(
                         "stationary point must have coordinate sum 1")
-                total = 0
-                for x, i in zip(p, support):
-                    row = M[i]
-                    total += x * sum(map(mul, [row[j] for j in support], p))
+                total = f[0] * q
+                if total <= 0:  # a zero or a violator
+                    _check_attained(M, support, p, total)
                 found = tuple(p), q, total
             entry = found, D, f, v
             if D < 0:
@@ -382,31 +413,35 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
     these: the verdict equals that of a scan of every support with a unique
     positive solution (see the module docstring).  Values
     ``total / (q^2 d)`` share ``d``, so their signs are those of ``total``
-    and they are compared as ``total / q^2`` by cross-multiplying; the
-    minimum is compared only if no zero turns up.  ``cache`` is handed to
-    ``stationary_candidates``.
+    and they are compared as ``total / q^2`` by cross-multiplying.  Zeros
+    are kept as ``(support, p)`` and made ``Zero``s only once the scan has
+    ended without a violator.  The scan checks ``total`` against
+    ``p^T M_S p`` at every zero and violator it solves; a positive minimum
+    is checked here, once, before it is returned (InvariantError).
+    ``cache`` is handed to ``stationary_candidates``.
     """
     hit = _prefilter_violator(A)
     if hit is not None:
         return CopositivityVerdict(False, hit[0], hit[1])
     n = A.n
-    d = A.integer_form[1]
-    values = []
+    M, d = A.integer_form
+    least = None  # (total, q^2, support, p) of the least value so far
     zeros = []
     for support, p, q, total in stationary_candidates(A, cache=cache):
         if total < 0:
             violator = _embed([Fraction(x, q) for x in p], support, n)
             return CopositivityVerdict(False, violator,
                                        Fraction(total, q * q * d))
-        if total:
-            values.append((total, q * q))
-        else:  # a minimal zero, by the module docstring
-            g = gcd(*p)
-            zeros.append(Zero(_embed([x // g for x in p], support, n, 0)))
+        if not total:  # a minimal zero, by the module docstring
+            zeros.append((support, p))
+        elif least is None or total * least[1] < least[0] * q * q:
+            least = total, q * q, support, p
     if zeros:
-        return CopositivityVerdict(True, None, ZERO, tuple(zeros))
-    total, qq = values[0]
-    for t, r in values:
-        if t * qq < total * r:
-            total, qq = t, r
+        kept = []
+        for support, p in zeros:
+            g = gcd(*p)
+            kept.append(Zero(_embed([x // g for x in p], support, n, 0)))
+        return CopositivityVerdict(True, None, ZERO, tuple(kept))
+    total, qq, support, p = least
+    _check_attained(M, support, p, total)
     return CopositivityVerdict(True, None, Fraction(total, qq * d))

@@ -11,9 +11,11 @@ leading minors of ``Z^T A_S Z``, which supports the scan must visit.  The
 visited supports must be exactly those whose parents it accepts, and the
 sign of each determinant must say whether the support is accepted itself.
 For every visited support the scan and the oracle must agree on whether
-the solution is unique, whether it is positive, the point and the value,
-and the state ``(D, f, v)`` the scan computes must be what
-``oracles.bordered_state`` recomputes from ``K_S``.  Each test also
+the solution is unique and on ``D = det K_S``.  A conditionally positive
+definite support must yield exactly the oracle's positive point and its
+value, and its whole state ``(D, f, v)`` must be what
+``oracles.bordered_state`` recomputes from ``K_S``; any other support can
+hold no verdict, yields nothing and keeps ``D`` alone.  Each test also
 asserts which branches its inputs reached and which supports the pruning
 skipped.
 """
@@ -35,6 +37,7 @@ from copocert.scaling import DiagonalScaling, scale
 from oracles import (
     benchmark_families,
     block_state,
+    conditionally_positive_definite,
     fraction_candidates,
     parents_of,
     principal_block,
@@ -84,12 +87,15 @@ def oracle(A: SymMatrix, support):
 
 
 def check_solve(A: SymMatrix, support, state):
-    """The oracle's decision, and ``state`` against ``block_state``;
-    returns the oracle's ``(unique, point, value)``."""
+    """The oracle's decision, and ``state`` against ``block_state``: all of
+    it on a conditionally positive definite support, ``D`` alone on any
+    other; returns the oracle's ``(unique, point, value)``."""
     expected = oracle(A, support)
     assert (state[0] != 0) == expected[0], (A, support)
-    block = principal_block(A.integer_form[0], support)
-    assert tuple(state) == block_state(block), (A, support)
+    D, f, v = block_state(principal_block(A.integer_form[0], support))
+    if not conditionally_positive_definite(A, support):
+        f = v = None
+    assert tuple(state) == (D, f, v), (A, support)
     return expected
 
 
@@ -132,7 +138,8 @@ def agree(A: SymMatrix, solves, branches: Counter) -> None:
         _, point, value = check_solve(A, support, state)
         assert (det < 0) == pd[support], (A, support)
         got = found.pop(support, (None, None))
-        assert got == (point, value), (A, support)
+        assert got == ((point, value) if pd[support] else (None, None)), \
+            (A, support)
         assert all(type(c) is Fraction for c in got[0] or ()), (A, support)
         branches[branch, "singular" if not det else
                  "negative" if det < 0 else "positive"] += 1
@@ -219,12 +226,13 @@ def test_singular_parent_with_a_nonsingular_child(solves):
 
 def test_hits_from_a_scan_of_another_order_are_used_as_stored(solves):
     # a cache shared across orders: each principal submatrix of order n - 1
-    # is scanned first as a matrix of its own.  Every entry keeps the whole
-    # state (D, f, v), so the order-n scan hits every support below n and
-    # solves only the top support, if all its parents are conditionally
-    # positive definite: no support is solved twice (integer entries, so
-    # that the submatrices have the common denominator 1 of the whole, and
-    # its keys)
+    # is scanned first as a matrix of its own.  Every entry keeps what a
+    # scan reads of it, the whole state (D, f, v) of a conditionally
+    # positive definite support and D of any other, so the order-n scan
+    # hits every support below n and solves only the top support, if all
+    # its parents are conditionally positive definite: no support is
+    # solved twice (integer entries, so that the submatrices have the
+    # common denominator 1 of the whole, and its keys)
     rng = random.Random(5)
     branches = Counter()
     for n in (3, 4, 5):

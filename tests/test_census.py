@@ -11,6 +11,7 @@ from copocert import cli
 from copocert.census import (
     Candidate,
     CensusRecord,
+    EquivalenceReport,
     read_records,
     run_census,
     verify_pair_scaling_equivalence,
@@ -18,7 +19,14 @@ from copocert.census import (
 )
 from copocert.copositivity import is_copositive
 from copocert.errors import NotCopositiveError, NotExtremalError
+from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
+from copocert.scaling import (
+    DiagonalScaling,
+    extract_pattern,
+    has_sign_pattern_scaling,
+    scale,
+)
 
 from oracles import (
     brute_canonical,
@@ -27,6 +35,7 @@ from oracles import (
     hoffman_pereira_copositive,
     hoffman_pereira_supports,
     iterate_candidates,
+    random_positive_diagonal,
 )
 
 F = Fraction
@@ -341,3 +350,49 @@ class TestEquivalence:
                     continue
                 A = Candidate(n, record.canonical_offdiag).matrix()
                 assert verify_pair_scaling_equivalence(A).equivalent
+
+
+def two_certificate_report(A: SymMatrix) -> EquivalenceReport:
+    """The report with the pattern's certificate always computed from the
+    pattern, even when the pattern is A itself."""
+    cert = extremality_certificate(A)
+    supports = tuple(sorted(z.support for z in cert.minimal_zeros))
+    decomposition = pattern_nullity = None
+    scaled = False
+    if has_sign_pattern_scaling(A):
+        decomposition = extract_pattern(A)
+        pattern_cert = extremality_certificate(decomposition.pattern)
+        pattern_nullity, scaled = pattern_cert.nullity, pattern_cert.extremal
+    return EquivalenceReport(A.n, supports, all(len(s) == 2 for s in supports),
+                             decomposition, pattern_nullity, scaled)
+
+
+def test_pattern_equal_to_the_input_reuses_its_certificate(census,
+                                                           monkeypatch):
+    # every extremal class of order <= 5 and the Horn matrix are their own
+    # pattern and are certified once; a rational scaling of each has
+    # another pattern, certified apart.  Each report is the one that
+    # certifies the pattern separately
+    rng = random.Random(19)
+    patterns = [Candidate(n, r.canonical_offdiag).matrix()
+                for n in range(1, 6) for r in census(n) if r.extremal]
+    patterns.append(horn_matrix())
+    calls = []
+    real = census_mod.extremality_certificate
+
+    def counting(A, **kwargs):
+        calls.append(A)
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(census_mod, "extremality_certificate", counting)
+    for S in patterns:
+        D = DiagonalScaling(random_positive_diagonal(rng, S.n))
+        for A, certified in ((S, 1), (scale(S, D), 2)):
+            if certified == 2 and A == S:  # every factor drew 1
+                continue
+            calls.clear()
+            report = verify_pair_scaling_equivalence(A)
+            assert report == two_certificate_report(A), A
+            assert report.equivalent, A
+            assert len(calls) == certified, A
+    assert len(patterns) == 8 + 1

@@ -303,13 +303,42 @@ class TestCensus:
 class TestCopositivity:
     def test_stationary_point_off_the_simplex(self, monkeypatch):
         # every support "solved" to the point (1, ..., 1) with D = -1, which
-        # sums to 1 only on singletons
+        # sums to 1 only on singletons; f[0] = 1 gives each singleton its
+        # true value M_ii = 1, so only the sum is wrong
         monkeypatch.setattr(
             copositivity_mod, "_support_state",
             lambda M, support, det, first, second:
-                (-1, [0] + [-1] * len(support), [1] * len(support)))
+                (-1, [1] + [-1] * len(support), [1] * len(support)))
         with pytest.raises(InvariantError, match="sum 1"):
             is_copositive(SymMatrix.identity(2))
+
+    @pytest.mark.parametrize("rows, delta", [
+        # the zero (1/2, 1/2) of PAIR, claimed negative, or positive and
+        # then the minimum
+        ([[1, -1], [-1, 1]], -1),
+        ([[1, -1], [-1, 1]], 1),
+        # the identity's point (1/2, 1/2), of value 1/2, claimed a zero
+        ([[1, 0], [0, 1]], -1),
+        # the violator (1/2, 1/2), of value -1/2, claimed lower
+        ([[1, -2], [-2, 1]], -1),
+        # the positive minimum 6/5 at (3/5, 2/5), claimed to be 1
+        ([[2, 0], [0, 3]], -1),
+    ], ids=["zero-negative", "zero-positive", "false-zero", "violator",
+            "positive-minimum"])
+    def test_stationary_value_not_attained(self, monkeypatch, rows, delta):
+        # f[0] of the pair (0, 1) off by delta: the value read off it is
+        # not the value at the point read off f[1:]
+        real = copositivity_mod._support_state
+
+        def corrupted(M, support, *args):
+            D, f, v = real(M, support, *args)
+            if support == (0, 1):
+                f = [f[0] + delta, *f[1:]]
+            return D, f, v
+
+        monkeypatch.setattr(copositivity_mod, "_support_state", corrupted)
+        with pytest.raises(InvariantError, match="attained at its point"):
+            is_copositive(SymMatrix.from_rows(rows))
 
     def test_support_state_inexact_division(self):
         # on the identity of order 3, X = (0, 1, 2) borders X1 = (0, 1)

@@ -81,9 +81,14 @@ def test_cached_systems_match_a_scan_without_cache():
                    for p in parents_of(tuple(range(k)))), key
         assert (state[0] < 0) == \
             conditionally_positive_definite(A, range(k)), key
-        # every entry keeps the whole state, whatever the order of the scan
-        # that stored it: a parent needs it, and the sign of D prunes
-        assert tuple(state) == bordered_state(A.integer_form[0], range(k)), key
+        # every entry keeps what a scan reads of it, whatever the order of
+        # the scan that stored it: a parent needs the whole state, and the
+        # sign of D prunes, which is all a support that is not
+        # conditionally positive definite keeps
+        D, f, v = bordered_state(A.integer_form[0], range(k))
+        if not conditionally_positive_definite(A, range(k)):
+            f = v = None
+        assert tuple(state) == (D, f, v), key
         kept["positive definite" if state[0] < 0 else
              "not positive definite"] += 1
     assert kept["positive definite"] > 0 and kept["not positive definite"] > 0
