@@ -60,7 +60,7 @@ class Candidate:
     order: int
     offdiag: tuple[int, ...]
 
-    def __init__(self, order, offdiag):
+    def __init__(self, order, offdiag, /):
         # written out (see records): the sweep builds one per class
         m = order * (order - 1) // 2
         if len(offdiag) != m:
@@ -91,7 +91,7 @@ class CensusRecord:
     orbit_size: int
 
     def __init__(self, order, canonical_offdiag, copositive, extremal,
-                 minimal_supports, orbit_size):
+                 minimal_supports, orbit_size, /):
         # written out (see records): the sweep builds one per class
         assign = object.__setattr__
         assign(self, "order", order)

@@ -45,6 +45,11 @@ from .zeros import minimal_zeros
 
 _TOKEN = re.compile(r"\S+")
 _ENTRY = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+_DIGITS = re.compile(r"[0-9]+")
+
+# the most digits an integer in a matrix file may have: CPython's default
+# limit on int/str conversion (3.10.7 and later), on every version
+MAX_DIGITS = 4300
 
 
 def _column(text: str, t: int) -> int:
@@ -57,10 +62,11 @@ def parse_matrix_file(path: str) -> SymMatrix:
 
     First non-comment line holds the order n, then n rows of n entries,
     each an integer p or a rational p/q with positive q, not necessarily in
-    lowest terms, in ASCII digits.  Lines starting with '#' and blank lines
-    are skipped.  Asymmetric input is rejected.  Entries are read as integer
-    pairs (p, q) and compared by cross-multiplying; a ``Fraction`` is built
-    only for a diagnostic, and token columns are found only for one.
+    lowest terms, in ASCII digits, no integer longer than ``MAX_DIGITS``.
+    Lines starting with '#' and blank lines are skipped.  Asymmetric input
+    is rejected.  Entries are read as integer pairs (p, q) and compared by
+    cross-multiplying; a ``Fraction`` is built only for a diagnostic, and
+    token columns are found only for one.
     """
     try:
         with open(path, "rb") as handle:
@@ -78,6 +84,15 @@ def parse_matrix_file(path: str) -> SymMatrix:
                 line=lineno, column=len(line[:exc.start].decode("utf-8")) + 1)
         tokens = text.split()
         if tokens and not tokens[0].startswith("#"):
+            # a token's length bounds the digits of the integers in it
+            if max(map(len, tokens)) > MAX_DIGITS:
+                for t, tok in enumerate(tokens):
+                    digits = max(map(len, _DIGITS.findall(tok)), default=0)
+                    if digits > MAX_DIGITS:
+                        raise MatrixFormatError(
+                            f"integer of {digits} digits, more than the "
+                            f"{MAX_DIGITS} allowed",
+                            line=lineno, column=_column(text, t))
             data.append((lineno, text, tokens))
     if not data:
         raise MatrixFormatError("no data lines", line=len(raw) + 1, column=1)
@@ -370,6 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact results may have more digits than CPython (3.10.7 and later)
+    # converts to str by default: lifted for the command, then restored
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (MatrixFormatError, OrderTooLargeError, OutputError) as exc:
@@ -378,6 +398,9 @@ def main(argv=None) -> int:
     except CopocertError as exc:
         _emit_error(args.subcommand, exc)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

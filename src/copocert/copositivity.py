@@ -154,7 +154,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .errors import InvariantError, OrderTooLargeError
-from .linalg import ONE, ZERO, SymMatrix, Vector, upper_index, upper_size
+from .linalg import ONE, ZERO, SymMatrix, Vector, unknowns, upper_size
 from .records import record
 
 MAX_SCAN_ORDER = 16
@@ -199,7 +199,7 @@ class CopositivityVerdict:
     copositive: bool
     violator: Vector | None
     simplex_minimum: Fraction
-    zeros: tuple[Zero, ...] = ()
+    zeros: tuple[Zero, ...]
 
 
 def _embed(values, support, n, fill=ZERO):
@@ -214,9 +214,9 @@ def _key_getters(n):
     """One ``itemgetter`` per support of order n, which picks the upper
     triangle of ``M_S`` followed by ``d`` out of the upper triangle of
     ``M`` followed by ``d``: the support's cache key."""
-    last = upper_size(n)
-    return {s: itemgetter(*[upper_index(n, i, j) for p, i in enumerate(s)
-                            for j in s[p:]], last)
+    columns = unknowns(n)[1]
+    return {s: itemgetter(*[columns[i][j] for p, i in enumerate(s)
+                            for j in s[p:]], upper_size(n))
             for k in range(1, n + 1) for s in combinations(range(n), k)}
 
 
@@ -341,7 +341,7 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
             f"order {n} exceeds the support scan's limit of {MAX_SCAN_ORDER}")
     M, d = A.integer_form
     if cache is not None:
-        flat = (*[x for i, row in enumerate(M) for x in row[i:]], d)
+        flat = (*[M[i][j] for i, j in unknowns(n)[0]], d)
         getters = _key_getters(n)
     grand = parents = {}
     for k in range(1, n + 1):
@@ -422,7 +422,7 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
     """
     hit = _prefilter_violator(A)
     if hit is not None:
-        return CopositivityVerdict(False, hit[0], hit[1])
+        return CopositivityVerdict(False, hit[0], hit[1], ())
     n = A.n
     M, d = A.integer_form
     least = None  # (total, q^2, support, p) of the least value so far
@@ -431,7 +431,7 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
         if total < 0:
             violator = _embed([Fraction(x, q) for x in p], support, n)
             return CopositivityVerdict(False, violator,
-                                       Fraction(total, q * q * d))
+                                       Fraction(total, q * q * d), ())
         if not total:  # a minimal zero, by the module docstring
             zeros.append((support, p))
         elif least is None or total * least[1] < least[0] * q * q:
@@ -444,4 +444,4 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
         return CopositivityVerdict(True, None, ZERO, tuple(kept))
     total, qq, support, p = least
     _check_attained(M, support, p, total)
-    return CopositivityVerdict(True, None, Fraction(total, qq * d))
+    return CopositivityVerdict(True, None, Fraction(total, qq * d), ())

@@ -5,11 +5,11 @@ homogeneous linear system on a symmetric unknown X:
 
     (X u^j)_k = 0    for every j and every k with (A u^j)_k = 0,
 
-over the n(n+1)/2 upper-triangle entries of X (row-major, the global unknown
-ordering of this package).  A spans an extreme ray of the copositive cone
-exactly when the solution space of this system is one-dimensional, in which
-case that line is spanned by A itself.  The gate ``(A u^j)_k = 0`` is tested
-exactly; there is no tolerance anywhere.
+over the n(n+1)/2 upper-triangle entries of X (row-major, the package's one
+order of the unknowns, ``linalg.unknowns``).  A spans an extreme ray of the
+copositive cone exactly when the solution space of this system is
+one-dimensional, in which case that line is spanned by A itself.  The gate
+``(A u^j)_k = 0`` is tested exactly; there is no tolerance anywhere.
 
 The row of gate (j, k) is sparse: one term per support index l of u^j,
 at the unknown X_kl.  In the paper's class every minimal zero is a pair,
@@ -41,7 +41,7 @@ from .linalg import (
     canonical_vector,
     is_proportional,
     kernel_basis,
-    upper_index,
+    unknowns,
     upper_size,
 )
 from .records import record
@@ -91,6 +91,7 @@ def build_system(A: SymMatrix, zeros: tuple[Zero, ...]) -> ExtremalitySystem:
     read off each zero's integer ``point``."""
     n = A.n
     M, _ = A.integer_form
+    columns = unknowns(n)[1]
     gates = []
     rows = []
     for j, zero in enumerate(zeros):
@@ -104,7 +105,8 @@ def build_system(A: SymMatrix, zeros: tuple[Zero, ...]) -> ExtremalitySystem:
                 continue
             # ascending l gives ascending columns X_kl
             gates.append((j, k))
-            rows.append(tuple((upper_index(n, k, l), p[l]) for l in support))
+            column = columns[k]
+            rows.append(tuple((column[l], p[l]) for l in support))
     return ExtremalitySystem(n, tuple(gates), tuple(rows))
 
 
@@ -202,7 +204,7 @@ def extremality_certificate(A: SymMatrix, *,
     n = A.n
     M, _ = A.integer_form
     # A = M / d, so A solves the system exactly when upper(M) does
-    upper = [M[i][j] for i in range(n) for j in range(i, n)]
+    upper = [M[i][j] for i, j in unknowns(n)[0]]
     if any(sum(upper[c] * a for c, a in row) for row in system.rows):
         raise InvariantError("input matrix must satisfy its own system")
     ncols = upper_size(n)

@@ -6,8 +6,9 @@ integer form ``(M, d)``: integer rows over their least common denominator,
 a canonical form, so equal forms are equal matrices.  ``from_ratios`` brings
 rows of integer pairs ``(p, q)`` to it, ``from_rows`` rational rows (through
 ``from_ratios``), ``from_integer_rows`` takes integer rows as they are, and
-a ``Fraction`` entry is built only when one is read (``get``).  Rational
-rows are scaled to primitive integer rows only where they enter
+a ``Fraction`` entry is built only when one is read (``get``).  The
+unknowns ``X_ij`` of a symmetric matrix are ordered once, by ``unknowns``.
+Rational rows are scaled to primitive integer rows only where they enter
 ``solve_affine`` or ``kernel_basis``; integer rows go in as given.
 Elimination is the fraction-free Bareiss two-row determinant update, and
 back-substitution carries integer numerators over the last pivot, so one
@@ -20,6 +21,7 @@ of its parents (``copositivity``).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -97,20 +99,6 @@ def _bareiss_echelon(int_rows, ncols):
     return mat, pivots
 
 
-def _prepare(rows, ncols):
-    int_rows = _int_rows(rows)
-    if int_rows and ncols is None:
-        ncols = len(int_rows[0])
-    if ncols is None:
-        raise ValueError("ncols is required for a matrix with no rows")
-    if ncols < 1:
-        raise ValueError("matrix must have at least one column")
-    for r in int_rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix rows")
-    return int_rows, ncols
-
-
 def _back_substitute(ech, pivots, ncols, free=None, rhs_col=None):
     """``(y, det)`` with ``x = y / det`` the solution whose free coordinates
     are 0, or 1 at ``free``, for right-hand side column ``rhs_col`` (or 0).
@@ -141,16 +129,16 @@ def _kernel_from_echelon(ech, pivots, ncols):
             for f in range(ncols) if f not in pivot_cols]
 
 
-def kernel_basis(rows, ncols=None) -> list[Vector]:
-    """Basis of ``{x : Mx = 0}`` with deterministic primitive entries, from
-    one fraction-free elimination (integer rows as given, rational rows
-    scaled).
+def kernel_basis(rows, ncols) -> list[Vector]:
+    """Basis of ``{x : Mx = 0}`` for the ``ncols``-column matrix M, with
+    deterministic primitive entries, from one fraction-free elimination
+    (integer rows as given, rational rows scaled).
 
     Empty list iff M has full column rank; a matrix with no rows (or only
     zero rows) yields the standard basis.
     """
-    int_rows, ncols = _prepare(rows, ncols)
-    return _kernel_from_echelon(*_bareiss_echelon(int_rows, ncols), ncols)
+    ech, pivots = _bareiss_echelon(_int_rows(rows), ncols)
+    return _kernel_from_echelon(ech, pivots, ncols)
 
 
 @record
@@ -170,24 +158,13 @@ class AffineSolutionSet:
     def feasible(self) -> bool:
         return self.particular is not None
 
-    @classmethod
-    def subspace(cls, ncols, kernel) -> "AffineSolutionSet":
-        """The span of ``kernel`` inside an ``ncols``-dimensional space."""
-        return cls(len(kernel), tuple([ZERO] * ncols), tuple(kernel))
 
-
-def solve_affine(rows, rhs, ncols=None) -> AffineSolutionSet:
-    """Full solution set of ``Mx = b`` (particular solution + kernel basis)."""
+def solve_affine(rows, rhs, ncols) -> AffineSolutionSet:
+    """Full solution set of ``Mx = b`` in ``ncols`` unknowns (particular
+    solution + kernel basis)."""
     if len(rows) != len(rhs):
         raise ValueError("rows and rhs lengths differ")
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not aug:
-        if ncols is None:
-            raise ValueError("ncols is required for a system with no rows")
-        ident = kernel_basis([], ncols)
-        return AffineSolutionSet(ncols, tuple([ZERO] * ncols), tuple(ident))
-    if ncols is None:
-        ncols = len(rows[0])
     ech, pivots = _bareiss_echelon(_int_rows(aug), ncols)
     for i in range(len(pivots), len(ech)):
         if ech[i][ncols] != 0:
@@ -202,13 +179,16 @@ def upper_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def upper_index(n: int, i: int, j: int) -> int:
-    """Position of entry (i, j) in row-major upper-triangle storage."""
-    if i > j:
-        i, j = j, i
-    if not (0 <= i <= j < n):
-        raise IndexError(f"entry ({i},{j}) outside order-{n} matrix")
-    return i * n - i * (i - 1) // 2 + (j - i)
+@functools.lru_cache(maxsize=None)
+def unknowns(n: int):
+    """The unknowns ``X_ij`` of order n in the package's one order, the
+    row-major upper triangle: ``(pairs, columns)`` with ``pairs[c] = (i, j)``,
+    ``i <= j``, and ``columns[i][j] = columns[j][i] = c``."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
+    columns = [[0] * n for _ in range(n)]
+    for c, (i, j) in enumerate(pairs):
+        columns[i][j] = columns[j][i] = c
+    return pairs, tuple(map(tuple, columns))
 
 
 @record
@@ -271,19 +251,6 @@ class SymMatrix:
         form is ``(rows, 1)``."""
         return cls((tuple(map(tuple, rows)), 1))
 
-    @classmethod
-    def identity(cls, n) -> "SymMatrix":
-        return cls.from_integer_rows([[int(i == j) for j in range(n)]
-                                      for i in range(n)])
-
-    @classmethod
-    def all_ones(cls, n) -> "SymMatrix":
-        return cls.from_integer_rows([[1] * n] * n)
-
-    @classmethod
-    def rank_one(cls, x) -> "SymMatrix":
-        return cls.from_rows([[a * b for b in x] for a in x])
-
     @property
     def n(self) -> int:
         return len(self.integer_form[0])
@@ -292,22 +259,9 @@ class SymMatrix:
         M, d = self.integer_form
         return Fraction(M[i][j], d)
 
-    def row(self, i) -> Vector:
-        return tuple(self.get(i, j) for j in range(self.n))
-
-    def rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.n)]
-
     def has_unit_diagonal(self) -> bool:
         M, d = self.integer_form
         return all(M[i][i] == d for i in range(self.n))
-
-    def principal(self, indices) -> "SymMatrix":
-        """Principal submatrix on the given (sorted ascending) index set."""
-        idx = sorted(indices)
-        if not idx:
-            raise ValueError("principal submatrix needs a nonempty index set")
-        return SymMatrix.from_rows([[self.get(a, b) for b in idx] for a in idx])
 
     def is_zero(self) -> bool:
         return not any(map(any, self.integer_form[0]))

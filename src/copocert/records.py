@@ -1,19 +1,19 @@
 """Immutable value classes without ``dataclasses``.
 
 ``record`` turns a class whose fields are its annotations into a frozen
-value type: a constructor that takes the fields positionally or by keyword
-(a class attribute of the same name is the field's default) and then calls
-``__post_init__`` if the class has one, ``==`` and ``hash`` over the field
-tuple, a ``Name(field=value, ...)`` repr, and no assignment or deletion
-after construction.  It installs plain closures and generates no source,
-so importing the library costs neither ``dataclasses`` nor the ``inspect``
-it loads, nor an ``exec`` per class.
+value type: a constructor that takes every field positionally, in order,
+and then calls ``__post_init__`` if the class has one, ``==`` and
+``hash`` over the field tuple, a ``Name(field=value, ...)`` repr, and no
+assignment or deletion after construction; there are no keyword arguments
+and no defaults.  It installs plain closures and generates no source, so
+importing the library costs neither ``dataclasses`` nor the ``inspect`` it
+loads, nor an ``exec`` per class.
 
 A method the class defines itself is kept.  A class built in a hot loop
-writes out its own ``__init__``, which sets each field with
-``object.__setattr__``: the installed one takes any argument shape and
-loops over the fields, which for six fields costs about half as much
-again on CPython 3.11.
+writes out its own ``__init__``, which takes its fields positionally
+only and sets each with ``object.__setattr__``: the installed one loops
+over the fields, which for six fields costs about half as much again on
+CPython 3.11.
 """
 
 from operator import attrgetter
@@ -23,36 +23,16 @@ def record(cls):
     """Install the frozen-record methods on ``cls`` and return it."""
     names = tuple(cls.__annotations__)
     count = len(names)
-    defaults = {name: cls.__dict__[name] for name in names
-                if name in cls.__dict__}
     post_init = cls.__dict__.get("__post_init__")
     qualname = cls.__qualname__
     # past __setattr__, which refuses; writing self.__dict__ instead would
     # give every instance a dict of its own and slow each field read
     assign = object.__setattr__
 
-    def bind(args, kwargs):
-        if len(args) > count:
+    def __init__(self, *args):
+        if len(args) != count:
             raise TypeError(f"{qualname}() takes {count} positional "
                             f"arguments but {len(args)} were given")
-        values = list(args)
-        for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in defaults:
-                values.append(defaults[name])
-            else:
-                raise TypeError(f"{qualname}() missing required argument "
-                                f"{name!r}")
-        for name in kwargs:
-            problem = ("got multiple values for" if name in names
-                       else "got an unexpected keyword")
-            raise TypeError(f"{qualname}() {problem} argument {name!r}")
-        return values
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            args = bind(args, kwargs)
         for name, value in zip(names, args):
             assign(self, name, value)
         if post_init is not None:

@@ -8,12 +8,14 @@ denominator cancels: M_ii > 0, M_ij = 0 or M_ij^2 = M_ii M_jj, and S_ij is
 the sign of M_ij.  The scaling factors sqrt(A_ii) = isqrt(M_ii d) / d may be
 irrational, so the explicit D is returned only when every M_ii d is a
 perfect square (all-or-nothing), and is otherwise reported as implicit.
+With r_i = isqrt(M_ii d), entry (i, j) of D S D is s_ij r_i r_j / d^2, so
+D S D = A is checked on integers as M_ij d = s_ij r_i r_j.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InvariantError, ScalingConditionError
 from .linalg import SymMatrix
@@ -28,10 +30,6 @@ class DiagonalScaling:
         if any(d <= 0 for d in self.entries):
             raise ValueError("scaling factors must be positive")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
 
 @record
 class ScalingDecomposition:
@@ -43,18 +41,6 @@ class ScalingDecomposition:
     @property
     def explicit(self) -> bool:
         return self.scaling is not None
-
-
-def scale(S: SymMatrix, D: DiagonalScaling) -> SymMatrix:
-    """Congruence by the positive diagonal D: entries D_i S_ij D_j."""
-    if D.n != S.n:
-        raise ValueError("scaling order does not match matrix order")
-    M, d = S.integer_form
-    # with D_i = p_i / q_i, entry (i, j) is p_i M_ij p_j / (q_i d q_j)
-    ratios = [x.as_integer_ratio() for x in D.entries]
-    return SymMatrix.from_rows(
-        [[Fraction(p * x * pj, q * d * qj) for x, (pj, qj) in zip(row, ratios)]
-         for row, (p, q) in zip(M, ratios)])
 
 
 def _scaling_failure(A: SymMatrix) -> str | None:
@@ -97,14 +83,16 @@ def extract_pattern(A: SymMatrix) -> ScalingDecomposition:
     if failure is not None:
         raise ScalingConditionError(failure)
     M, d = A.integer_form
-    pattern = SymMatrix.from_integer_rows(
-        [[1 if i == j else (x > 0) - (x < 0) for j, x in enumerate(row)]
-         for i, row in enumerate(M)])
+    signs = [[1 if i == j else (x > 0) - (x < 0) for j, x in enumerate(row)]
+             for i, row in enumerate(M)]
+    pattern = SymMatrix.from_integer_rows(signs)
     # sqrt(M_ii / d) = sqrt(M_ii d) / d, rational iff M_ii d is a square
-    roots = [math.isqrt(M[i][i] * d) for i in range(A.n)]
+    roots = [isqrt(M[i][i] * d) for i in range(A.n)]
     if all(r * r == M[i][i] * d for i, r in enumerate(roots)):
-        D = DiagonalScaling(tuple(Fraction(r, d) for r in roots))
-        if scale(pattern, D) != A:
+        if any(x * d != s * ri * rj
+               for row, srow, ri in zip(M, signs, roots)
+               for x, s, rj in zip(row, srow, roots)):
             raise InvariantError("explicit scaling must reproduce A")
+        D = DiagonalScaling(tuple(Fraction(r, d) for r in roots))
         return ScalingDecomposition(pattern, D)
     return ScalingDecomposition(pattern, None)

@@ -23,7 +23,6 @@ entries to +1 recovers the unit-diagonal {-1,0,1} matrix itself.
 
 from __future__ import annotations
 
-
 from .errors import (
     AmbiguousPatternError,
     InconsistentDiagonalError,
@@ -32,16 +31,11 @@ from .errors import (
     SupportCardinalityError,
 )
 from .extremality import _TwoTermSolutions, build_system
-from .linalg import SymMatrix
+from .linalg import SymMatrix, unknowns
 from .records import record
 from .zeros import Zero
 
 Vertex = tuple[int, int]
-
-
-def _entries(n) -> tuple[Vertex, ...]:
-    """The entries ``(i, j)``, ``i <= j``, in the order of the unknowns."""
-    return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
 @record
@@ -50,7 +44,7 @@ class StructureGraph:
     edges: tuple[tuple[Vertex, Vertex], ...]
 
     def vertices(self) -> tuple[Vertex, ...]:
-        return _entries(self.order)
+        return unknowns(self.order)[0]
 
 
 @record
@@ -85,7 +79,7 @@ def build_graph(A: SymMatrix, zeros: tuple[Zero, ...]) -> StructureGraph:
             raise InvariantError(
                 "pair-supported zero of a unit-diagonal matrix must be balanced")
     system = build_system(A, zeros)
-    vertices = _entries(A.n)
+    vertices = unknowns(A.n)[0]
     edges = set()
     for (a, _), (b, _) in system.rows:
         if a == b:
@@ -156,11 +150,10 @@ def reconstruct_pattern(report: ComponentReport) -> SymMatrix:
     return SymMatrix.from_integer_rows(rows)
 
 
-def to_dot(G: StructureGraph, report: ComponentReport | None = None) -> str:
+def to_dot(G: StructureGraph, report: ComponentReport) -> str:
     """DOT rendering: one node per entry ``Xi_j`` (1-based), undirected edges,
-    component and parity as node attributes."""
-    if report is None:
-        report = component_analysis(G)
+    component and parity (from ``component_analysis(G)``) as node
+    attributes."""
     where: dict[Vertex, tuple[int, str]] = {}
     for cid, comp in enumerate(report.components):
         for v in comp.vertices:

@@ -27,8 +27,9 @@ before it read the integer form: signs, square roots and the square-product
 condition on the ``Fraction`` entries.  ``hoffman_pereira_supports`` reads
 the minimal supports of a copositive census class off its -1 entries.  The
 helpers at the end were library functions that only tests called (among
-them ``inverse_rows``, the scan's former elimination fallback, and
-``bordered_adjugate``, its former O(k^2) bordering step), and
+them ``SymMatrix.identity`` and its siblings, ``scale``, ``inverse_rows``,
+the scan's former elimination fallback, and ``bordered_adjugate``, its
+former O(k^2) bordering step), and
 ``zero_from_coordinates`` is the ``Zero`` constructor ``minimal_zeros`` used
 before it took the scan's points as they are.  ``bordered_state``
 recomputes the state that the scan keeps per support from determinants
@@ -60,7 +61,7 @@ from copocert.linalg import (
     SymMatrix,
     _back_substitute,
     _bareiss_echelon,
-    _prepare,
+    _int_rows,
     _primitive_int_row,
     eval_quadratic,
     kernel_basis,
@@ -73,7 +74,7 @@ from copocert.errors import (
     SupportCardinalityError,
 )
 from copocert.lp import strictly_positive_point
-from copocert.scaling import DiagonalScaling, ScalingDecomposition, scale
+from copocert.scaling import DiagonalScaling, ScalingDecomposition
 from copocert.structure_graph import (
     ComponentReport,
     GraphComponent,
@@ -154,6 +155,13 @@ def upper_entries(A: SymMatrix) -> tuple[Fraction, ...]:
     """A's entries on and above the diagonal in row-major order: its
     coordinates in the unknowns of the extremality system."""
     return tuple(A.get(i, j) for i in range(A.n) for j in range(i, A.n))
+
+
+def upper_index(n: int, i: int, j: int) -> int:
+    """Position of entry (i, j) among the unknowns, by the closed formula
+    for row-major upper-triangle storage."""
+    i, j = min(i, j), max(i, j)
+    return i * n - i * (i - 1) // 2 + (j - i)
 
 
 def from_upper_entries(n: int, entries) -> SymMatrix:
@@ -258,9 +266,9 @@ def zero_with_support(A: SymMatrix, support) -> Zero | None:
     idx = sorted(set(support))
     if not idx or not all(0 <= i < A.n for i in idx):
         raise ValueError("support must be a nonempty subset of the index range")
-    sub = A.principal(idx)
-    kernel = kernel_basis(sub.rows(), sub.n)
-    point = subspace_positive_point(AffineSolutionSet.subspace(sub.n, kernel))
+    sub = principal(A, idx)
+    kernel = kernel_basis(fraction_rows(sub), sub.n)
+    point = subspace_positive_point(subspace(sub.n, kernel))
     if point is None:
         return None
     coords = [Fraction(0)] * A.n
@@ -416,7 +424,7 @@ def matrix_apply(A: SymMatrix, x) -> tuple[Fraction, ...]:
     """Matrix-vector product ``A x`` in ``Fraction`` arithmetic."""
     if len(x) != A.n:
         raise ValueError("vector length does not match matrix order")
-    return tuple(dot(A.row(i), x) for i in range(A.n))
+    return tuple(dot(row, x) for row in fraction_rows(A))
 
 
 def fraction_build_graph(A: SymMatrix, zeros) -> StructureGraph:
@@ -563,13 +571,13 @@ def lp_is_copositive(A: SymMatrix) -> CopositivityVerdict:
     support's solution-set dimension."""
     hit = _prefilter_violator(A)
     if hit is not None:
-        return CopositivityVerdict(False, hit[0], hit[1])
+        return CopositivityVerdict(False, hit[0], hit[1], ())
     best = None
     zeros = []
     supports = []
     for value, point, dimension in lp_stationary_candidates(A):
         if value < 0:
-            return CopositivityVerdict(False, point, value)
+            return CopositivityVerdict(False, point, value, ())
         if best is None or value < best:
             best = value
         if value == 0:
@@ -631,7 +639,7 @@ def unpruned_is_copositive(A: SymMatrix) -> CopositivityVerdict:
     value-0 point is a zero and the minimum is exact."""
     hit = _prefilter_violator(A)
     if hit is not None:
-        return CopositivityVerdict(False, hit[0], hit[1])
+        return CopositivityVerdict(False, hit[0], hit[1], ())
     n = A.n
     best = None
     zeros = []
@@ -647,7 +655,7 @@ def unpruned_is_copositive(A: SymMatrix) -> CopositivityVerdict:
                 x[i] = v
             value = fraction_quadratic(A, x)
             if value < 0:
-                return CopositivityVerdict(False, tuple(x), value)
+                return CopositivityVerdict(False, tuple(x), value, ())
             if value == 0:
                 zeros.append(zero_from_coordinates(x))
             if best is None or value < best:
@@ -690,7 +698,7 @@ def degenerate_matrix(family: str, n: int, seed: int) -> SymMatrix:
         return SymMatrix.from_rows(rows)
     if family == "psd_plus_nonnegative":
         A = random_psd(rng, n, rng.randint(1, 2))
-        rows = [list(A.row(i)) for i in range(n)]
+        rows = fraction_rows(A)
         for _ in range(rng.randint(0, n)):
             i, j = rng.randrange(n), rng.randrange(n)
             rows[i][j] += rng.randint(1, 3)
@@ -716,7 +724,7 @@ def degenerate_matrix(family: str, n: int, seed: int) -> SymMatrix:
     if family == "rank_one":
         signs = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)]
         rng.shuffle(signs)
-        return SymMatrix.rank_one(
+        return rank_one(
             [s * F(rng.randint(1, 5), rng.randint(1, 4)) for s in signs])
     raise ValueError(f"unknown family {family!r}")
 
@@ -731,6 +739,48 @@ def random_psd(rng, n: int, rank: int) -> SymMatrix:
 
 
 # --- former library functions that only tests used ---------------------------
+
+def identity(n: int) -> SymMatrix:
+    return SymMatrix.from_integer_rows([[int(i == j) for j in range(n)]
+                                        for i in range(n)])
+
+
+def all_ones(n: int) -> SymMatrix:
+    return SymMatrix.from_integer_rows([[1] * n] * n)
+
+
+def rank_one(x) -> SymMatrix:
+    """``x x^T``."""
+    return SymMatrix.from_rows([[a * b for b in x] for a in x])
+
+
+def fraction_rows(A: SymMatrix) -> list[list[Fraction]]:
+    return [[A.get(i, j) for j in range(A.n)] for i in range(A.n)]
+
+
+def principal(A: SymMatrix, indices) -> SymMatrix:
+    """The principal submatrix on a nonempty index set, in ascending
+    order."""
+    idx = sorted(indices)
+    if not idx:
+        raise ValueError("principal submatrix needs a nonempty index set")
+    return SymMatrix.from_rows([[A.get(a, b) for b in idx] for a in idx])
+
+
+def subspace(ncols: int, kernel) -> AffineSolutionSet:
+    """The span of ``kernel`` inside an ``ncols``-dimensional space."""
+    return AffineSolutionSet(len(kernel), (Fraction(0),) * ncols,
+                             tuple(kernel))
+
+
+def scale(S: SymMatrix, D: DiagonalScaling) -> SymMatrix:
+    """Congruence by the positive diagonal D: entries D_i S_ij D_j."""
+    d = D.entries
+    if len(d) != S.n:
+        raise ValueError("scaling order does not match matrix order")
+    return SymMatrix.from_rows([[d[i] * S.get(i, j) * d[j] for j in range(S.n)]
+                                for i in range(S.n)])
+
 
 def fraction_candidates(A: SymMatrix, *, cache: dict | None = None):
     """``stationary_candidates`` as it yielded before it handed out
@@ -882,9 +932,11 @@ def min_on_simplex(A: SymMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 
 def rank_nullity(rows, ncols=None) -> tuple[int, int]:
-    """Exact ``(rank, nullity)`` of a rectangular rational matrix."""
-    int_rows, ncols = _prepare(rows, ncols)
-    _, pivots = _bareiss_echelon(int_rows, ncols)
+    """Exact ``(rank, nullity)`` of a rectangular rational matrix, with
+    ``ncols`` read off its first row when not given."""
+    if ncols is None:
+        ncols = len(rows[0])
+    _, pivots = _bareiss_echelon(_int_rows(rows), ncols)
     return len(pivots), ncols - len(pivots)
 
 

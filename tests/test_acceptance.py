@@ -26,7 +26,6 @@ from copocert.scaling import (
     DiagonalScaling,
     extract_pattern,
     has_sign_pattern_scaling,
-    scale,
 )
 from copocert.structure_graph import (
     build_graph,
@@ -36,11 +35,15 @@ from copocert.structure_graph import (
 from copocert.zeros import minimal_zeros
 
 from oracles import (
+    all_ones,
     bfs_component_analysis,
     canonical_form,
     fraction_build_graph,
+    identity,
     random_positive_diagonal,
     random_symmetric,
+    rank_one,
+    scale,
     subdivision_falsifier,
 )
 
@@ -111,7 +114,7 @@ def test_criterion_1_worked_instance(criterion):
 
 def test_criterion_2_rank_one_patterns(criterion):
     with criterion(2, "rank-one patterns", 1.0):
-        A = SymMatrix.rank_one((F(1), F(-1), F(1)))
+        A = rank_one((F(1), F(-1), F(1)))
         zeros = minimal_zeros(A)
         assert tuple(z.support for z in zeros) == ((0, 1), (1, 2))
         cert = extremality_certificate(A)
@@ -124,7 +127,7 @@ def test_criterion_2_rank_one_patterns(criterion):
         assert set(comp.classes[1]) == {(0, 1), (1, 2)}
         assert reconstruct_pattern(report) == A
 
-        B = SymMatrix.rank_one((F(1), F(-2), F(1)))
+        B = rank_one((F(1), F(-2), F(1)))
         by_support = {z.support: z for z in minimal_zeros(B)}
         assert by_support[(0, 1)].coordinates == (F(2, 3), F(1, 3), F(0))
         assert has_sign_pattern_scaling(B)
@@ -156,7 +159,7 @@ def test_criterion_3_horn_matrix(criterion):
 def test_criterion_4_negative_controls(criterion):
     with criterion(4, "negative controls", 1.0):
         for n in (2, 3):
-            for A in (SymMatrix.identity(n), SymMatrix.all_ones(n)):
+            for A in (identity(n), all_ones(n)):
                 assert len(minimal_zeros(A)) == 0
                 cert = extremality_certificate(A)
                 assert cert.nullity == upper_size(n)

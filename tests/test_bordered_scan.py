@@ -32,7 +32,7 @@ from copocert.census import ALPHABET, Candidate, read_records
 from copocert.copositivity import is_copositive, stationary_candidates
 from copocert.linalg import SymMatrix, eval_quadratic, solve_affine
 from copocert.lp import strictly_positive_point
-from copocert.scaling import DiagonalScaling, scale
+from copocert.scaling import DiagonalScaling
 
 from oracles import (
     benchmark_families,
@@ -40,11 +40,14 @@ from oracles import (
     conditionally_positive_definite,
     fraction_candidates,
     parents_of,
+    principal,
     principal_block,
     random_positive_diagonal,
     random_psd,
     random_symmetric,
+    rank_one,
     rational_support_system,
+    scale,
     scan_visits,
     unpruned_is_copositive,
 )
@@ -182,7 +185,7 @@ def test_seeded_rationals(solves, n):
     matrices += [scale(random_psd(rng, n, rank), D) for rank in (2, n - 2)]
     v = [F(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((-1, 1))
          for _ in range(n)]
-    matrices.append(SymMatrix.rank_one(v))
+    matrices.append(rank_one(v))
     branches = Counter()
     for A in matrices:
         agree(A, solves, branches)
@@ -196,7 +199,7 @@ def test_rank_one_stops_at_triples(solves):
     # order 8 solves its 8 + 28 nonsingular systems, finds the 56 triples
     # singular and visits no larger support
     v = [F(1, 2), -1, F(3, 2), -2, 3, F(-1, 3), 5, F(-7, 4)]
-    A = SymMatrix.rank_one(v)
+    A = rank_one(v)
     assert is_copositive(A) == unpruned_is_copositive(A)
     solves.clear()
     list(stationary_candidates(A))
@@ -244,7 +247,7 @@ def test_hits_from_a_scan_of_another_order_are_used_as_stored(solves):
                 solved = []  # each solved support's M_S
                 for rest in itertools.combinations(range(n), n - 1):
                     solves.clear()
-                    B = A.principal(rest)
+                    B = principal(A, rest)
                     list(stationary_candidates(B, cache=cache))
                     solved += [principal_block(B.integer_form[0], support)
                                for support, _, _ in solves]

@@ -25,17 +25,20 @@ from copocert.scaling import (
     DiagonalScaling,
     extract_pattern,
     has_sign_pattern_scaling,
-    scale,
 )
 
 from oracles import (
     brute_canonical,
     burnside_class_count,
     canonical_form,
+    fraction_rows,
     hoffman_pereira_copositive,
     hoffman_pereira_supports,
+    identity,
     iterate_candidates,
     random_positive_diagonal,
+    rank_one,
+    scale,
 )
 
 F = Fraction
@@ -51,7 +54,7 @@ class TestCandidate:
     def test_matrix_roundtrip(self):
         c = Candidate(3, (-1, 0, 1))
         A = c.matrix()
-        assert A.rows() == [[1, -1, 0], [-1, 1, 1], [0, 1, 1]]
+        assert fraction_rows(A) == [[1, -1, 0], [-1, 1, 1], [0, 1, 1]]
 
     def test_validates_length(self):
         with pytest.raises(ValueError):
@@ -214,7 +217,7 @@ class TestRunCensus:
         found = False
         for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (1, -1, -1)):
             x = tuple(F(s) for s in signs)
-            if SymMatrix.rank_one(x) == A:
+            if rank_one(x) == A:
                 found = True
         assert found, "the extremal order-3 class must be a mixed-sign xx^T"
 
@@ -267,7 +270,7 @@ class TestHoffmanPereira:
             assert (triple is None) == rule
             if triple is not None:
                 # re-evaluated on the Fraction entries, not the offdiag sums
-                A = SymMatrix.from_rows(cand.matrix().rows())
+                A = SymMatrix.from_rows(fraction_rows(cand.matrix()))
                 x = tuple(F(int(i in triple)) for i in range(n))
                 assert eval_quadratic(A, x) in (-1, -3)
 
@@ -320,11 +323,11 @@ class TestEquivalence:
         assert report.pattern_nullity == 1
 
     def test_scaled_rank_one(self):
-        A = SymMatrix.rank_one((F(1), F(-2), F(1)))
+        A = rank_one((F(1), F(-2), F(1)))
         report = verify_pair_scaling_equivalence(A)
         assert report.equivalent and report.pair_supports
         assert report.decomposition.pattern == \
-            SymMatrix.rank_one((F(1), F(-1), F(1)))
+            rank_one((F(1), F(-1), F(1)))
 
     def test_singleton_support_both_false(self):
         # [[1,0],[0,0]] is extremal with a cardinality-1 support and no
@@ -341,7 +344,7 @@ class TestEquivalence:
             verify_pair_scaling_equivalence(
                 SymMatrix.from_rows([[0, -1], [-1, 0]]))
         with pytest.raises(NotExtremalError):
-            verify_pair_scaling_equivalence(SymMatrix.identity(3))
+            verify_pair_scaling_equivalence(identity(3))
 
     def test_all_extremal_records(self, census):
         for n in (2, 3, 4):

@@ -2,6 +2,8 @@
 
 import math
 import os
+import random
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 import copocert.copositivity as copositivity_mod
 from copocert import cli
 from copocert.census import run_census
-from copocert.cli import main, parse_matrix_file
+from copocert.cli import MAX_DIGITS, main, parse_matrix_file
 from copocert.errors import MatrixFormatError
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
+
+from oracles import fraction_rows, identity
 
 F = Fraction
 
@@ -46,11 +50,11 @@ class TestParseMatrixFile:
     def test_roundtrip(self, write_matrix):
         path = write_matrix("2\n1 -1/2\n-1/2 3\n")
         A = parse_matrix_file(path)
-        assert A.rows() == [[1, F(-1, 2)], [F(-1, 2), 3]]
+        assert fraction_rows(A) == [[1, F(-1, 2)], [F(-1, 2), 3]]
 
     def test_comments_and_blank_lines(self, write_matrix):
         path = write_matrix("# header\n\n2\n# rows\n0 1\n\n1 0\n")
-        assert parse_matrix_file(path).rows() == [[0, 1], [1, 0]]
+        assert fraction_rows(parse_matrix_file(path)) == [[0, 1], [1, 0]]
 
     def test_signed_entries(self, write_matrix):
         path = write_matrix("2\n+1 -1/2\n-1/2 1\n")
@@ -120,7 +124,7 @@ class TestParseMatrixFile:
         rows = [[tokens[abs(i - j)] for j in range(n)] for i in range(n)]
         path = write_matrix(f"{n}\n" + "\n".join(map(" ".join, rows)) + "\n")
         A = parse_matrix_file(path)
-        assert A.rows() == [[F(t) for t in row] for row in rows]
+        assert fraction_rows(A) == [[F(t) for t in row] for row in rows]
 
     def test_order_line_non_decimal_digit(self, write_matrix):
         # superscript two: str.isdigit() holds, but int() refuses it
@@ -217,7 +221,7 @@ class TestParseMatrixFile:
 
 class TestCheck:
     def test_copositive(self, capsys, write_matrix):
-        path = write_matrix(SymMatrix.identity(2))
+        path = write_matrix(identity(2))
         code, out = run(capsys, ["check", path])
         mach = machine_block(out)
         assert code == 0
@@ -268,7 +272,7 @@ class TestZeros:
         assert mach["support_1"] == "1,2"
 
     def test_no_zeros(self, capsys, write_matrix):
-        code, out = run(capsys, ["zeros", write_matrix(SymMatrix.identity(3))])
+        code, out = run(capsys, ["zeros", write_matrix(identity(3))])
         mach = machine_block(out)
         assert code == 0 and mach["zero_count"] == "0"
         assert "no zeros" in out
@@ -291,7 +295,7 @@ class TestExtremal:
 
     def test_not_extremal(self, capsys, write_matrix):
         code, out = run(capsys,
-                        ["extremal", write_matrix(SymMatrix.identity(2))])
+                        ["extremal", write_matrix(identity(2))])
         mach = machine_block(out)
         assert code == 1
         assert mach["extremal"] == "no"
@@ -333,7 +337,7 @@ class TestGraph:
         assert mach["message"].startswith(f"cannot write {dot_path}: ")
 
     def test_identity_dimension(self, capsys, write_matrix):
-        code, out = run(capsys, ["graph", write_matrix(SymMatrix.identity(2))])
+        code, out = run(capsys, ["graph", write_matrix(identity(2))])
         mach = machine_block(out)
         assert code == 0
         assert mach["edges"] == "0" and mach["dimension"] == "3"
@@ -453,7 +457,7 @@ class TestVerify:
         assert "pattern" not in mach
 
     def test_not_extremal_exit_one(self, capsys, write_matrix):
-        code, out = run(capsys, ["verify", write_matrix(SymMatrix.identity(3))])
+        code, out = run(capsys, ["verify", write_matrix(identity(3))])
         mach = machine_block(out)
         assert code == 1
         assert mach["error"] == "NotExtremalInput"
@@ -477,7 +481,7 @@ class TestOrderGuard:
             raise AssertionError("a support system was solved")
 
         monkeypatch.setattr(copositivity_mod, "_support_state", no_scan)
-        path = write_matrix(SymMatrix.identity(17))
+        path = write_matrix(identity(17))
         code, out = run(capsys, [command, path])
         mach = machine_block(out)
         assert code == 2
@@ -492,9 +496,60 @@ class TestOrderGuard:
         assert machine_block(out)["simplex_minimum"] == "-1"
 
     def test_order_16_starts_the_scan(self):
-        scan = copositivity_mod.stationary_candidates(SymMatrix.identity(16))
+        scan = copositivity_mod.stationary_candidates(identity(16))
         assert next(scan) == ((0,), (1,), 1, 1)
         assert copositivity_mod.MAX_SCAN_ORDER == 16
+
+
+class TestLongIntegers:
+    """Integers past CPython's default limit on int/str conversion, 4300
+    digits (Python 3.10.7 and later; earlier versions have no limit)."""
+
+    get_limit = staticmethod(getattr(sys, "get_int_max_str_digits",
+                                     lambda: None))
+
+    @pytest.mark.parametrize("text, where", [
+        (f"2\n{'7' * 5000} 0\n0 1\n", (3, 1)),
+        (f"2\n1 0\n0 -1/{'3' * 4301}\n", (4, 3)),
+        (f"{'1' * 5000}\n1\n", (2, 1)),
+    ], ids=["entry", "denominator", "order-line"])
+    def test_over_long_integer_is_a_parse_error(self, capsys, write_matrix,
+                                                text, where):
+        limit = self.get_limit()
+        code, out = run(capsys, ["check", write_matrix("#\n" + text)])
+        machine = machine_block(out)
+        assert code == 2 and machine["error"] == "ParseError"
+        assert (int(machine["line"]), int(machine["column"])) == where
+        assert machine["message"].endswith(
+            f"more than the {MAX_DIGITS} allowed")
+        assert self.get_limit() == limit
+
+    def test_longest_integer_is_read(self, write_matrix):
+        # a sign does not count: 4300 digits pass, as they do in int()
+        big = "-" + "9" * MAX_DIGITS
+        A = parse_matrix_file(write_matrix(f"2\n1 {big}\n{big} 1\n"))
+        assert A.integer_form[0][0][1] == 1 - 10 ** MAX_DIGITS
+
+    def test_long_results_printed_exactly(self, capsys, write_matrix):
+        # b < min(a, c): the minimum (ac - b^2) / (a + c - 2b) is interior,
+        # with a numerator of about 5000 digits
+        rng = random.Random(2500)
+        a, c = (rng.randrange(5 * 10 ** 2499, 10 ** 2500) for _ in range(2))
+        b = rng.randrange(10 ** 2499, 2 * 10 ** 2499)
+        limit = self.get_limit()
+        path = write_matrix(f"2\n{a} {b}\n{b} {c}\n")
+        code, out = run(capsys, ["check", path])
+        assert code == 0 and self.get_limit() == limit
+        value = machine_block(out)["simplex_minimum"]
+        assert len(value) > MAX_DIGITS
+        expected = F(a * c - b * b, a + c - 2 * b)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert value == str(expected)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
 
 class TestDeterminism:

@@ -10,8 +10,10 @@ from copocert.copositivity import is_copositive
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
 
 from oracles import (
+    all_ones,
     fraction_candidates,
     grid_min,
+    identity,
     min_on_simplex,
     permuted_matrix,
     random_symmetric,
@@ -37,12 +39,12 @@ def drawn_matrix(seed, n, diag_range=(0, 8)):
 
 class TestMinOnSimplex:
     def test_identity(self):
-        value, point = min_on_simplex(SymMatrix.identity(3))
+        value, point = min_on_simplex(identity(3))
         assert value == F(1, 3)
         assert point == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_all_ones(self):
-        value, _ = min_on_simplex(SymMatrix.all_ones(3))
+        value, _ = min_on_simplex(all_ones(3))
         assert value == 1
 
     def test_diagonal(self):
@@ -88,7 +90,7 @@ class TestMinOnSimplex:
 class TestIsCopositive:
     def test_frozen_verdicts(self):
         assert is_copositive(SymMatrix.from_rows([[1, -1], [-1, 1]])).copositive
-        assert is_copositive(SymMatrix.identity(4)).copositive
+        assert is_copositive(identity(4)).copositive
         assert is_copositive(horn_matrix()).copositive
         assert not is_copositive(SymMatrix.from_rows([[1, -2], [-2, 1]])).copositive
 
@@ -227,7 +229,7 @@ class TestSubdivisionFalsifier:
 
     def test_none_on_copositive(self):
         assert subdivision_falsifier(horn_matrix(), depth=4) is None
-        assert subdivision_falsifier(SymMatrix.identity(3), depth=4) is None
+        assert subdivision_falsifier(identity(3), depth=4) is None
 
     def test_depth_zero_checks_corners(self):
         A = SymMatrix.from_rows([[-1, 0], [0, 1]])

@@ -25,11 +25,14 @@ from copocert.linalg import (
 from copocert.zeros import minimal_zeros
 
 from oracles import (
+    all_ones,
     benchmark_families,
     dot,
     from_upper_entries,
+    identity,
     permuted_matrix,
     random_positive_diagonal,
+    rank_one,
     upper_entries,
 )
 
@@ -51,7 +54,7 @@ class TestBuildSystem:
         assert len(system) == 20
 
     def test_rows_annihilate_the_matrix(self):
-        for A in (horn_matrix(), SymMatrix.rank_one((F(1), F(-1), F(1)))):
+        for A in (horn_matrix(), rank_one((F(1), F(-1), F(1)))):
             system = build_system(A, minimal_zeros(A))
             for row in system.dense_rows():
                 assert dot(row, upper_entries(A)) == 0
@@ -64,7 +67,7 @@ class TestBuildSystem:
         assert all(len(row) == 2 for row in system.rows)
 
     def test_no_zeros_no_rows(self):
-        A = SymMatrix.identity(3)
+        A = identity(3)
         assert len(build_system(A, minimal_zeros(A))) == 0
 
     def test_rejects_zeros_of_another_order(self):
@@ -86,7 +89,7 @@ class TestCertificate:
 
     def test_identity_and_all_ones_nullities(self):
         for n in (2, 3):
-            for A in (SymMatrix.identity(n), SymMatrix.all_ones(n)):
+            for A in (identity(n), all_ones(n)):
                 cert = extremality_certificate(A)
                 assert not cert.extremal
                 assert cert.nullity == upper_size(n)
@@ -95,7 +98,7 @@ class TestCertificate:
         assert extremality_certificate(SymMatrix.from_rows([[1]])).extremal
 
     def test_rank_one_mixed_extremal(self):
-        cert = extremality_certificate(SymMatrix.rank_one((F(1), F(-1), F(1))))
+        cert = extremality_certificate(rank_one((F(1), F(-1), F(1))))
         assert cert.extremal and cert.nullity == 1
 
     def test_horn_extremal(self):
@@ -191,7 +194,7 @@ class TestNullityFromPivots:
         for n in (4, 5, 6, 7):
             v = [(-1) ** i * F(rng.randint(1, 9), rng.randint(1, 9))
                  for i in range(n)]
-            _assert_nullity_is_kernel_dimension(SymMatrix.rank_one(v))
+            _assert_nullity_is_kernel_dimension(rank_one(v))
 
 
 class TestDecompositionWitness:

@@ -26,10 +26,18 @@ from copocert.census import verify_pair_scaling_equivalence
 from copocert.cli import main, parse_matrix_file
 from copocert.copositivity import is_copositive
 from copocert.extremality import extremality_certificate
-from copocert.linalg import SymMatrix, horn_matrix, kernel_basis, solve_affine
-from copocert.scaling import DiagonalScaling, scale
+from copocert.linalg import horn_matrix, kernel_basis, solve_affine
+from copocert.scaling import DiagonalScaling
 
-from oracles import hildebrand_t, permuted_matrix, rational_support_system
+from oracles import (
+    fraction_rows,
+    hildebrand_t,
+    permuted_matrix,
+    principal,
+    rank_one,
+    rational_support_system,
+    scale,
+)
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,8 +71,8 @@ def test_extremal_with_triple_supports(ts):
     assert cert.nullity == 1 and cert.extremal
     assert {z.support for z in cert.minimal_zeros} == TRIPLES
     for support in TRIPLES:
-        sub = A.principal(support)
-        assert len(kernel_basis(sub.rows(), 3)) == 1  # A_S is singular
+        sub = principal(A, support)
+        assert len(kernel_basis(fraction_rows(sub), 3)) == 1  # A_S is singular
         sol = solve_affine(*rational_support_system(A, support), 4)
         assert sol.dimension == 0 and sol.particular[3] == 0  # mu = 0
 
@@ -123,7 +131,7 @@ def test_horn_orbit(D, perm):
 @settings(max_examples=40, deadline=None)
 def test_rank_one_of_mixed_sign(magnitudes, signs, D, perm):
     x = [-m if negative else m for m, negative in zip(magnitudes, signs)]
-    assert_pair_supported_extremal(orbit_point(SymMatrix.rank_one(x), D, perm))
+    assert_pair_supported_extremal(orbit_point(rank_one(x), D, perm))
 
 
 def _real_part_of_product(ts):

@@ -26,7 +26,6 @@ from copocert.linalg import (
     eval_quadratic,
     kernel_basis,
     solve_affine,
-    upper_index,
     upper_size,
 )
 from copocert.lp import strictly_positive_point
@@ -38,6 +37,7 @@ from oracles import (
     fraction_quadratic,
     fraction_solve_affine,
     matrix_apply,
+    upper_index,
     random_positive_diagonal,
     random_symmetric,
     rational_support_system,

@@ -16,18 +16,24 @@ from copocert.linalg import (
     is_proportional,
     kernel_basis,
     solve_affine,
-    upper_index,
+    unknowns,
     upper_size,
 )
 
 from copocert.errors import InvariantError
 
 from oracles import (
+    all_ones,
     bordered_adjugate,
     dot,
+    fraction_rows,
+    identity,
     inverse_rows,
     matrix_apply,
+    principal,
     rank_nullity,
+    upper_index,
+    rank_one,
 )
 
 F = Fraction
@@ -112,7 +118,7 @@ class TestRankKernel:
             m = rng.randint(1, 4)
             n = rng.randint(1, 5)
             rows = random_int_rows(rng, m, n)
-            basis = kernel_basis(rows)
+            basis = kernel_basis(rows, n)
             rank, nullity = rank_nullity(rows)
             assert len(basis) == nullity
             for vec in basis:
@@ -124,25 +130,25 @@ class TestRankKernel:
 
     def test_kernel_of_singular_example(self):
         rows = [(F(1), F(1), F(1))]
-        basis = kernel_basis(rows)
+        basis = kernel_basis(rows, 3)
         assert len(basis) == 2
 
 
 class TestSolveAffine:
     def test_unique_solution(self):
         rows = [(F(2), F(1)), (F(1), F(-1))]
-        sol = solve_affine(rows, (F(5), F(1)))
+        sol = solve_affine(rows, (F(5), F(1)), 2)
         assert sol.feasible and sol.dimension == 0
         assert sol.particular == (F(2), F(1))
 
     def test_infeasible(self):
         rows = [(F(1), F(1)), (F(2), F(2))]
-        sol = solve_affine(rows, (F(1), F(3)))
+        sol = solve_affine(rows, (F(1), F(3)), 2)
         assert not sol.feasible
         assert sol.particular is None
 
     def test_underdetermined(self):
-        sol = solve_affine([(F(1), F(1), F(1))], (F(1),))
+        sol = solve_affine([(F(1), F(1), F(1))], (F(1),), 3)
         assert sol.feasible and sol.dimension == 2
         assert sum(sol.particular) == 1
 
@@ -154,7 +160,7 @@ class TestSolveAffine:
             rows = random_int_rows(rng, m, n)
             x0 = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
             rhs = tuple(dot(r, x0) for r in rows)
-            sol = solve_affine(rows, rhs)
+            sol = solve_affine(rows, rhs, n)
             assert sol.feasible
             assert all(dot(r, sol.particular) == b for r, b in zip(rows, rhs))
             for vec in sol.kernel:
@@ -213,13 +219,18 @@ class TestBorderedAdjugate:
 
 class TestSymMatrix:
     def test_upper_index_bijection(self):
+        # the one table of the unknowns against the closed formula
         for n in range(1, 7):
-            seen = {upper_index(n, i, j)
-                    for i in range(n) for j in range(i, n)}
-            assert seen == set(range(upper_size(n)))
+            pairs, columns = unknowns(n)
+            assert pairs == tuple((i, j) for i in range(n)
+                                  for j in range(i, n))
+            assert len(pairs) == upper_size(n)
+            assert all(columns[i][j] == upper_index(n, i, j)
+                       for i, j in pairs)
 
     def test_upper_index_symmetric(self):
-        assert upper_index(4, 2, 1) == upper_index(4, 1, 2)
+        columns = unknowns(4)[1]
+        assert columns[2][1] == columns[1][2] == upper_index(4, 2, 1)
 
     def test_from_rows_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="asymmetric"):
@@ -235,7 +246,7 @@ class TestSymMatrix:
         assert A == SymMatrix.from_rows(rows)
         assert A.integer_form == SymMatrix.from_rows(rows).integer_form
         assert A.integer_form == (tuple(map(tuple, rows)), 1)
-        assert all(type(e) is F for e in A.row(1))
+        assert all(type(e) is F for e in fraction_rows(A)[1])
 
     def test_from_ratios_reduces_to_lowest_terms(self):
         # unreduced pairs over a shared factor: the lcm of the q is 12, and
@@ -275,7 +286,8 @@ class TestSymMatrix:
     @pytest.mark.parametrize("c", [F(2), F(-1), F(1, 3), F(5, 7)])
     def test_a_multiple_is_another_matrix(self, c):
         A = horn_matrix()
-        cA = SymMatrix.from_rows([[c * x for x in row] for row in A.rows()])
+        cA = SymMatrix.from_rows([[c * x for x in row]
+                                  for row in fraction_rows(A)])
         assert cA != A
 
     @pytest.mark.parametrize("form, message", [
@@ -316,12 +328,12 @@ class TestSymMatrix:
         assert A.get(0, 2) == 3
 
     def test_identity_and_all_ones(self):
-        assert SymMatrix.identity(2).rows() == [[1, 0], [0, 1]]
-        assert SymMatrix.all_ones(2).rows() == [[1, 1], [1, 1]]
+        assert fraction_rows(identity(2)) == [[1, 0], [0, 1]]
+        assert fraction_rows(all_ones(2)) == [[1, 1], [1, 1]]
 
     def test_rank_one(self):
-        A = SymMatrix.rank_one((F(1), F(-2)))
-        assert A.rows() == [[1, -2], [-2, 4]]
+        A = rank_one((F(1), F(-2)))
+        assert fraction_rows(A) == [[1, -2], [-2, 4]]
 
     def test_apply(self):
         A = SymMatrix.from_rows([[1, 2], [2, 3]])
@@ -329,16 +341,16 @@ class TestSymMatrix:
 
     def test_principal(self):
         A = SymMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
-        sub = A.principal((0, 2))
-        assert sub.rows() == [[1, 3], [3, 6]]
+        sub = principal(A, (0, 2))
+        assert fraction_rows(sub) == [[1, 3], [3, 6]]
 
     def test_unit_diagonal(self):
         assert horn_matrix().has_unit_diagonal()
-        assert not SymMatrix.rank_one((F(1), F(-2))).has_unit_diagonal()
+        assert not rank_one((F(1), F(-2))).has_unit_diagonal()
 
     def test_is_zero(self):
         assert SymMatrix.from_rows([[0, 0], [0, 0]]).is_zero()
-        assert not SymMatrix.identity(2).is_zero()
+        assert not identity(2).is_zero()
 
 
 class TestQuadratic:
@@ -360,7 +372,7 @@ class TestQuadratic:
 
     def test_eval_length_check(self):
         with pytest.raises(ValueError):
-            eval_quadratic(SymMatrix.identity(2), (F(1),))
+            eval_quadratic(identity(2), (F(1),))
 
 
 class TestHornMatrix:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from copocert.linalg import AffineSolutionSet, kernel_basis, solve_affine
 from copocert.lp import simplex_maximize, strictly_positive_point
 
-from oracles import dot, subspace_positive_point_exists
+from oracles import dot, subspace, subspace_positive_point_exists
 
 F = Fraction
 
@@ -84,12 +84,12 @@ class TestStrictlyPositivePoint:
 
     def test_default_mask_covers_all_coordinates(self):
         # the mask must span the ambient space, not the solution dimension
-        solset = AffineSolutionSet.subspace(2, [(F(1), F(-1))])
+        solset = subspace(2, [(F(1), F(-1))])
         assert strictly_positive_point(solset) is None
 
     def test_line_with_window(self):
         # x = (0,0) + t(1,1): any t > 0 works
-        solset = AffineSolutionSet.subspace(2, [(F(1), F(1))])
+        solset = subspace(2, [(F(1), F(1))])
         point = strictly_positive_point(solset)
         assert point is not None and all(c > 0 for c in point)
 
@@ -107,12 +107,12 @@ class TestStrictlyPositivePoint:
 
     def test_boundary_only_is_rejected(self):
         # x1 + x2 = 0 kernel: only the origin is nonnegative
-        sol = solve_affine([(F(1), F(1), F(0))], (F(0),))
+        sol = solve_affine([(F(1), F(1), F(0))], (F(0),), 3)
         point = strictly_positive_point(sol, positive=(0, 1))
         assert point is None
 
     def test_higher_dimensional_positive(self):
-        sol = solve_affine([(F(1), F(1), F(1), F(1))], (F(2),))
+        sol = solve_affine([(F(1), F(1), F(1), F(1))], (F(2),), 4)
         point = strictly_positive_point(sol)
         assert point is not None
         assert all(c > 0 for c in point) and sum(point) == 2
@@ -120,7 +120,7 @@ class TestStrictlyPositivePoint:
     def test_forced_zero_coordinate(self):
         # x1 = 0 forced; positive demanded on all coordinates
         rows = [(F(1), F(0), F(0)), (F(0), F(1), F(1))]
-        sol = solve_affine(rows, (F(0), F(1)))
+        sol = solve_affine(rows, (F(0), F(1)), 3)
         assert strictly_positive_point(sol) is None
         masked = strictly_positive_point(sol, positive=(1, 2))
         assert masked is not None and masked[0] == 0
@@ -135,7 +135,7 @@ class TestStrictlyPositivePoint:
             rows = [tuple(F(rng.randint(-3, 3)) for _ in range(n))
                     for _ in range(m)]
             rhs = tuple(dot(r, x0) for r in rows)
-            sol = solve_affine(rows, rhs)
+            sol = solve_affine(rows, rhs, n)
             point = strictly_positive_point(sol)
             assert point is not None, "a positive solution exists by construction"
             assert all(c > 0 for c in point)
@@ -150,7 +150,7 @@ class TestStrictlyPositivePoint:
             rows = [tuple(F(rng.randint(-2, 2)) for _ in range(n))
                     for _ in range(m)]
             kern = kernel_basis(rows, ncols=n)
-            solset = AffineSolutionSet.subspace(n, kern)
+            solset = subspace(n, kern)
             got = strictly_positive_point(solset)
             expected = subspace_positive_point_exists(solset)
             assert (got is not None) == expected

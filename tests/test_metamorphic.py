@@ -19,9 +19,15 @@ from copocert.copositivity import is_copositive
 from copocert.errors import NotCopositiveError
 from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix
-from copocert.scaling import DiagonalScaling, scale
+from copocert.scaling import DiagonalScaling
 
-from oracles import hildebrand_t, permuted_matrix, random_positive_diagonal
+from oracles import (
+    fraction_rows,
+    hildebrand_t,
+    permuted_matrix,
+    random_positive_diagonal,
+    scale,
+)
 
 F = Fraction
 
@@ -68,7 +74,8 @@ positive = st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12)
 @settings(max_examples=40, deadline=None)
 def test_positive_multiple(seed, n, c):
     A = drawn(seed, n)
-    cA = SymMatrix.from_rows([[c * x for x in row] for row in A.rows()])
+    cA = SymMatrix.from_rows([[c * x for x in row]
+                              for row in fraction_rows(A)])
     assert summary(cA) == summary(A)
     verdict = is_copositive(A)
     if verdict.copositive:
@@ -114,7 +121,8 @@ def test_scaled_and_permuted_hildebrand_t(seed):
 
 def test_scalar_multiple_changes_the_denominator():
     A = drawn(0, 4)
-    cA = SymMatrix.from_rows([[F(3, 7) * x for x in row] for row in A.rows()])
+    cA = SymMatrix.from_rows([[F(3, 7) * x for x in row]
+                              for row in fraction_rows(A)])
     assert A.integer_form[1] == 1 and cA.integer_form[1] == 7
     try:
         zeros = extremality_certificate(A).minimal_zeros

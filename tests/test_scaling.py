@@ -12,14 +12,18 @@ from copocert.scaling import (
     DiagonalScaling,
     extract_pattern,
     has_sign_pattern_scaling,
-    scale,
 )
 from copocert.zeros import minimal_zeros
 
 from oracles import (
+    all_ones,
     fraction_extract_pattern,
+    fraction_rows,
     fraction_scaling_failure,
+    identity,
     random_positive_diagonal,
+    rank_one,
+    scale,
 )
 
 F = Fraction
@@ -35,17 +39,17 @@ class TestDiagonalScaling:
     def test_scale_congruence(self):
         S = SymMatrix.from_rows([[1, -1], [-1, 1]])
         D = DiagonalScaling((F(2), F(3)))
-        assert scale(S, D).rows() == [[4, -6], [-6, 9]]
+        assert fraction_rows(scale(S, D)) == [[4, -6], [-6, 9]]
 
     def test_scale_order_mismatch(self):
         with pytest.raises(ValueError):
-            scale(SymMatrix.identity(3), DiagonalScaling((F(1), F(1))))
+            scale(identity(3), DiagonalScaling((F(1), F(1))))
 
 
 class TestCondition:
     def test_holds_for_patterns(self):
         assert has_sign_pattern_scaling(horn_matrix())
-        assert has_sign_pattern_scaling(SymMatrix.identity(3))
+        assert has_sign_pattern_scaling(identity(3))
 
     def test_holds_for_scaled_pattern(self):
         assert has_sign_pattern_scaling(SymMatrix.from_rows([[4, -6], [-6, 9]]))
@@ -80,7 +84,7 @@ class TestExtractPattern:
         assert dec.pattern == SymMatrix.from_rows([[1, -1], [-1, 1]])
 
     def test_fractional_scaling(self):
-        A = scale(SymMatrix.all_ones(2), DiagonalScaling((F(1, 2), F(3))))
+        A = scale(all_ones(2), DiagonalScaling((F(1, 2), F(3))))
         dec = extract_pattern(A)
         assert dec.explicit and dec.scaling.entries == (F(1, 2), F(3))
 
@@ -93,7 +97,7 @@ class TestExtractPattern:
         # one rational root and one irrational root: no explicit scaling
         dec = extract_pattern(SymMatrix.from_rows([[4, 0], [0, 3]]))
         assert not dec.explicit
-        assert dec.pattern == SymMatrix.identity(2)
+        assert dec.pattern == identity(2)
 
     def test_pattern_is_its_own_core(self):
         H = horn_matrix()
@@ -108,11 +112,11 @@ class TestExtractPattern:
             extract_pattern(SymMatrix.from_rows([[0, 0], [0, 1]]))
 
     def test_recovery_example(self):
-        A = SymMatrix.rank_one((F(1), F(-2), F(1)))
+        A = rank_one((F(1), F(-2), F(1)))
         assert has_sign_pattern_scaling(A)
         dec = extract_pattern(A)
         assert dec.scaling.entries == (F(1), F(2), F(1))
-        assert dec.pattern == SymMatrix.rank_one((F(1), F(-1), F(1)))
+        assert dec.pattern == rank_one((F(1), F(-1), F(1)))
 
     def test_roundtrip_over_census_patterns(self, census):
         rng = random.Random(71)
@@ -177,7 +181,8 @@ class TestAgainstFractionReference:
         rng = random.Random(403)
         for A in _scaled_classes(census, rng):
             c = rng.choice((2, 3, F(1, 2), F(5, 3)))
-            A = SymMatrix.from_rows([[c * x for x in row] for row in A.rows()])
+            A = SymMatrix.from_rows([[c * x for x in row]
+                                     for row in fraction_rows(A)])
             _, scaling = self._agree(A)
             assert scaling is None
 
@@ -186,7 +191,7 @@ class TestAgainstFractionReference:
         rng = random.Random(f"scaling-{kind}")
         seen = set()
         for A in _scaled_classes(census, rng, orders=range(2, 6)):
-            rows = A.rows()
+            rows = fraction_rows(A)
             n = A.n
             i, j = sorted(rng.sample(range(n), 2))
             if kind == "diagonal":

@@ -19,6 +19,7 @@ from copocert.copositivity import is_copositive
 from copocert.linalg import SymMatrix
 
 from oracles import (
+    all_ones,
     lp_is_copositive,
     lp_stationary_candidates,
     random_psd,
@@ -72,7 +73,7 @@ def test_psd_of_every_rank():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_zero_and_all_ones(n):
     zero = SymMatrix.from_rows([[0] * n for _ in range(n)])
-    for A in (zero, SymMatrix.all_ones(n)):
+    for A in (zero, all_ones(n)):
         agree(A)
     assert degenerate(zero) == (n > 1)
 

@@ -28,7 +28,12 @@ from copocert.structure_graph import (
 )
 from copocert.zeros import minimal_zeros
 
-from oracles import bfs_component_analysis, fraction_build_graph
+from oracles import (
+    bfs_component_analysis,
+    fraction_build_graph,
+    identity,
+    rank_one,
+)
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,7 +52,7 @@ class TestBuildGraph:
         assert graph.edges == ((((0, 0)), (0, 1)), ((0, 1), (1, 1)))
 
     def test_rank_one_six_edges(self):
-        A = SymMatrix.rank_one((F(1), F(-1), F(1)))
+        A = rank_one((F(1), F(-1), F(1)))
         graph, report = analyse(A)
         assert len(graph.edges) == 6
         assert len(report.components) == 1
@@ -59,7 +64,7 @@ class TestBuildGraph:
         assert len(report.components[0].vertices) == 15
 
     def test_requires_unit_diagonal(self):
-        A = SymMatrix.rank_one((F(1), F(-2), F(1)))
+        A = rank_one((F(1), F(-2), F(1)))
         with pytest.raises(NotUnitDiagonalError):
             build_graph(A, minimal_zeros(A))
 
@@ -72,10 +77,10 @@ class TestBuildGraph:
 
     def test_rejects_mismatched_orders(self):
         with pytest.raises(ValueError):
-            build_graph(SymMatrix.identity(3), minimal_zeros(PAIR))
+            build_graph(identity(3), minimal_zeros(PAIR))
 
     def test_no_zeros_no_edges(self):
-        graph, report = analyse(SymMatrix.identity(3))
+        graph, report = analyse(identity(3))
         assert graph.edges == ()
         assert len(report.components) == upper_size(3)
         assert report.bipartite_count == upper_size(3)
@@ -89,7 +94,7 @@ class TestComponentAnalysis:
         assert comp.classes == (((0, 0), (1, 1)), ((0, 1),))
 
     def test_rank_one_parity_classes(self):
-        _, report = analyse(SymMatrix.rank_one((F(1), F(-1), F(1))))
+        _, report = analyse(rank_one((F(1), F(-1), F(1))))
         comp = report.components[0]
         assert set(comp.classes[0]) == {(0, 0), (1, 1), (2, 2), (0, 2)}
         assert set(comp.classes[1]) == {(0, 1), (1, 2)}
@@ -145,10 +150,8 @@ class TestReconstructPattern:
 
     def test_inconsistent_diagonal_guard(self):
         # artificial report whose parity classes split the diagonal
-        comp = GraphComponent(
-            vertices=((0, 0), (0, 1), (1, 1)),
-            bipartite=True,
-            classes=(((0, 0), (0, 1)), ((1, 1),)))
+        comp = GraphComponent(((0, 0), (0, 1), (1, 1)), True,
+                              (((0, 0), (0, 1)), ((1, 1),)))
         report = ComponentReport(2, (comp,), 1)
         with pytest.raises(InconsistentDiagonalError):
             reconstruct_pattern(report)
@@ -174,7 +177,7 @@ class TestDotExport:
     def test_dot_marks_nonbipartite_parity(self):
         graph = StructureGraph(2, (((0, 0), (0, 1)), ((0, 0), (1, 1)),
                                    ((0, 1), (1, 1))))
-        dot = to_dot(graph)
+        dot = to_dot(graph, component_analysis(graph))
         assert 'parity="-"' in dot
 
     def test_dot_deterministic(self):

@@ -12,10 +12,15 @@ from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix, kernel_basis
 from copocert.zeros import minimal_zeros
 
 from oracles import (
+    all_ones,
+    fraction_rows,
+    identity,
     kernel_minimal_supports,
     matrix_apply,
+    principal,
     random_positive_diagonal,
     random_symmetric,
+    rank_one,
     zero_from_coordinates,
     zero_with_support,
 )
@@ -60,11 +65,11 @@ class TestMinimalZeros:
 
     def test_no_zeros_identity_and_all_ones(self):
         for n in (1, 2, 3):
-            assert len(minimal_zeros(SymMatrix.identity(n))) == 0
-            assert len(minimal_zeros(SymMatrix.all_ones(n))) == 0
+            assert len(minimal_zeros(identity(n))) == 0
+            assert len(minimal_zeros(all_ones(n))) == 0
 
     def test_rank_one_mixed_sign(self):
-        A = SymMatrix.rank_one((F(1), F(-2), F(1)))
+        A = rank_one((F(1), F(-2), F(1)))
         zl = minimal_zeros(A)
         assert supports_of(zl) == [(0, 1), (1, 2)]
         coords = {z.support: z.coordinates for z in zl}
@@ -185,8 +190,8 @@ class TestKernelCrossCheck:
         assert supports_of(zl) == sorted(kernel_minimal_supports(A))
         for zero in zl:
             idx = zero.support
-            sub = A.principal(idx)
-            kernel = kernel_basis(sub.rows(), sub.n)
+            sub = principal(A, idx)
+            kernel = kernel_basis(fraction_rows(sub), sub.n)
             assert len(kernel) == 1
             u = [zero.coordinates[i] for i in idx]
             assert all(c == 0 for c in matrix_apply(sub, u))
