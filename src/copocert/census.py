@@ -18,13 +18,21 @@ preserve copositivity, and positive diagonal scalings act trivially on
 unit-diagonal matrices over this alphabet.  The canonical representative of a
 class is the lexicographic minimum of its orbit, so a lex-order sweep meets
 each class first at its representative and the record list is born sorted.
-The sweep keeps one mark per candidate and marks a representative's whole
-orbit when it meets it, so it stops only at representatives, and the orbit
-sizes must add up to the candidate count.  The representatives of one run
-that reach the certificate share a cache of support systems: they have few
-distinct principal submatrices between them, and each is solved once (at
-order 6, 24 systems for the 95,570 supports visited out of the 247,338 of
-the certified classes).
+The sweep marks a representative's orbit when it meets it, so it stops only at
+representatives, and the orbit sizes must add up to the candidate count.  It
+runs in two phases.  The first keeps one mark per candidate of the first third
+of the range, whose first entry, at pair (0, 1), is -1, because of a lemma:
+every class with a -1 entry has its representative there, since a permutation
+moves any -1 pair onto (0, 1), and its tuples there are the images of the
+representative t under the 2 (n-2)! permutations that map one of t's -1 pairs
+onto (0, 1).  Among those images, t itself appears once per automorphism of t,
+counted under the -1 pair that the automorphism maps onto (0, 1), so the orbit
+size is ``n! / |Aut t|`` with no set of images built.  The second phase sweeps
+the 2^m {0, 1} candidates, which sort after all of those, with marks and whole
+orbits of their own.  The representatives of one run that reach the
+certificate share a cache of support systems: they have few distinct principal
+submatrices between them, and each is solved once (at order 6, 24 systems for
+the 95,570 supports visited out of the 247,338 of the certified classes).
 
 The sweep also aborts if an extremal record has a minimal support that is
 not a pair; ``copocert census`` reports whether every copositive record has
@@ -53,6 +61,8 @@ from .scaling import ScalingDecomposition, extract_pattern, has_sign_pattern_sca
 MAX_ORDER = 6
 
 ALPHABET = (-1, 0, 1)
+
+CHUNK = 5  # base-3 digits per table lookup of the sweep: 243 entries
 
 
 @record
@@ -145,47 +155,119 @@ class CensusRecord:
         return record
 
 
-@functools.lru_cache(maxsize=None)
-def _place_values(n: int):
-    """Sweep-index contributions of each off-diagonal position, per permutation.
+def _place_values(pairs, perms, radix: int) -> list[int]:
+    """Entry k: for each permutation g of ``perms``, the place value
+    ``radix ** (m - 1 - k')`` of the position k' to which g moves position
+    k, in the 32-bit field g of one int.
 
-    The sweep index of a tuple t is sum((t[k] + 1) * 3**(m - 1 - k)), its
-    position in the (-1, 0, 1) product order.  Entry k of the result maps a
-    digit d = t[k] + 1 in (1, 2) to d times the place value of the position
-    to which each permutation moves position k, packed into one int with a
-    32-bit field per permutation (field g holds permutation g).  Every sweep
-    index is below 3^15 < 2^32 at order 6, so adding up the packed ints that
-    t's nonzero digits pick never carries from one field into the next, and
-    the sum holds the sweep index of every permuted image of t (``_images``
-    unpacks it).
+    A tuple's index in the product order of its alphabet, with digits in
+    ``range(radix)``, is the sum of each digit times its place value, so
+    the sum over the positions of each digit times its entry here holds,
+    in field g, the index of the tuple permuted by g.  Every index is below
+    ``3 ** 15 < 2 ** 32`` (order 6), so no field carries into the next.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(pairs)
     index = {p: k for k, p in enumerate(pairs)}
+    return [sum(radix ** (m - 1 - index[tuple(sorted((p[i], p[j])))]) << 32 * g
+                for g, p in enumerate(perms))
+            for i, j in pairs]
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_tables(n: int):
+    """``(chunks, lookups, size, graphs)``, the tables of ``_classes``.
+
+    Phase 1 reads a sweep index ``CHUNK`` base-3 digits at a time: its
+    chunk values are its base-``3 ** CHUNK`` digits, most significant
+    first (``_chunk_values``).  ``lookups[k]`` belongs to pair k, with the
+    ``size = 2 (n - 2)!`` permutations that map pair k onto (0, 1): per
+    chunk, the packed sum of each chunk value's digits times their place
+    values (``_place_values``), so the sum over the chunks of a tuple
+    holds the sweep indices of its images under those permutations, in
+    32-bit fields (``_images``).  ``chunks[c][r]`` is
+    ``(entries, negative)`` for value r of chunk c: the entries of its
+    positions and the lookups of the positions with entry -1.  ``graphs``
+    is ``_place_values`` over all n! permutations for the {0, 1} tuples of
+    phase 2, read in base 2.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
     perms = list(itertools.permutations(range(n)))
-    columns = []
-    for i, j in pairs:
-        packed = sum(3 ** (m - 1 - index[tuple(sorted((p[i], p[j])))]) << 32 * g
-                     for g, p in enumerate(perms))
-        columns.append((0, packed, 2 * packed))
-    return tuple(columns)
+    m = len(pairs)
+    spans = [range(max(0, m - CHUNK * (c + 1)), m - CHUNK * c)
+             for c in range(-(-m // CHUNK))][::-1]
+    lookups = []
+    for a, b in pairs:
+        places = _place_values(
+            pairs, [p for p in perms if {p[a], p[b]} == {0, 1}], 3)
+        per_chunk = []
+        for span in spans:
+            sums = [0]
+            for k in span:
+                sums = [x + digit * places[k] for x in sums
+                        for digit in (0, 1, 2)]
+            per_chunk.append(sums)
+        lookups.append(per_chunk)
+    chunks = [[(entries, [lookups[k] for k, e in zip(span, entries) if e < 0])
+               for entries in itertools.product(ALPHABET, repeat=len(span))]
+              for span in spans]
+    # each permutation maps exactly one pair onto (0, 1)
+    size = len(perms) // max(m, 1)
+    return chunks, lookups, size, _place_values(pairs, perms, 2)
 
 
-def _images(packed: int, group_order: int):
-    """The 32-bit fields of a packed sum, as a sequence of ints.
+def _chunk_values(index: int, count: int) -> list[int]:
+    """The ``count`` base-``3 ** CHUNK`` digits of a sweep index, most
+    significant first."""
+    values = [0] * count
+    for c in range(count - 1, -1, -1):
+        index, values[c] = divmod(index, 3 ** CHUNK)
+    return values
+
+
+def _images(packed: int, count: int):
+    """The ``count`` 32-bit fields of a packed sum, as a sequence of ints.
 
     Native byte order on both sides, so each field reads back whole; the
     fields may come out in reverse permutation order, which no caller minds.
     """
-    return memoryview(packed.to_bytes(4 * group_order, sys.byteorder)).cast("I")
+    return memoryview(packed.to_bytes(4 * count, sys.byteorder)).cast("I")
 
 
-def _digits(index: int, m: int) -> list[int]:
-    """Base-3 digits of a sweep index, most significant first."""
-    digits = [0] * m
-    for k in range(m - 1, -1, -1):
-        index, digits[k] = divmod(index, 3)
-    return digits
+def _classes(n: int):
+    """Yield ``(offdiag, orbit size)`` for each class's representative, the
+    lexicographic minimum of its orbit, in lexicographic order: phase 1
+    over the first third of the range, with orbit sizes ``n! / |Aut|``,
+    then phase 2 over the {0, 1} tuples (see ``run_census``)."""
+    m = n * (n - 1) // 2
+    chunks, _, size, graphs = _sweep_tables(n)
+    group_order = math.factorial(n)
+    seen = bytearray(3 ** m // 3)
+    index = seen.find(0)
+    while index >= 0:
+        values = _chunk_values(index, len(chunks))
+        offdiag = ()
+        packed = []  # per -1 pair, its images' fields as bytes
+        for table, value in zip(chunks, values):
+            entries, negative = table[value]
+            offdiag += entries
+            for lookup in negative:
+                packed.append(sum(map(list.__getitem__, lookup, values))
+                              .to_bytes(4 * size, sys.byteorder))
+        images = memoryview(b"".join(packed)).cast("I").tolist()
+        for j in images:
+            seen[j] = 1
+        yield offdiag, group_order // images.count(index)
+        index = seen.find(0, index + 1)
+    seen = bytearray(2 ** m)
+    index = seen.find(0)
+    while index >= 0:
+        offdiag = tuple(index >> (m - 1 - k) & 1 for k in range(m))
+        orbit = set(_images(sum(x for x, bit in zip(graphs, offdiag) if bit),
+                            group_order))
+        for j in orbit:
+            seen[j] = 1
+        yield offdiag, len(orbit)
+        index = seen.find(0, index + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,42 +308,36 @@ def _classify(cand: Candidate, orbit: int, cache: dict) -> CensusRecord:
 def run_census(n: int) -> list[CensusRecord]:
     """One classified record per permutation class, sorted by representative.
 
-    The sweep marks every candidate it has met in a bytearray of
-    3^(n(n-1)/2) bytes indexed by sweep position: the first unmarked index
-    is the next class representative, and marking its whole orbit leaves
-    the rest of the class unvisited, so the permutations are applied once
-    per class rather than once per candidate.  The orbit comes from one sum
-    of packed place values (``_place_values``).  A representative with a
-    violating triple (``_violating_triple``) is recorded as not copositive;
-    every other one goes through the exact scan and certificate, and
-    raises CensusInvariantError if the scan refutes it.  These share one
-    support-system cache (``stationary_candidates``), created here and
-    dropped on return, so each distinct principal submatrix is solved once
-    per call.
+    ``_classes`` sweeps the candidates in two phases.  Phase 1 keeps one
+    mark per candidate of the first third of the range, 3^(m-1) bytes for
+    ``m = n(n-1)/2``: every class with a -1 entry has its lexicographic
+    minimum there, since a permutation moves any -1 pair onto pair (0, 1).
+    The first unmarked index is the next representative, and marking its
+    images under the 2 (n-2)! permutations that map each of its -1 pairs
+    onto (0, 1) marks every tuple of its orbit in that range, so the
+    permutations are applied once per class rather than once per
+    candidate.  Those images meet the representative once per
+    automorphism, each counted under the -1 pair it maps onto (0, 1), so
+    the orbit size is ``n! / |Aut|``.  Phase 2 sweeps the 2^m {0, 1}
+    candidates with whole orbits.  Orbit sizes must sum to 3^m and the
+    records must be born sorted (CensusInvariantError otherwise).  A
+    representative with a violating triple (``_violating_triple``) is
+    recorded as not copositive; every other one goes through the exact
+    scan and certificate, and raises CensusInvariantError if the scan
+    refutes it, or if it is extremal with a minimal support that is not a
+    pair.  These share one support-system cache
+    (``stationary_candidates``), created here and dropped on return, so
+    each distinct principal submatrix is solved once per call.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
-    m = n * (n - 1) // 2
-    total = 3 ** m
-    columns = _place_values(n)
-    group_order = math.factorial(n)
+    total = 3 ** (n * (n - 1) // 2)
     cache: dict = {}
-    seen = bytearray(total)
     records: list[CensusRecord] = []
     covered = 0
-    index = seen.find(0)
-    while index >= 0:
-        digits = _digits(index, m)
-        packed = 0
-        for k, digit in enumerate(digits):
-            if digit:
-                packed += columns[k][digit]
-        orbit = set(_images(packed, group_order))
-        for j in orbit:
-            seen[j] = 1
-        covered += len(orbit)
-        record = _classify(Candidate(n, tuple(d - 1 for d in digits)),
-                           len(orbit), cache)
+    for offdiag, orbit in _classes(n):
+        covered += orbit
+        record = _classify(Candidate(n, offdiag), orbit, cache)
         if record.extremal:
             for s in record.minimal_supports:
                 if len(s) != 2:
@@ -270,7 +346,6 @@ def run_census(n: int) -> list[CensusRecord]:
                         f"minimal support {tuple(i + 1 for i in s)} of "
                         f"cardinality {len(s)}, expected 2")
         records.append(record)
-        index = seen.find(0, index + 1)
     if covered != total:
         raise CensusInvariantError(
             f"orbit sizes sum to {covered}, not to the {total} candidates")

@@ -149,7 +149,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 from math import gcd
 from operator import itemgetter, mul
 
@@ -211,37 +211,48 @@ def _embed(values, support, n, fill=ZERO):
 
 @functools.lru_cache(maxsize=None)
 def _key_getters(n):
-    """One ``itemgetter`` per support of order n, which picks the upper
-    triangle of ``M_S`` followed by ``d`` out of the upper triangle of
-    ``M`` followed by ``d``: the support's cache key."""
+    """One ``itemgetter`` per support S of order n, at index
+    ``sum(1 << i for i in S)``, which picks the upper triangle of ``M_S``
+    followed by ``d`` out of the upper triangle of ``M`` followed by ``d``:
+    the support's cache key."""
     columns = unknowns(n)[1]
-    return {s: itemgetter(*[columns[i][j] for p, i in enumerate(s)
-                            for j in s[p:]], upper_size(n))
-            for k in range(1, n + 1) for s in combinations(range(n), k)}
+    getters = [None] * (1 << n)
+    for k in range(1, n + 1):
+        for s in combinations(range(n), k):
+            getters[sum(1 << i for i in s)] = itemgetter(
+                *[columns[i][j] for p, i in enumerate(s) for j in s[p:]],
+                upper_size(n))
+    return getters
 
 
-def _children(parents, grand):
-    """``(X, det K_S, first, second)`` for each support ``X = S + (s, t)``,
-    ``s < t``, whose parents are all in ``parents``, in lexicographic order
-    when ``parents`` is: ``first`` and ``second`` are the entries of the two
-    siblings it joins, ``S + (s,)`` and ``S + (t,)``, and ``det K_S`` is
-    read from ``grand``, the level of S (None for pairs, whose S is
-    empty).
+def _children(groups, kept, out):
+    """``(X, mask, det K_S, first, second, sink)`` for each support
+    ``X = S + (s, t)``, ``s < t``, whose parents are all kept, in
+    lexicographic order.  ``groups`` holds, for each prefix S of the level
+    below, in lexicographic order, ``(bits, det, members)``: the bits
+    ``1 << u`` of the elements u of S, ``det K_S`` (None for pairs, whose
+    S is empty) and ``(support, mask, entry)`` for each kept parent
+    ``S + (s,)``, in order of s, with ``mask`` the bits of its elements.
+    ``kept`` holds the masks of all the kept parents; ``first`` and
+    ``second`` are the entries of the two siblings X joins, ``S + (s,)``
+    and ``S + (t,)``.
 
-    Siblings share their prefix S, so in lexicographic order they are
-    consecutive, and joining each with the later ones in order keeps the
-    order.  The other parents, X without an element of S, are looked up."""
-    for prefix, group in groupby(parents.items(), key=lambda kv: kv[0][:-1]):
-        group = list(group)
-        det = grand[prefix][1] if prefix else None
-        for a, (first, entry) in enumerate(group):
-            for second, sibling in group[a + 1:]:
-                support = first + second[-1:]
-                for j in range(len(prefix)):
-                    if support[:j] + support[j + 1:] not in parents:
+    Siblings share their prefix S, so joining each with the later ones in
+    order keeps the order.  The other parents, X without an element of S,
+    are looked up by mask.  Each ``S + (s,)`` starts a group of the next
+    level, appended to ``out`` as it is reached; ``sink`` is that group's
+    member list, to which the caller appends X if it keeps X."""
+    for bits, det, members in groups:
+        for a, (first, mask, entry) in enumerate(members):
+            sink = []
+            out.append((bits + (1 << first[-1],), entry[1], sink))
+            for second, other, sibling in members[a + 1:]:
+                union = mask | other
+                for bit in bits:
+                    if union ^ bit not in kept:
                         break
                 else:
-                    yield support, det, entry, sibling
+                    yield first + second[-1:], union, det, entry, sibling, sink
 
 
 def _support_state(M, support, det, first, second):
@@ -343,20 +354,19 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
     if cache is not None:
         flat = (*[M[i][j] for i, j in unknowns(n)[0]], d)
         getters = _key_getters(n)
-    grand = parents = {}
-    for k in range(1, n + 1):
-        level = {}  # the conditionally positive definite supports of size k
-        if k == 1:
-            visits = [((i,), None, None, None) for i in range(n)]
-        else:
-            visits = _children(parents, grand)
-        for support, det, first, second in visits:
+    sink = []
+    groups = [((), None, sink)]
+    visits = [((i,), 1 << i, None, None, None, sink) for i in range(n)]
+    for _ in range(n):
+        kept = set()  # the conditionally positive definite supports' masks
+        for support, mask, det, first, second, sink in visits:
             if cache is not None:
-                key = getters[support](flat)
+                key = getters[mask](flat)
                 entry = cache.get(key)
                 if entry is not None:
                     if entry[1] < 0:
-                        level[support] = entry
+                        sink.append((support, mask, entry))
+                        kept.add(mask)
                     if entry[0] is not None:
                         yield (support, *entry[0])
                     continue
@@ -374,12 +384,15 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
                 found = tuple(p), q, total
             entry = found, D, f, v
             if D < 0:
-                level[support] = entry
+                sink.append((support, mask, entry))
+                kept.add(mask)
             if cache is not None:
                 cache[key] = entry
             if found is not None:
                 yield (support, *found)
-        grand, parents = parents, level
+        out = []
+        visits = _children(groups, kept, out)
+        groups = out
 
 
 def _prefilter_violator(A: SymMatrix):

@@ -12,7 +12,8 @@ Rational rows are scaled to primitive integer rows only where they enter
 ``solve_affine`` or ``kernel_basis``; integer rows go in as given.
 Elimination is the fraction-free Bareiss two-row determinant update, and
 back-substitution carries integer numerators over the last pivot, so one
-``Fraction`` is built per coordinate at the end.  The pivot is always the
+``Fraction`` is built per coordinate of a particular solution at the end,
+and a kernel vector stays a primitive tuple of ints.  The pivot is always the
 first nonzero entry in column order, so echelon forms, kernel bases and
 downstream certificates are reproducible run to run.  The support scan
 uses none of this: it solves each bordered system from the integer states
@@ -51,14 +52,15 @@ def _int_rows(rows) -> list:
     return [_primitive_int_row(r) for r in rows]
 
 
-def canonical_vector(entries) -> Vector:
-    """Primitive integer multiple of a rational vector, first nonzero > 0.
+def canonical_vector(entries) -> tuple[int, ...]:
+    """Primitive integer multiple of a rational vector, first nonzero > 0,
+    as ints.
 
     Used to normalize kernel basis vectors so certificates are byte-stable.
     """
     ints = _primitive_int_row(entries)
     lead = next((x for x in ints if x != 0), 0)
-    return tuple(Fraction(-x if lead < 0 else x) for x in ints)
+    return tuple(-x for x in ints) if lead < 0 else tuple(ints)
 
 
 def _bareiss_echelon(int_rows, ncols):
@@ -129,9 +131,9 @@ def _kernel_from_echelon(ech, pivots, ncols):
             for f in range(ncols) if f not in pivot_cols]
 
 
-def kernel_basis(rows, ncols) -> list[Vector]:
+def kernel_basis(rows, ncols) -> list[tuple[int, ...]]:
     """Basis of ``{x : Mx = 0}`` for the ``ncols``-column matrix M, with
-    deterministic primitive entries, from one fraction-free elimination
+    deterministic primitive integer entries, from one fraction-free elimination
     (integer rows as given, rational rows scaled).
 
     Empty list iff M has full column rank; a matrix with no rows (or only
@@ -146,13 +148,14 @@ class AffineSolutionSet:
     """Solution set of a linear system: one particular point plus a kernel.
 
     ``particular`` is ``None`` when the system is infeasible, in which case
-    the kernel tuple is empty.  Kernel vectors are linearly independent and
-    each solves the homogeneous system exactly.
+    the kernel tuple is empty.  Kernel vectors are linearly independent
+    primitive int tuples (``canonical_vector``), and each solves the
+    homogeneous system exactly.
     """
 
     dimension: int
     particular: Vector | None
-    kernel: tuple[Vector, ...]
+    kernel: tuple[tuple[int, ...], ...]
 
     @property
     def feasible(self) -> bool:

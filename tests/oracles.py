@@ -361,10 +361,12 @@ def fraction_primitive_int_row(row) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _fraction_canonical(x) -> tuple[Fraction, ...]:
+def _fraction_canonical(x) -> tuple[int, ...]:
+    """The primitive int multiple of x with a positive first nonzero entry,
+    as ``canonical_vector`` returns kernel vectors."""
     ints = fraction_primitive_int_row(x)
     lead = next((v for v in ints if v != 0), 0)
-    return tuple(Fraction(-v if lead < 0 else v) for v in ints)
+    return tuple(-v if lead < 0 else v for v in ints)
 
 
 def _fraction_back_substitute(ech, pivots, x, rhs_col=None):

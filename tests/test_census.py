@@ -1,5 +1,6 @@
 """Census enumeration, canonicalization, records, and cross-class checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from oracles import (
     hoffman_pereira_supports,
     identity,
     iterate_candidates,
+    permuted_matrix,
     random_positive_diagonal,
     rank_one,
     scale,
@@ -45,9 +47,22 @@ F = Fraction
 
 
 def horn_candidate():
-    H = horn_matrix()
-    off = tuple(int(H.get(i, j)) for i in range(5) for j in range(i + 1, 5))
-    return Candidate(5, off)
+    return Candidate(5, upper(horn_matrix()))
+
+
+def upper(A):
+    """The strict upper triangle of A, row by row, as ints."""
+    return tuple(int(A.get(i, j))
+                 for i in range(A.n) for j in range(i + 1, A.n))
+
+
+def sweep_index(off, radix):
+    """The index of a tuple in the product order of its alphabet, -1 as
+    the least entry in base 3, 0 in base 2."""
+    index = 0
+    for e in off:
+        index = radix * index + e + (radix == 3)
+    return index
 
 
 class TestCandidate:
@@ -196,7 +211,7 @@ class TestRunCensus:
         assert lines == ["2 -1 1 1 1,2 1", "2 0 1 0 - 1", "2 1 1 0 - 1"]
 
     def test_records_sorted_and_coherent(self, census):
-        for n in (3, 4):
+        for n in (1, 2, 3, 4):
             records = census(n)
             offs = [r.canonical_offdiag for r in records]
             assert offs == sorted(offs)
@@ -222,9 +237,10 @@ class TestRunCensus:
         assert found, "the extremal order-3 class must be a mixed-sign xx^T"
 
     def test_horn_class_among_order_five_extremals(self, census):
-        canon, _ = canonical_form(horn_candidate())
-        extremal_offs = {r.canonical_offdiag for r in census(5) if r.extremal}
-        assert canon.offdiag in extremal_offs
+        canon, orbit = canonical_form(horn_candidate())
+        extremal = {r.canonical_offdiag: r.orbit_size
+                    for r in census(5) if r.extremal}
+        assert extremal[canon.offdiag] == orbit == 12
 
     @pytest.mark.parametrize("n", [0, 7])
     def test_order_checked_before_allocation(self, monkeypatch, n):
@@ -237,20 +253,83 @@ class TestRunCensus:
         with pytest.raises(ValueError, match="order must be between"):
             run_census(n)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_pair_images_are_the_permuted_candidates(self, n):
+        # each pair's lookups against every P A P^T whose rows 0 and 1 are
+        # the pair's rows, built entry by entry; on seeded candidates and
+        # for every pair, -1 or not
+        chunks, lookups, size, graphs = census_mod._sweep_tables(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = len(pairs)
+        rng = random.Random(n)
+        candidates = [horn_candidate()] if n == 5 else []
+        candidates += [Candidate(n, (-1,) * m)] + [
+            Candidate(n, tuple(rng.choice((-1, 0, 1)) for _ in range(m)))
+            for _ in range(20)]
+        for cand in candidates:
+            index = sweep_index(cand.offdiag, 3)
+            values = census_mod._chunk_values(index, len(chunks))
+            A = cand.matrix()
+            for (a, b), lookup in zip(pairs, lookups):
+                expected = sorted(
+                    sweep_index(upper(permuted_matrix(A, perm)), 3)
+                    for perm in itertools.permutations(range(n))
+                    if {perm[0], perm[1]} == {a, b})
+                packed = sum(table[v] for table, v in zip(lookup, values))
+                assert sorted(census_mod._images(packed, size)) == expected
+            parts = [table[v] for table, v in zip(chunks, values)]
+            assert sum((entries for entries, _ in parts), ()) == cand.offdiag
+            negative = [lk for _, part in parts for lk in part]
+            assert negative == [lk for e, lk in zip(cand.offdiag, lookups)
+                                if e == -1]
+        # phase 2 reads {0, 1} tuples in base 2 under all n! permutations
+        for _ in range(20):
+            off = tuple(rng.choice((0, 1)) for _ in range(m))
+            A = Candidate(n, off).matrix()
+            expected = sorted(sweep_index(upper(permuted_matrix(A, perm)), 2)
+                              for perm in itertools.permutations(range(n)))
+            packed = sum(x for x, bit in zip(graphs, off) if bit)
+            images = census_mod._images(packed, math.factorial(n))
+            assert sorted(images) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_one_classes_come_last_from_phase_two(self, n, census):
+        # the identity and all-ones candidates have orbit 1; the {0, 1}
+        # classes are the graphs on n vertices, all after the -1 classes
+        m = n * (n - 1) // 2
+        classes = list(census_mod._classes(n))
+        graphs = [c for c in classes if -1 not in c[0]]
+        assert len(graphs) == {2: 2, 3: 4, 4: 11, 5: 34}[n]
+        assert classes[-len(graphs):] == graphs
+        assert graphs[0] == ((0,) * m, 1) and graphs[-1] == ((1,) * m, 1)
+        assert sum(orbit for _, orbit in graphs) == 2 ** m
+        records = {r.canonical_offdiag: r for r in census(n)}
+        for off in ((0,) * m, (1,) * m):
+            assert records[off].copositive and not records[off].extremal
+            assert records[off].orbit_size == 1
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_place_values_permute_the_places(self, n):
-        columns = census_mod._place_values(n)
-        group_order = math.factorial(n)
-        places = sorted(3 ** k for k in range(len(columns)))
-        ones = [census_mod._images(c[1], group_order) for c in columns]
-        twos = [census_mod._images(c[2], group_order) for c in columns]
-        for g in range(group_order):
-            assert sorted(c[g] for c in ones) == places
-            assert all(t[g] == 2 * o[g] for o, t in zip(ones, twos))
-        # field 0 belongs to the identity permutation
-        identity = [c[1] & 0xFFFFFFFF for c in columns]
-        assert identity == [3 ** (len(columns) - 1 - k)
-                            for k in range(len(columns))]
+        pairs = list(itertools.combinations(range(n), 2))
+        m = len(pairs)
+        perms = list(itertools.permutations(range(n)))
+        for radix in (3, 2):
+            places = sorted(radix ** k for k in range(m))
+            for subset in [perms] + [
+                    [p for p in perms if {p[a], p[b]} == {0, 1}]
+                    for a, b in pairs]:
+                columns = census_mod._place_values(pairs, subset, radix)
+                for g, perm in enumerate(subset):
+                    field = [c >> 32 * g & 0xFFFFFFFF for c in columns]
+                    assert sorted(field) == places
+                    # position k goes where the permutation sends pair k
+                    for (i, j), place in zip(pairs, field):
+                        k = pairs.index(tuple(sorted((perm[i], perm[j]))))
+                        assert place == radix ** (m - 1 - k)
+            # field 0 belongs to the identity permutation
+            columns = census_mod._place_values(pairs, perms, radix)
+            identity = [c & 0xFFFFFFFF for c in columns]
+            assert identity == [radix ** (m - 1 - k) for k in range(m)]
 
     def test_images_unpack_the_fields(self):
         fields = [5, 0, 3 ** 20, 2 ** 32 - 1]

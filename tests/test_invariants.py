@@ -319,14 +319,15 @@ class TestCensus:
             run_census(3)
 
     def test_orbits_must_partition_the_candidates(self, monkeypatch):
-        # the last permutation's place values all set to 1: not a bijection
-        # of the positions, so some "orbits" reach into other classes
-        real = census_mod._place_values(3)
+        # the last permutation's base-2 place values all set to 1: not a
+        # bijection of the positions, so some {0, 1} "orbits" reach into
+        # other classes
+        chunks, lookups, size, graphs = census_mod._sweep_tables(3)
         last = 32 * (6 - 1)  # the field of the last of the 3! permutations
         mask = ~(0xFFFFFFFF << last)
-        broken = tuple((0, ones & mask | 1 << last, twos & mask | 2 << last)
-                       for _, ones, twos in real)
-        monkeypatch.setattr(census_mod, "_place_values", lambda n: broken)
+        broken = [place & mask | 1 << last for place in graphs]
+        monkeypatch.setattr(census_mod, "_sweep_tables",
+                            lambda n: (chunks, lookups, size, broken))
         with pytest.raises(CensusInvariantError, match="orbit sizes sum"):
             run_census(3)
 

@@ -40,6 +40,11 @@ from oracles import (
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
+def mask(support) -> int:
+    """The index of ``support`` in ``_key_getters``: its elements' bits."""
+    return sum(1 << i for i in support)
+
+
 @contextmanager
 def recorded_states():
     """Every state ``_support_state`` returns, as ``(support, state)``."""
@@ -71,7 +76,7 @@ def check_states(A: SymMatrix, cache: dict | None) -> int:
         assert set(solved) <= set(visits), A
         flat = (*[x for i, row in enumerate(M) for x in row[i:]], d)
         getters = _key_getters(A.n)
-        states = {s: cache[getters[s](flat)][1:] for s in visits}
+        states = {s: cache[getters[mask(s)](flat)][1:] for s in visits}
     for support in visits:
         D, f, v = block_state(principal_block(M, support))
         if not pd[support]:
@@ -127,7 +132,7 @@ def test_nonnegative_determinant_keeps_only_it(family):
             with recorded_states() as calls:
                 yielded = {c[0] for c in stationary_candidates(A, cache=cache)}
             for support, state in calls:
-                entry = cache[getters[support](flat)]
+                entry = cache[getters[mask(support)](flat)]
                 if state[0] < 0:
                     assert entry[1:] == state, (A, support)
                     solved["negative"] += 1
@@ -136,5 +141,6 @@ def test_nonnegative_determinant_keeps_only_it(family):
                 assert entry == (None, state[0], None, None), (A, support)
                 assert support not in yielded, (A, support)
                 solved["nonnegative"] += 1
-            assert all(cache[getters[s](flat)][1] < 0 for s in yielded), A
+            assert all(cache[getters[mask(s)](flat)][1] < 0
+                       for s in yielded), A
     assert solved["negative"] > 0 and solved["nonnegative"] > 0, solved
