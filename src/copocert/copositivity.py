@@ -143,6 +143,17 @@ cross-check it against the general elimination and sign check it replaced,
 against the unpruned scan and the exact LP on every feasible support, and
 against an independent one-sided falsifier that bisects the simplex
 (``tests/oracles.py``).
+
+A strictly copositive matrix has no zeros, yet the scan finds that out only
+by visiting every support whose parents are PD, all 2^n - 1 of them when
+every support is PD.  ``_strictly_copositive`` certifies strict
+copositivity exactly in O(n^3): a pair screen, then one fraction-free
+elimination for M and, if that fails, one for its Z-part (the proof is in
+its docstring).  ``minimal_zeros`` asks it first and returns no zeros
+without a scan when it holds; it asks only up to ``MAX_SCAN_ORDER``, so
+larger orders are still refused.  ``is_copositive`` never asks it: the
+exact minimum it reports needs the scan, and the scan stays the oracle
+the certificate is tested against.
 """
 
 from __future__ import annotations
@@ -414,6 +425,73 @@ def _prefilter_violator(A: SymMatrix):
                 x = _embed([Fraction(1, 2), Fraction(1, 2)], (i, j), n)
                 return x, Fraction(M[i][j], 2 * d)
     return None
+
+
+def _positive_definite(M) -> bool:
+    """Whether the symmetric integer matrix ``M`` is positive definite.
+
+    Fraction-free (Bareiss) elimination without row swaps, on the upper
+    triangle: step k turns each entry (i, j), ``i, j > k``, into
+    ``(a_kk a_ij - a_ik a_kj) / a'``, with ``a'`` the pivot of step
+    ``k - 1`` (1 at step 0).  Each pivot ``a_kk`` is then the leading
+    principal minor of order ``k + 1`` (Sylvester's identity), so M is
+    positive definite iff every pivot is positive (Sylvester's criterion),
+    and the elimination stops at the first that is not.  Every division is
+    by a positive pivot, so floor remainders are nonnegative and sum to 0
+    only if each is 0; it is checked exact (InvariantError), as in
+    ``_support_state``."""
+    n = len(M)
+    rows = [row[i:] for i, row in enumerate(M)]  # rows[i][j - i] is (i, j)
+    last = 1
+    for k in range(n):
+        top = rows[k]
+        pivot = top[0]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            a = top[i - k]
+            num = [pivot * x - a * y for x, y in zip(rows[i], top[i - k:])]
+            new = [x // last for x in num]
+            if sum(num) != last * sum(new):
+                raise InvariantError("Bareiss division must be exact")
+            rows[i] = new
+        last = pivot
+    return True
+
+
+def _strictly_copositive(M) -> bool:
+    """An exact certificate that the symmetric integer matrix ``M`` is
+    strictly copositive: ``u^T M u > 0`` for every ``u >= 0``, ``u != 0``.
+    When it holds, M has no zeros, and ``minimal_zeros`` needs no scan; when
+    it fails, nothing follows.  It holds when M is positive definite, or
+    else when its Z-part P is: P keeps the diagonal and the negative
+    off-diagonal entries of M, and puts 0 elsewhere.
+
+    Proof.  If M is positive definite, ``u^T M u > 0`` for every
+    ``u != 0``.  Otherwise ``M = P + N``, where N holds the positive
+    off-diagonal entries of M, so ``N >= 0`` entrywise and
+    ``u^T N u >= 0`` for ``u >= 0``; then
+    ``u^T M u >= u^T P u > 0`` for every ``u >= 0``, ``u != 0``.
+
+    A pair screen runs first, in O(n^2): a diagonal entry ``M_ii <= 0``,
+    or a negative ``M_ij`` with ``M_ij^2 >= M_ii M_jj``, is a 2 x 2
+    principal minor that is not positive in both M and P, so neither is
+    positive definite and the certificate fails without an elimination.
+    It turns away every matrix with a zero on a pair (``e_i``, or a
+    multiple of ``M_jj e_i - M_ij e_j``).  Each test of definiteness is
+    one O(n^3) elimination (``_positive_definite``)."""
+    n = len(M)
+    diagonal = [row[i] for i, row in enumerate(M)]
+    if min(diagonal) <= 0:
+        return False
+    for i, row in enumerate(M):
+        for j in range(i + 1, n):
+            x = row[j]
+            if x < 0 and x * x >= diagonal[i] * diagonal[j]:
+                return False
+    return _positive_definite(M) or _positive_definite(
+        [[x if x < 0 or i == j else 0 for j, x in enumerate(row)]
+         for i, row in enumerate(M)])
 
 
 def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVerdict:

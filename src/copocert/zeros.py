@@ -18,14 +18,16 @@ i.e. A_S u_S = 0; conversely A_S u_S = 0 with u_S > 0 makes
 is why ``minimal_zeros`` checks it.  The zeros themselves are read off the
 copositivity scan (see ``copositivity``), which visits once every support
 that can hold one, each as a ``Zero``: its primitive integer point, from
-which its support and its sum-normalized coordinates are read.
+which its support and its sum-normalized coordinates are read.  The scan is
+skipped where an exact certificate proves A strictly copositive, as A then
+has no zeros at all (``copositivity._strictly_copositive``).
 """
 
 from __future__ import annotations
 
 from .errors import NotCopositiveError
 from .linalg import SymMatrix
-from .copositivity import Zero, is_copositive
+from .copositivity import MAX_SCAN_ORDER, Zero, _strictly_copositive, is_copositive
 
 
 def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> tuple[Zero, ...]:
@@ -38,7 +40,14 @@ def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> tuple[Zero, ...
     points are taken as they are: it yields only points positive on their
     support, and checks on integers that their coordinates sum to 1.
     ``cache`` is handed to the scan (see ``stationary_candidates``).
+
+    A strictly copositive matrix has no zeros, so when the O(n^3)
+    certificate ``_strictly_copositive`` proves A so, the answer is ``()``
+    with no scan.  It is asked only up to ``MAX_SCAN_ORDER``, so a larger
+    order is refused (OrderTooLargeError) whatever it would say.
     """
+    if A.n <= MAX_SCAN_ORDER and _strictly_copositive(A.integer_form[0]):
+        return ()
     verdict = is_copositive(A, cache=cache)
     if not verdict.copositive:
         raise NotCopositiveError(violator=verdict.violator)

@@ -35,6 +35,11 @@ before it took the scan's points as they are.  ``bordered_state``
 recomputes the state that the scan keeps per support from determinants
 (``fraction_det``) and adjugate columns (``adjugate_columns``);
 ``block_state`` memoizes it by the principal submatrix.
+``positive_definite_by_minors`` is Sylvester's criterion with every leading
+minor from ``fraction_det``, the reference for the fraction-free
+elimination of the strict-copositivity certificate, and
+``bbt_plus_nonnegative`` draws the seeded B B^T + N matrices it is tested
+on.
 """
 
 from __future__ import annotations
@@ -738,6 +743,40 @@ def random_psd(rng, n: int, rank: int) -> SymMatrix:
     return SymMatrix.from_rows(
         [[sum(a * b for a, b in zip(B[i], B[j])) for j in range(n)]
          for i in range(n)])
+
+
+def bbt_plus_nonnegative(n: int, seed: int, rank: int | None = None) -> SymMatrix:
+    """``B B^T + N`` for a seeded rational ``n x rank`` matrix B
+    (``rank = n`` by default) with entries ``a / b``, ``|a| <= 5``,
+    ``1 <= b <= 5``, and a symmetric ``N >= 0``.  At full rank N has a
+    positive diagonal, as in the benchmark's ``bbt`` family, and the matrix
+    is strictly copositive.  Below it ``B B^T`` is singular, and each entry
+    of N, the diagonal too, is 0 with probability 1/2: the matrix is
+    copositive and may have zeros."""
+    rank = n if rank is None else rank
+    rng = random.Random(f"bbt/{n}/{rank}/{seed}")
+    F = Fraction
+    B = [[F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(rank)]
+         for _ in range(n)]
+    rows = [[sum(a * b for a, b in zip(B[i], B[j])) for j in range(n)]
+            for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rank == n:
+                extra = F(rng.randint(int(i == j), 3), rng.randint(1, 4))
+            else:
+                extra = rng.choice((0, F(rng.randint(1, 3), rng.randint(1, 4))))
+            rows[i][j] += extra
+            if i != j:
+                rows[j][i] += extra
+    return SymMatrix.from_rows(rows)
+
+
+def positive_definite_by_minors(M) -> bool:
+    """Sylvester's criterion on an integer matrix: every leading principal
+    minor, each from ``fraction_det``, is positive."""
+    return all(fraction_det([row[:k] for row in M[:k]]) > 0
+               for k in range(1, len(M) + 1))
 
 
 # --- former library functions that only tests used ---------------------------

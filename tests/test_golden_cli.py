@@ -10,16 +10,25 @@ exit code of every case.  For ``graph --dot`` on the Horn matrix and on the
 pattern, ``NAME.graph.dot`` holds the DOT file and ``NAME.graph-dot.out``
 the stdout, run with the DOT path ``NAME.dot`` relative to the working
 directory.  A speedup must leave all of it unchanged.
+
+``order16/bbt16.txt`` is a strictly copositive B B^T + N of order 16 on
+which every support is conditionally positive definite, the support scan's
+worst case; ``order16/bbt16.COMMAND.out`` holds the stdout of ``zeros``,
+``extremal`` and ``graph`` on it, written before those commands skipped
+the scan, and ``bbt16.check.out`` that of ``check``, which CI compares.
+The three must now come out the same without a single support solved.
 """
 
 from pathlib import Path
 
 import pytest
 
+import copocert.copositivity as copositivity_mod
 from copocert.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED = FIXTURES / "expected"
+ORDER16 = FIXTURES / "order16"
 
 
 def _cases():
@@ -58,3 +67,16 @@ def test_golden_dot(capsys, monkeypatch, tmp_path, name):
         (EXPECTED / f"{name}.graph-dot.out").read_text()
     assert (tmp_path / f"{name}.dot").read_bytes() == \
         (EXPECTED / f"{name}.graph.dot").read_bytes()
+
+
+@pytest.mark.parametrize("command,code",
+                         [("zeros", 0), ("extremal", 1), ("graph", 1)])
+def test_order_16_strictly_copositive_without_a_scan(capsys, monkeypatch,
+                                                     command, code):
+    def no_scan(*args):
+        raise AssertionError("a support system was solved")
+
+    monkeypatch.setattr(copositivity_mod, "_support_state", no_scan)
+    assert main([command, str(ORDER16 / "bbt16.txt")]) == code
+    assert capsys.readouterr().out == \
+        (ORDER16 / f"bbt16.{command}.out").read_text()

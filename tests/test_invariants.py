@@ -24,7 +24,11 @@ import copocert.scaling as scaling_mod
 import copocert.structure_graph as structure_graph_mod
 from copocert.census import CensusRecord, run_census
 from copocert.cli import main
-from copocert.copositivity import _support_state, is_copositive
+from copocert.copositivity import (
+    _positive_definite,
+    _support_state,
+    is_copositive,
+)
 from copocert.errors import CensusInvariantError, CopocertError, InvariantError
 from copocert.extremality import (
     ExtremalitySystem,
@@ -119,35 +123,73 @@ def test_matrices_built_only_through_the_constructors():
     assert _outside_linalg(direct) == set()
 
 
-# defined in the library but named nowhere in it: the benchmark tracer's
-# targets (perfbench/tracer.py) and what they return, the README quick
-# start, and the record-file reader that CI and the tests use
+# defined in the library but used nowhere in it, each with its reason
 UNREFERENCED = {
-    "linalg.solve_affine", "linalg.AffineSolutionSet.feasible",
-    "linalg.eval_quadratic", "lp.strictly_positive_point",
-    "linalg.horn_matrix", "linalg.SymMatrix.from_rows", "census.read_records",
+    "linalg.solve_affine": "a benchmark tracer target (perfbench/tracer.py)",
+    "linalg.AffineSolutionSet.feasible": "read off solve_affine's result "
+                                         "by the tracer",
+    "linalg.eval_quadratic": "a benchmark tracer target",
+    "lp.strictly_positive_point": "a benchmark tracer target",
+    "linalg.horn_matrix": "the README quick start",
+    "linalg.SymMatrix.from_rows": "the README quick start",
+    "census.read_records": "reads record files for CI and the tests",
 }
 
 
+def _definitions(tree, module):
+    """``(scope, kind)`` for each function and class under ``tree``:
+    ``"method"`` for a function directly inside a class, ``"name"`` for
+    every other definition (module-level or nested in a function)."""
+    def walk(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+                method = in_class and isinstance(child, ast.FunctionDef)
+                yield inner, "method" if method else "name"
+                yield from walk(child, inner, isinstance(child, ast.ClassDef))
+            else:
+                yield from walk(child, scope, in_class)
+    return walk(tree, module, False)
+
+
 def test_library_defines_only_what_it_uses():
-    # a function, class or method that no library code names by its
-    # (bare) name is test-only code: it belongs in tests/oracles.py.
-    # Dunder methods are called by Python itself
-    names = set()
-    defined = set()
+    # a function or class that the library never uses is test-only code: it
+    # belongs in tests/oracles.py.  A module-level (or nested) definition is
+    # used only where its own module loads its name, or where another
+    # module imports it by name, so an unrelated local variable or
+    # attribute of the same name does not count; a re-export in the
+    # package's __init__ is not a use either.  A method is reached
+    # through an object whose class the source does not spell out, so it
+    # still counts as used wherever any name or attribute in the library
+    # bears its name.  Dunder methods are called by Python itself
+    loaded = {}  # module -> the names loaded in it
+    imported = set()  # (module, name) imported from the module by another
+    names = set()  # every name and attribute anywhere in the library
+    defined = {}
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
+        loaded[path.stem] = here = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    here.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-        defined |= set(_scopes(tree, path.stem, lambda node: isinstance(
-            node, (ast.FunctionDef, ast.ClassDef))))
-    unused = {scope for scope in defined
-              if scope.rsplit(".", 1)[1] not in names
-              and not scope.endswith("__")}
-    assert unused == UNREFERENCED
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module and path.stem != "__init__":
+                imported |= {(node.module, alias.name) for alias in node.names}
+        defined.update(_definitions(tree, path.stem))
+
+    def used(scope, kind):
+        module, name = scope.split(".", 1)[0], scope.rsplit(".", 1)[1]
+        if kind == "method":
+            return name in names
+        return name in loaded[module] or (module, name) in imported
+
+    unused = {scope for scope, kind in defined.items()
+              if not scope.endswith("__") and not used(scope, kind)}
+    assert unused == set(UNREFERENCED)
 
 
 def _absolute_imports():
@@ -390,6 +432,12 @@ class TestCopositivity:
             _support_state(M, (0, 1, 2), -1, (None, -4, [1, -1, -1], [1, -1]),
                            pair)
 
+
+    def test_positive_definite_inexact_division(self):
+        # an entry that is no integer, which the integer form never holds:
+        # the quotient of 1/2 by the first pivot's predecessor 1 floors to 0
+        with pytest.raises(InvariantError, match="Bareiss division"):
+            _positive_definite([[1, 0], [0, F(1, 2)]])
 
 class TestStructureGraph:
     def test_unbalanced_pair_zero(self):
