@@ -34,8 +34,10 @@ certificate share a cache of support systems: they have few distinct principal
 submatrices between them, and each is solved once.  Those with every entry 0
 or 1 are strictly copositive (their Z-part is the identity), so
 ``minimal_zeros`` certifies them without a scan: at order 6, 3,770 of the
-3,926 copositive classes are scanned, visiting 91,723 of the 237,510
-supports of those classes, with 23 systems solved.
+3,926 copositive classes are scanned, visiting 39,279 of the 237,510
+supports of those classes, with 9 systems solved.  The scan stays inside
+the components of each class's -1 graph (see ``copositivity``); without
+that cut it visited 91,723 of them and solved 23 systems.
 
 The sweep also aborts if an extremal record has a minimal support that is
 not a pair; ``copocert census`` reports whether every copositive record has

@@ -75,6 +75,49 @@ This loses nothing:
     the same support, with the same violator and the same
     ``simplex_minimum``.
 
+A second cut needs only the signs of ``M``.  Let G- be the graph on the
+indices that joins i and j when ``M_ij < 0``, and call a support
+*connected* when G- restricted to it is connected; a connected support lies
+inside one component of G-.
+
+  *Lemma C.*  If ``x1, x2 >= 0`` and no negative entry ``M_ij`` has i in
+  the support of x1 and j in that of x2, then, for ``q(x) = x^T M x``,
+  ``q(x1 + x2) >= q(x1) + q(x2)``.  Indeed
+  ``q(x1 + x2) = q(x1) + q(x2) + 2 x1^T M x2``, and each term
+  ``x1_i M_ij x2_j`` of the last sum is nonnegative.
+
+Split a support S that is not connected into nonempty S1 and S2 with no
+negative entry between them, and a point u on S into its parts u1 on S1
+and u2 on S2, so that ``q(u) >= q(u1) + q(u2)``.
+
+  * *The violator is connected.*  Let S0 be the first support, in scan
+    order, with a negative value, at u.  Were S0 not connected, q would be
+    negative at u1 or u2, so the minimum over the closed face of S1 or S2
+    would be negative, and by fact 1 it would sit on a support with a
+    unique solution, smaller than S0 and so scanned before it.
+  * *Every minimal zero is connected.*  On a copositive matrix, a zero u
+    on S gives ``0 = q(u) >= q(u1) + q(u2) >= 0``, so u1 is a zero on a
+    proper subset of S.
+
+Given one label per index that names its component
+(``_negative_components``), the scan drops each pair whose two indices
+carry different labels.  A larger support is visited only if each of its
+parents is kept, and two parents share all but one index, so every
+support it visits lies inside one component.  A support inside one
+component has all its subsets inside it, so the scan visits exactly the
+supports of the PD-pruned scan that lie inside one component, in the same
+order, with the same states.  That subsequence holds S0 and every minimal
+zero: it stops at S0 with the same violator and value, and on a
+copositive matrix it yields the same zeros in the same order.  A positive
+minimum is another matter.  It may sit on a support that is not connected
+(on the identity, at the barycentre, with every vertex a component of its
+own), so when G- has more than one component and the scan inside them
+meets neither a violator nor a zero, ``is_copositive`` runs the whole scan
+once more for the exact minimum.  By the two points above that scan can
+meet no value ``<= 0``; meeting one is an InvariantError.  Only a split
+matrix with no zero pays for the second scan: when G- is connected there
+are no labels and a single scan.
+
 The scan keeps 2k + 2 integers for each PD support Y of size k:
 ``D_Y = det K_Y``; ``f_Y``, the first column of ``adj K_Y``, whose tail
 over ``D_Y`` is Y's point; and ``v_Y = adj(K_Y') b_Y`` for ``Y' = Y[:-1]``,
@@ -323,7 +366,31 @@ def _check_attained(M, support, p, total):
         raise InvariantError("stationary value must be attained at its point")
 
 
-def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
+def _negative_components(M):
+    """One label per index of the integer matrix ``M``, equal for two
+    indices exactly when a path of negative entries joins them: the
+    components of G-, found in O(n^2).  None when G- is connected, as the
+    scan then has nothing to drop."""
+    n = len(M)
+    labels = [None] * n
+    count = 0
+    for root in range(n):
+        if labels[root] is not None:
+            continue
+        labels[root] = count
+        stack = [root]
+        while stack:
+            row = M[stack.pop()]
+            for j in range(n):
+                if labels[j] is None and row[j] < 0:
+                    labels[j] = count
+                    stack.append(j)
+        count += 1
+    return labels if count > 1 else None
+
+
+def stationary_candidates(A: SymMatrix, *, cache: dict | None = None,
+                          labels: list | None = None):
     """Yield ``(support, p, q, total)`` for every conditionally positive
     definite support whose parents are all conditionally positive definite
     and whose stationarity system has a solution strictly positive on the
@@ -356,6 +423,14 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
     once, whatever order the matrix that first met it had: a hit with
     ``D < 0`` serves as a parent as stored, and a hit with ``D >= 0``
     prunes its supersets like a solve.  Without a cache no key is built.
+
+    ``labels``, one per index (``_negative_components``), restricts the
+    scan to the supports inside one component of G-: pairs whose indices
+    carry different labels are dropped, and no larger support is tested,
+    as one that straddles two components has a dropped parent.  What is
+    yielded is then the subsequence of the whole scan on those supports,
+    which holds the first negative value and every minimal zero, but not
+    always the positive minimum (Lemma C in the module docstring).
     """
     n = A.n
     if n > MAX_SCAN_ORDER:
@@ -368,7 +443,7 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
     sink = []
     groups = [((), None, sink)]
     visits = [((i,), 1 << i, None, None, None, sink) for i in range(n)]
-    for _ in range(n):
+    for level in range(n):
         kept = set()  # the conditionally positive definite supports' masks
         for support, mask, det, first, second, sink in visits:
             if cache is not None:
@@ -403,6 +478,9 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None):
                 yield (support, *found)
         out = []
         visits = _children(groups, kept, out)
+        if not level and labels is not None:  # the pairs
+            visits = (visit for visit in visits
+                      if labels[visit[0][0]] == labels[visit[0][1]])
         groups = out
 
 
@@ -510,15 +588,25 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
     ``p^T M_S p`` at every zero and violator it solves; a positive minimum
     is checked here, once, before it is returned (InvariantError).
     ``cache`` is handed to ``stationary_candidates``.
+
+    The scan runs with the labels of the components of G-
+    (``_negative_components``), so it solves only supports inside one
+    component; the violator and the zeros are the same (Lemma C in the
+    module docstring).  When G- has more than one component and that scan
+    ends with neither, the least value it saw need not be the minimum, and
+    the whole scan runs once more for it.  That scan must meet no value
+    ``<= 0``, which the first would have met too (InvariantError).
     """
     hit = _prefilter_violator(A)
     if hit is not None:
         return CopositivityVerdict(False, hit[0], hit[1], ())
     n = A.n
     M, d = A.integer_form
+    labels = _negative_components(M)
     least = None  # (total, q^2, support, p) of the least value so far
     zeros = []
-    for support, p, q, total in stationary_candidates(A, cache=cache):
+    for support, p, q, total in stationary_candidates(A, cache=cache,
+                                                      labels=labels):
         if total < 0:
             violator = _embed([Fraction(x, q) for x in p], support, n)
             return CopositivityVerdict(False, violator,
@@ -533,6 +621,14 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
             g = gcd(*p)
             kept.append(Zero(_embed([x // g for x in p], support, n, 0)))
         return CopositivityVerdict(True, None, ZERO, tuple(kept))
+    if labels is not None:  # the minimum may straddle two components
+        for support, p, q, total in stationary_candidates(A, cache=cache):
+            if total <= 0:
+                raise InvariantError(
+                    "a value <= 0 missed inside the components of the "
+                    "negative graph contradicts Lemma C")
+            if total * least[1] < least[0] * q * q:
+                least = total, q * q, support, p
     total, qq, support, p = least
     _check_attained(M, support, p, total)
     return CopositivityVerdict(True, None, Fraction(total, qq * d), ())

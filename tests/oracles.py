@@ -736,6 +736,60 @@ def degenerate_matrix(family: str, n: int, seed: int) -> SymMatrix:
     raise ValueError(f"unknown family {family!r}")
 
 
+def negative_components(A: SymMatrix) -> list[frozenset[int]]:
+    """The components of G-, the graph on the indices of A that joins i
+    and j when ``A_ij < 0``, by least element, read off the ``Fraction``
+    entries by merging the parts of every negative pair."""
+    parts = [{i} for i in range(A.n)]
+    for i, j in itertools.combinations(range(A.n), 2):
+        if A.get(i, j) < 0:
+            a = next(part for part in parts if i in part)
+            b = next(part for part in parts if j in part)
+            if a is not b:
+                a |= b
+                parts.remove(b)
+    return sorted((frozenset(part) for part in parts), key=min)
+
+
+def connected_support(A: SymMatrix, support) -> bool:
+    """Whether G- restricted to ``support`` is connected."""
+    return len(negative_components(principal(A, support))) == 1
+
+
+def split_matrix(n: int, seed: int) -> SymMatrix:
+    """A seeded order-n matrix (``n >= 2``) whose G- has at least two
+    components by construction: the indices are shuffled into two or three
+    blocks, and every entry between two blocks is 0 or a positive ``a/b``,
+    each with probability 1/2.  One draw in four makes every block a
+    full-rank ``bbt_plus_nonnegative``, so the matrix is strictly
+    copositive and its minimum often straddles blocks; the others draw
+    each block from the ``DEGENERATE_FAMILIES`` its size admits."""
+    rng = random.Random(f"split/{n}/{seed}")
+    count = min(n, rng.choice((2, 3)))
+    cuts = sorted(rng.sample(range(1, n), count - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    strict = rng.random() < 0.25
+    index = list(range(n))
+    rng.shuffle(index)
+    rows = [[Fraction(rng.randint(1, 3), rng.randint(1, 4))
+             if rng.random() < 0.5 else Fraction(0) for _ in range(n)]
+            for _ in range(n)]
+    start = 0
+    for size in sizes:
+        families = ["zero_diagonal", "psd_plus_nonnegative", "sign_pattern"]
+        families += ["rank_one"] * (size >= 2) + ["hildebrand"] * (size >= 5)
+        sub = rng.randrange(2 ** 32)
+        B = (bbt_plus_nonnegative(size, sub) if strict
+             else degenerate_matrix(rng.choice(families), size, sub))
+        block = index[start:start + size]
+        for a, i in enumerate(block):
+            for b, j in enumerate(block):
+                rows[i][j] = B.get(a, b)
+        start += size
+    return SymMatrix.from_rows([[rows[min(i, j)][max(i, j)] for j in range(n)]
+                                for i in range(n)])
+
+
 def random_psd(rng, n: int, rank: int) -> SymMatrix:
     """``B B^T`` for a random integer ``n x rank`` matrix B with entries in
     [-2, 2]: positive semidefinite, of rank at most ``rank``."""

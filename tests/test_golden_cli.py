@@ -2,7 +2,10 @@
 
 ``tests/fixtures`` holds a few matrix files (the Horn matrix, an extremal
 unit-diagonal pattern, a rational D S D scaling of a pattern, a rational
-rank-one v v^T and a rational non-copositive matrix).  ``expected/`` holds,
+rank-one v v^T, a rational non-copositive matrix, and a strictly
+copositive one whose graph of negative entries is split and whose least
+value sits on a support across its two components, which only the second,
+whole scan of ``is_copositive`` finds).  ``expected/`` holds,
 for each of them and each of ``check``, ``zeros``, ``extremal``, ``verify``,
 ``normalize`` and ``graph``, the exact stdout of the command, plus the
 output of ``census -n 3`` and ``census -n 4``; ``exit_codes.txt`` lists the
