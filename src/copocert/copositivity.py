@@ -180,12 +180,47 @@ Membership testing is co-NP-complete in general; the support scan, up to
 2^n - 1 supports, is deliberate and fine for the orders this package
 targets (n <= 8).  The states kept per level grow like C(n, n/2) n,
 and a full scan visits all 2^n - 1 supports, so the scan refuses orders
-above ``MAX_SCAN_ORDER``: a ``check`` at order 16, where every support is
-PD, takes seconds, and each order above it doubles the supports.  The tests
+above ``MAX_SCAN_ORDER``: a scan at order 16 that visits every support
+takes seconds, and each order above it doubles the supports.  The tests
 cross-check it against the general elimination and sign check it replaced,
 against the unpruned scan and the exact LP on every feasible support, and
 against an independent one-sided falsifier that bisects the simplex
 (``tests/oracles.py``).
+
+The scan's worst case is the convex case: when the whole index set is PD,
+so is every support, and the scan visits all 2^n - 1.  But then q, the
+form of A, is strictly convex on the simplex: for ``sum(v) = 0``,
+``v != 0``, ``q(x + v) = q(x) + 2 v^T A x + q(v)`` with ``q(v) > 0``.  Let
+x be a point of the simplex that satisfies the KKT conditions
+
+    x >= 0,  sum(x) = 1,  (A x)_i = mu on the support of x,
+    (A x)_i >= mu off it.
+
+Then ``q(x) = sum_i x_i (A x)_i = mu``, and for any other point z of the
+simplex, with ``v = z - x``, ``v^T A x = sum_i z_i (A x)_i - mu >= 0``, so
+``q(z) > mu``: x is the only minimizer, and mu the simplex minimum.  So:
+
+  * mu > 0: A is copositive with minimum mu and has no zeros.
+  * mu = 0: a zero u of A makes ``u / sum(u)`` a point of value 0 = mu on
+    the simplex, which is x: x is the one zero up to scaling, so the one
+    minimal zero, and the scan, which yields exactly the minimal zeros,
+    yields x alone.
+  * mu < 0: A is not copositive, but the violator a verdict prints is the
+    scan's first negative stationary point, which need not be x, so the
+    scan runs; it stops at that point.
+
+``_convex`` is this route, for orders 2 to ``MAX_SCAN_ORDER``.  Its gate is
+``_pair_screen`` and then one fraction-free elimination of ``Z^T M Z`` for
+the basis ``Z = [e_i - e_n]`` of {v : sum(v) = 0}: positive definite iff
+the whole index set is PD, the property the scan reads off bordered
+minors.  A pair that fails the screen has a value ``<= 0``, so the inputs
+with a zero on a pair (the census classes with a -1, the Horn matrix, the
+D S D scalings) are turned away there, with no elimination.  x comes from
+an exact primal active-set method in integers (``_convex_minimum``), and
+is re-checked against the KKT conditions in integers before anything is
+answered, so a wrong step ends in an InvariantError, never in a wrong
+verdict.  The answer is the scan's: the same exact minimum, or the same
+primitive zero.
 
 A strictly copositive matrix has no zeros, yet the scan finds that out only
 by visiting every support whose parents are PD, all 2^n - 1 of them when
@@ -193,10 +228,11 @@ every support is PD.  ``_strictly_copositive`` certifies strict
 copositivity exactly in O(n^3): a pair screen, then one fraction-free
 elimination for M and, if that fails, one for its Z-part (the proof is in
 its docstring).  ``minimal_zeros`` asks it first and returns no zeros
-without a scan when it holds; it asks only up to ``MAX_SCAN_ORDER``, so
-larger orders are still refused.  ``is_copositive`` never asks it: the
-exact minimum it reports needs the scan, and the scan stays the oracle
-the certificate is tested against.
+without a scan when it holds, then asks the convex route, then scans; it
+asks only up to ``MAX_SCAN_ORDER``, so larger orders are still refused.
+``is_copositive`` asks the convex route and then scans, but never the
+certificate, which says nothing of the minimum it reports.  The scan stays
+the oracle that both are tested against.
 """
 
 from __future__ import annotations
@@ -505,27 +541,26 @@ def _prefilter_violator(A: SymMatrix):
     return None
 
 
-def _positive_definite(M) -> bool:
-    """Whether the symmetric integer matrix ``M`` is positive definite.
-
-    Fraction-free (Bareiss) elimination without row swaps, on the upper
-    triangle: step k turns each entry (i, j), ``i, j > k``, into
-    ``(a_kk a_ij - a_ik a_kj) / a'``, with ``a'`` the pivot of step
-    ``k - 1`` (1 at step 0).  Each pivot ``a_kk`` is then the leading
-    principal minor of order ``k + 1`` (Sylvester's identity), so M is
-    positive definite iff every pivot is positive (Sylvester's criterion),
-    and the elimination stops at the first that is not.  Every division is
-    by a positive pivot, so floor remainders are nonnegative and sum to 0
-    only if each is 0; it is checked exact (InvariantError), as in
-    ``_support_state``."""
-    n = len(M)
-    rows = [row[i:] for i, row in enumerate(M)]  # rows[i][j - i] is (i, j)
+def _eliminate(rows):
+    """Fraction-free (Bareiss) elimination without row swaps of a symmetric
+    integer matrix stored as its upper triangle, ``rows[i][j - i]`` for
+    entry (i, j), each row optionally followed by right-hand sides; the
+    list is overwritten and returned, or None at the first pivot that is
+    not positive.  Step k turns each entry (i, j), ``i, j > k``, and each
+    right-hand side of row i into ``(a_kk a_ij - a_ik a_kj) / a'``, with
+    ``a'`` the pivot of step ``k - 1`` (1 at step 0).  Each pivot ``a_kk``
+    is then the leading principal minor of order ``k + 1`` (Sylvester's
+    identity), so the matrix is positive definite iff every pivot is
+    positive (Sylvester's criterion).  Every division is by a positive
+    pivot, so floor remainders are nonnegative and sum to 0 only if each is
+    0; it is checked exact (InvariantError), as in ``_support_state``."""
+    n = len(rows)
     last = 1
     for k in range(n):
         top = rows[k]
         pivot = top[0]
         if pivot <= 0:
-            return False
+            return None
         for i in range(k + 1, n):
             a = top[i - k]
             num = [pivot * x - a * y for x, y in zip(rows[i], top[i - k:])]
@@ -534,6 +569,32 @@ def _positive_definite(M) -> bool:
                 raise InvariantError("Bareiss division must be exact")
             rows[i] = new
         last = pivot
+    return rows
+
+
+def _positive_definite(M) -> bool:
+    """Whether the symmetric integer matrix ``M`` is positive definite: one
+    ``_eliminate`` of its upper triangle."""
+    return _eliminate([row[i:] for i, row in enumerate(M)]) is not None
+
+
+def _pair_screen(M) -> bool:
+    """Whether every ``M_ii > 0`` and no negative ``M_ij`` has
+    ``M_ij^2 >= M_ii M_jj``, in O(n^2).  A pair that fails is a 2 x 2
+    principal minor that is not positive, on which the form takes a value
+    ``<= 0`` (at ``e_i``, or at a multiple of ``M_jj e_i - M_ij e_j``).
+    ``_strictly_copositive`` and the convex route both ask it first.  It
+    reads row by row and stops at the first pair that fails, so a diagonal
+    entry ``M_jj <= 0`` is met at row j unless a pair fails before it."""
+    n = len(M)
+    for i, row in enumerate(M):
+        mii = row[i]
+        if mii <= 0:
+            return False
+        for j in range(i + 1, n):
+            x = row[j]
+            if x < 0 and x * x >= mii * M[j][j]:
+                return False
     return True
 
 
@@ -551,58 +612,180 @@ def _strictly_copositive(M) -> bool:
     ``u^T N u >= 0`` for ``u >= 0``; then
     ``u^T M u >= u^T P u > 0`` for every ``u >= 0``, ``u != 0``.
 
-    A pair screen runs first, in O(n^2): a diagonal entry ``M_ii <= 0``,
-    or a negative ``M_ij`` with ``M_ij^2 >= M_ii M_jj``, is a 2 x 2
-    principal minor that is not positive in both M and P, so neither is
-    positive definite and the certificate fails without an elimination.
-    It turns away every matrix with a zero on a pair (``e_i``, or a
-    multiple of ``M_jj e_i - M_ij e_j``).  Each test of definiteness is
+    ``_pair_screen`` runs first: a pair that fails it is a 2 x 2 principal
+    minor that is not positive in both M and P, so neither is positive
+    definite and the certificate fails without an elimination.  It turns
+    away every matrix with a zero on a pair.  Each test of definiteness is
     one O(n^3) elimination (``_positive_definite``)."""
-    n = len(M)
-    diagonal = [row[i] for i, row in enumerate(M)]
-    if min(diagonal) <= 0:
-        return False
-    for i, row in enumerate(M):
-        for j in range(i + 1, n):
-            x = row[j]
-            if x < 0 and x * x >= diagonal[i] * diagonal[j]:
-                return False
-    return _positive_definite(M) or _positive_definite(
+    return _pair_screen(M) and (_positive_definite(M) or _positive_definite(
         [[x if x < 0 or i == j else 0 for j, x in enumerate(row)]
-         for i, row in enumerate(M)])
+         for i, row in enumerate(M)]))
 
 
-def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVerdict:
-    """Exact membership test with a witness on failure.
+def _face_minimizer(M, support):
+    """``(Y, R)``: the minimizer of ``x^T M x`` on ``sum(x) = 1`` with
+    ``x = 0`` off ``support``, as integer numerators Y on ``support`` over
+    ``R > 0``; None when the support S is not conditionally positive
+    definite.  With ``t = S[-1]`` and ``Z = [e_i - e_t]`` over the other
+    indices of S, S is conditionally positive definite iff ``Z^T M_S Z``,
+    entry (i, j) ``M_ij - M_it - M_tj + M_tt``, is positive definite, and
+    then the minimizer is ``e_t + Z w`` for the solution w of
+    ``(Z^T M_S Z) w = -Z^T M_S e_t``.
+    ``_eliminate`` takes its upper triangle, each row i followed by
+    ``M_tt - M_it``, to a triangle whose last pivot is
+    ``R = det Z^T M_S Z``, and back substitution gives the integers ``R w``;
+    an inexact division is an InvariantError."""
+    *rest, t = support
+    top = M[t]
+    mtt = top[t]
+    rows = []
+    for a, i in enumerate(rest):
+        row = M[i]
+        c = mtt - row[t]
+        rows.append([row[j] - top[j] + c for j in rest[a:]] + [c])
+    rows = _eliminate(rows)
+    if rows is None:
+        return None
+    R = rows[-1][0] if rows else 1
+    Y = []
+    for row in reversed(rows):
+        num = R * row[-1] - sum(map(mul, row[1:-1], Y))
+        y = num // row[0]
+        if y * row[0] != num:
+            raise InvariantError("back substitution must be exact")
+        Y.insert(0, y)
+    Y.append(R - sum(Y))
+    return Y, R
 
-    Stops at the first negative stationary value (census throughput); when
-    the matrix is copositive the whole pruned scan has run, the reported
-    minimum is exact and the minimal zeros have been collected on the way.
-    Pruning the supports that cannot hold a local minimum changes none of
-    these: the verdict equals that of a scan of every support with a unique
-    positive solution (see the module docstring).  Values
-    ``total / (q^2 d)`` share ``d``, so their signs are those of ``total``
-    and they are compared as ``total / q^2`` by cross-multiplying.  Zeros
-    are kept as ``(support, p)`` and made ``Zero``s only once the scan has
-    ended without a violator.  The scan checks ``total`` against
-    ``p^T M_S p`` at every zero and violator it solves; a positive minimum
-    is checked here, once, before it is returned (InvariantError).
-    ``cache`` is handed to ``stationary_candidates``.
 
-    The scan runs with the labels of the components of G-
-    (``_negative_components``), so it solves only supports inside one
-    component; the violator and the zeros are the same (Lemma C in the
-    module docstring).  When G- has more than one component and that scan
-    ends with neither, the least value it saw need not be the minimum, and
-    the whole scan runs once more for it.  That scan must meet no value
-    ``<= 0``, which the first would have met too (InvariantError).
-    """
+def _convex_minimum(M, face):
+    """``(P, Q)``: the minimizer ``P / Q`` of ``x^T M x`` over the simplex,
+    reduced (``gcd(P, Q) = 1``), for a conditionally positive definite
+    integer ``M`` of order ``n >= 2``; or None as soon as a face minimizer
+    has a negative value, as the minimum then is negative.  ``face`` is
+    ``_face_minimizer`` of every index, which the gate computed.
+
+    A primal active-set method (Nocedal and Wright, *Numerical
+    Optimization*, 2nd ed., ch. 16) on the working set S of the indices
+    not held at 0, from the barycentre with S every index.  Each step
+    moves x towards the minimizer y of S's face as far as ``x >= 0``
+    allows.  A step that stops short drops from S each index it takes to
+    0; a full step puts x at y, where ``(M x)_i`` is one ``level`` on S.
+    Then the first index j, in index order (Bland's rule), with
+    ``(M x)_j < level`` joins S, and when there is none x is the KKT point.
+    The values at the face minimizers that x reaches decrease strictly, so
+    none of the ``2^n - 1`` working sets is met there twice, and between
+    two of them each step drops an index: a step past ``n 2^n`` is an
+    InvariantError, and so is a face that is not conditionally positive
+    definite, as every face of M is."""
+    n = len(M)
+    support = list(range(n))
+    P = [1] * n
+    Q = n
+    for _ in range(n << n):
+        if face is None:
+            raise InvariantError("a face of a conditionally positive "
+                                 "definite matrix must be one too")
+        Y, R = face
+        a = b = 1  # the step length a / b
+        for y, i in zip(Y, support):
+            if y < 0:
+                num = P[i] * R
+                den = num - y * Q
+                if num * b < a * den:
+                    a, b = num, den
+        c, e = (b - a) * R, a * Q  # x + (a / b) (y - x) is new / (b Q R)
+        new = [0] * n
+        for y, i in zip(Y, support):
+            new[i] = c * P[i] + e * y
+        P, Q = new, b * Q * R
+        g = gcd(*P, Q)
+        P = [x // g for x in P]
+        Q //= g
+        if a < b:
+            support = [i for i in support if P[i]]
+        else:
+            level = sum(map(mul, M[support[0]], P))
+            if level < 0:
+                return None
+            for j, row in enumerate(M):
+                if sum(map(mul, row, P)) < level:
+                    support.append(j)
+                    support.sort()
+                    break
+            else:
+                return P, Q
+        face = _face_minimizer(M, support)
+    raise InvariantError("the active set must reach the minimum within "
+                         "n 2^n steps")
+
+
+def _convex(A: SymMatrix) -> CopositivityVerdict | None:
+    """The convex route: the verdict on a conditionally positive definite
+    A of order 2 to ``MAX_SCAN_ORDER`` whose simplex minimum is ``>= 0``,
+    without the scan; None on any other input (see the module docstring).
+
+    The gate is ``_pair_screen`` and then ``_face_minimizer`` of every
+    index, one elimination of ``Z^T M Z``, which is also the first step's
+    solve.  The point that ``_convex_minimum`` returns is re-checked in
+    integers in O(n^2) before anything is answered: ``P >= 0``,
+    ``sum(P) = Q``, ``(M P)_i Q = total`` on its support and ``>= total``
+    off it, and ``_check_attained`` (InvariantError).  With
+    ``sum(P) = Q`` and ``gcd(P, Q) = 1``, P is primitive, the ``Zero`` the
+    scan would keep."""
+    n = A.n
+    if not 2 <= n <= MAX_SCAN_ORDER:
+        return None
+    M, d = A.integer_form
+    if not _pair_screen(M):
+        return None
+    face = _face_minimizer(M, range(n))
+    if face is None:
+        return None
+    found = _convex_minimum(M, face)
+    if found is None:  # the minimum is negative: the scan names the violator
+        return None
+    P, Q = found
+    if min(P) < 0 or sum(P) != Q or Q <= 0:
+        raise InvariantError("the active-set point must lie on the simplex")
+    support = [i for i, x in enumerate(P) if x]
+    levels = [sum(map(mul, row, P)) * Q for row in M]
+    total = levels[support[0]]
+    for x, y in zip(P, levels):
+        if y < total or x and y != total:
+            raise InvariantError("the active-set point must satisfy the "
+                                 "KKT conditions")
+    _check_attained(M, support, [P[i] for i in support], total)
+    if total:
+        return CopositivityVerdict(True, None, Fraction(total, Q * Q * d), ())
+    return CopositivityVerdict(True, None, ZERO, (Zero(tuple(P)),))
+
+
+def _scan(A: SymMatrix, cache: dict | None = None, *,
+          whole: bool = False) -> CopositivityVerdict:
+    """The verdict of ``_prefilter_violator`` and of the scan inside the
+    components of G- (``_negative_components``), or of the whole scan when
+    ``whole`` is set.  The violator and the zeros are those of the whole
+    scan (Lemma C in the module docstring).  When G- has more than one
+    component and the scan inside them meets neither, ``simplex_minimum``
+    is the least value inside one component, which may exceed the minimum:
+    ``is_copositive`` completes it, and ``minimal_zeros`` needs only the
+    zeros.
+
+    Stops at the first negative stationary value (census throughput).
+    Values ``total / (q^2 d)`` share ``d``, so their signs are those of
+    ``total`` and they are compared as ``total / q^2`` by
+    cross-multiplying.  Zeros are kept as ``(support, p)`` and made
+    ``Zero``s only once the scan has ended without a violator.  The scan
+    checks ``total`` against ``p^T M_S p`` at every zero and violator it
+    solves; a positive minimum is checked once, before it is returned
+    (InvariantError).  ``cache`` is handed to ``stationary_candidates``."""
     hit = _prefilter_violator(A)
     if hit is not None:
         return CopositivityVerdict(False, hit[0], hit[1], ())
     n = A.n
     M, d = A.integer_form
-    labels = _negative_components(M)
+    labels = None if whole else _negative_components(M)
     least = None  # (total, q^2, support, p) of the least value so far
     zeros = []
     for support, p, q, total in stationary_candidates(A, cache=cache,
@@ -621,14 +804,37 @@ def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVer
             g = gcd(*p)
             kept.append(Zero(_embed([x // g for x in p], support, n, 0)))
         return CopositivityVerdict(True, None, ZERO, tuple(kept))
-    if labels is not None:  # the minimum may straddle two components
-        for support, p, q, total in stationary_candidates(A, cache=cache):
-            if total <= 0:
-                raise InvariantError(
-                    "a value <= 0 missed inside the components of the "
-                    "negative graph contradicts Lemma C")
-            if total * least[1] < least[0] * q * q:
-                least = total, q * q, support, p
     total, qq, support, p = least
     _check_attained(M, support, p, total)
     return CopositivityVerdict(True, None, Fraction(total, qq * d), ())
+
+
+def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVerdict:
+    """Exact membership test with a witness on failure.
+
+    The convex route (``_convex``) answers a conditionally positive
+    definite input whose minimum is ``>= 0``; every other input goes to
+    ``_scan``.  When the matrix is copositive the reported minimum is exact
+    and the minimal zeros are collected on the way.  Pruning the supports
+    that cannot hold a local minimum changes none of these: the verdict
+    equals that of a scan of every support with a unique positive solution
+    (see the module docstring).  ``cache`` is handed to the scan.
+
+    When G- has more than one component and the scan inside them ends with
+    neither a violator nor a zero, the least value it saw need not be the
+    minimum, and the whole scan runs once more for it.  That scan must
+    meet no value ``<= 0``, which the first would have met too
+    (InvariantError).
+    """
+    verdict = _convex(A)
+    if verdict is not None:
+        return verdict
+    verdict = _scan(A, cache)
+    if (not verdict.copositive or verdict.zeros
+            or _negative_components(A.integer_form[0]) is None):
+        return verdict
+    verdict = _scan(A, cache, whole=True)
+    if not verdict.copositive or verdict.zeros:
+        raise InvariantError("a value <= 0 missed inside the components of "
+                             "the negative graph contradicts Lemma C")
+    return verdict

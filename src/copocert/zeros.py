@@ -20,14 +20,16 @@ copositivity scan (see ``copositivity``), which visits once every support
 that can hold one, each as a ``Zero``: its primitive integer point, from
 which its support and its sum-normalized coordinates are read.  The scan is
 skipped where an exact certificate proves A strictly copositive, as A then
-has no zeros at all (``copositivity._strictly_copositive``).
+has no zeros at all (``copositivity._strictly_copositive``), and where A is
+conditionally positive definite with a minimum ``>= 0``, as A then has at
+most one zero, the simplex minimizer (``copositivity._convex``).
 """
 
 from __future__ import annotations
 
 from .errors import NotCopositiveError
 from .linalg import SymMatrix
-from .copositivity import MAX_SCAN_ORDER, Zero, _strictly_copositive, is_copositive
+from .copositivity import MAX_SCAN_ORDER, Zero, _convex, _scan, _strictly_copositive
 
 
 def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> tuple[Zero, ...]:
@@ -44,11 +46,17 @@ def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> tuple[Zero, ...
     A strictly copositive matrix has no zeros, so when the O(n^3)
     certificate ``_strictly_copositive`` proves A so, the answer is ``()``
     with no scan.  It is asked only up to ``MAX_SCAN_ORDER``, so a larger
-    order is refused (OrderTooLargeError) whatever it would say.
+    order is refused (OrderTooLargeError) whatever it would say.  Then the
+    convex route answers, or else the scan inside the components of the
+    negative graph (``_scan``), whose violator and zeros are the whole
+    scan's; the minimum, which only the whole scan may find, is not needed
+    here.
     """
     if A.n <= MAX_SCAN_ORDER and _strictly_copositive(A.integer_form[0]):
         return ()
-    verdict = is_copositive(A, cache=cache)
+    verdict = _convex(A)
+    if verdict is None:
+        verdict = _scan(A, cache)
     if not verdict.copositive:
         raise NotCopositiveError(violator=verdict.violator)
     return verdict.zeros

@@ -17,7 +17,9 @@ solution set: the exact LP decides positivity on every feasible support.
 supports with a parent that is not conditionally positive definite, which
 ``conditionally_positive_definite`` decides from leading minors instead of
 bordered determinants; ``degenerate_matrix`` draws the seeded families that
-the two are compared on.
+the two are compared on.  ``scan_is_copositive`` is ``is_copositive`` with
+its convex route switched off, and ``shifted`` moves every simplex value
+of a matrix by one constant.
 ``fraction_build_graph`` and ``bfs_component_analysis`` are the entry graph
 as it was built before it was read off the extremality system: the gate
 ``(A u)_k = 0`` tested again in ``Fraction`` arithmetic (``matrix_apply``,
@@ -54,11 +56,14 @@ import sys
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
+from unittest import mock
 
+import copocert.copositivity as copositivity_mod
 from copocert.census import ALPHABET, MAX_ORDER, Candidate
 from copocert.copositivity import (
     CopositivityVerdict,
     _prefilter_violator,
+    is_copositive,
     stationary_candidates,
 )
 from copocert.linalg import (
@@ -668,6 +673,24 @@ def unpruned_is_copositive(A: SymMatrix) -> CopositivityVerdict:
             if best is None or value < best:
                 best = value
     return CopositivityVerdict(True, None, best, tuple(zeros))
+
+
+def scan_is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVerdict:
+    """``is_copositive`` with its convex route switched off: the support
+    scan inside the components of G- (``copositivity._scan``) and, for a
+    split input with no zero, the whole scan for the minimum.  The tests
+    that pin the scan call this, as the route answers many of their inputs
+    without one."""
+    with mock.patch.object(copositivity_mod, "_convex", lambda A: None):
+        return is_copositive(A, cache=cache)
+
+
+def shifted(A: SymMatrix, c) -> SymMatrix:
+    """``A + c J``, J the all-ones matrix: on the simplex
+    ``x^T (A + c J) x = x^T A x + c``, so every value moves by exactly c,
+    and A + cJ is conditionally positive definite iff A is."""
+    return SymMatrix.from_rows([[A.get(i, j) + c for j in range(A.n)]
+                                for i in range(A.n)])
 
 
 DEGENERATE_FAMILIES = ("zero_diagonal", "psd_plus_nonnegative", "sign_pattern",

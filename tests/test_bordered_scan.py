@@ -17,7 +17,8 @@ value, and its whole state ``(D, f, v)`` must be what
 ``oracles.bordered_state`` recomputes from ``K_S``; any other support can
 hold no verdict, yields nothing and keeps ``D`` alone.  Each test also
 asserts which branches its inputs reached and which supports the pruning
-skipped.
+skipped.  Whole verdicts are taken with the convex route switched off
+(``oracles.scan_is_copositive``), so that every input reaches the scan.
 """
 
 import itertools
@@ -29,7 +30,7 @@ import pytest
 
 import copocert.copositivity as copositivity_mod
 from copocert.census import ALPHABET, Candidate, read_records
-from copocert.copositivity import is_copositive, stationary_candidates
+from copocert.copositivity import stationary_candidates
 from copocert.linalg import SymMatrix, eval_quadratic, solve_affine
 from copocert.lp import strictly_positive_point
 from copocert.scaling import DiagonalScaling
@@ -48,6 +49,7 @@ from oracles import (
     rank_one,
     rational_support_system,
     scale,
+    scan_is_copositive,
     scan_visits,
     unpruned_is_copositive,
 )
@@ -200,7 +202,7 @@ def test_rank_one_stops_at_triples(solves):
     # singular and visits no larger support
     v = [F(1, 2), -1, F(3, 2), -2, 3, F(-1, 3), 5, F(-7, 4)]
     A = rank_one(v)
-    assert is_copositive(A) == unpruned_is_copositive(A)
+    assert scan_is_copositive(A) == unpruned_is_copositive(A)
     solves.clear()
     list(stationary_candidates(A))
     sizes = Counter((len(s), state[0] != 0) for s, _, state in solves)
@@ -218,7 +220,7 @@ def test_singular_parent_with_a_nonsingular_child(solves):
                              den_range=(1, 1), diag_range=(-1, 2))
         before = branches["pruned", "nonsingular child"]
         agree(A, solves, branches)
-        assert is_copositive(A) == unpruned_is_copositive(A), A
+        assert scan_is_copositive(A) == unpruned_is_copositive(A), A
         hits += branches["pruned", "nonsingular child"] > before
     assert hits >= 10
     assert branches["bordered", "negative"] > 0
@@ -262,7 +264,7 @@ def test_hits_from_a_scan_of_another_order_are_used_as_stored(solves):
                     check_solve(A, support, state)
                     branches["singular" if not state[0] else
                              "nonsingular"] += 1
-                assert is_copositive(A, cache=cache) == \
+                assert scan_is_copositive(A, cache=cache) == \
                     unpruned_is_copositive(A), A
     assert branches["singular"] > 0
     assert branches["nonsingular"] > 0
@@ -282,7 +284,7 @@ def test_benchmark_families_make_no_elimination(solves):
             list(stationary_candidates(A))
             visits, _ = scan_visits(A)
             assert [s for s, _, _ in solves] == visits, (family, n)
-            assert is_copositive(A) == unpruned_is_copositive(A), (family, n)
+            assert scan_is_copositive(A) == unpruned_is_copositive(A), (family, n)
             pruned[family] += 2 ** n - 1 - len(visits)
     assert all(pruned[family] > 0 for family in ("dsd", "bbt", "rank1",
                                                  "refute")), pruned

@@ -1,22 +1,33 @@
-"""Copositivity decisions, simplex minima, and the subdivision falsifier."""
+"""Copositivity decisions, simplex minima, the convex route, and the
+subdivision falsifier."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copocert.copositivity import is_copositive
+from copocert.copositivity import _convex, _pair_screen, is_copositive
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
 
 from oracles import (
     all_ones,
+    bbt_plus_nonnegative,
+    conditionally_positive_definite,
+    degenerate_matrix,
     fraction_candidates,
     grid_min,
+    hildebrand_t,
     identity,
     min_on_simplex,
     permuted_matrix,
+    principal,
+    random_psd,
     random_symmetric,
+    scan_is_copositive,
+    shifted,
     simplex_grid,
     subdivision_falsifier,
 )
@@ -218,6 +229,105 @@ class TestStationaryCandidates:
         A = SymMatrix.from_rows([[2, 5], [5, 3]])
         values = [v for v, _ in fraction_candidates(A)]
         assert F(2) in values and F(3) in values
+
+
+# --- the convex route ---------------------------------------------------------
+#
+# ``is_copositive`` answers a conditionally positive definite input whose
+# minimum is >= 0 by an exact active-set solve (``copositivity._convex``),
+# and the scan stays its oracle: ``oracles.scan_is_copositive`` is
+# ``is_copositive`` with the route switched off.  Shifting a matrix by cJ
+# keeps it conditionally positive definite and moves every simplex value by
+# c, so one routed draw with minimum mu gives the three outcomes: mu itself,
+# 0 at c = -mu, and below 0 at c = -mu - gap / 2, where gap > 0 keeps every
+# vertex and pair above 0, so that the pair screen still passes.
+
+ROUTE_FAMILIES = ("bbt", "bbt_deficient", "psd", "hildebrand",
+                  "hildebrand_perturbed")
+
+
+def route_matrix(family, n, seed):
+    """A seeded draw: B B^T + N of full or deficient rank, B B^T of rank
+    n - 1 or n, Hildebrand's T(psi) with tan(psi_i / 2) in {1/10, 2/10,
+    3/10} (order 5 whatever n), or a perturbed one of order max(n, 5)."""
+    if family == "bbt":
+        return bbt_plus_nonnegative(n, seed)
+    if family == "bbt_deficient":
+        return bbt_plus_nonnegative(n, seed, seed % (n - 1) + 1)
+    if family == "hildebrand_perturbed":
+        return degenerate_matrix("hildebrand", max(n, 5), seed)
+    rng = random.Random(f"{family}/{n}/{seed}")
+    if family == "psd":
+        return random_psd(rng, n, rng.randint(n - 1, n))
+    return hildebrand_t([F(rng.randint(1, 3), 10) for _ in range(5)])
+
+
+def route_outcomes(A):
+    """Check the route against the scan on A and, when it takes A, on the
+    shifts of A with minimum 0 and below 0; return the outcome of each
+    routed draw: "positive", "zero" or "negative" (the route declines and
+    the scan names the violator)."""
+    scanned = scan_is_copositive(A)
+    assert is_copositive(A) == scanned, A
+    verdict = _convex(A)
+    if verdict is None:
+        return []
+    assert verdict == scanned, A
+    assert conditionally_positive_definite(A, range(A.n)), A
+    mu = verdict.simplex_minimum
+    outcomes = ["zero" if verdict.zeros else "positive"]
+    gap = min(min_on_simplex(principal(A, pair))[0]
+              for pair in combinations(range(A.n), 2)) - mu
+    if not gap:  # the minimum sits on a pair: a shift fails the screen
+        return outcomes
+    for c in (-mu, -mu - gap / 2):
+        B = shifted(A, c)
+        assert _pair_screen(B.integer_form[0]), (A, c)
+        scanned = scan_is_copositive(B)
+        assert is_copositive(B) == scanned, (A, c)
+        if c == -mu:
+            assert _convex(B) == scanned, (A, c)
+            assert scanned.simplex_minimum == 0 and len(scanned.zeros) == 1
+            outcomes.append("zero")
+        else:
+            assert _convex(B) is None and not scanned.copositive, (A, c)
+            assert scanned.simplex_minimum < 0
+            outcomes.append("negative")
+    return outcomes
+
+
+class TestConvexRoute:
+    @given(family=st.sampled_from(ROUTE_FAMILIES),
+           n=st.integers(min_value=2, max_value=7), seed=seeds)
+    @settings(max_examples=120, deadline=None)
+    def test_route_equals_the_scan(self, family, n, seed):
+        route_outcomes(route_matrix(family, n, seed))
+
+    def test_every_outcome_is_reached(self):
+        # seeded, so that every outcome is reached whatever Hypothesis draws
+        seen = Counter()
+        for family in ROUTE_FAMILIES:
+            for n in (3, 5, 7):
+                for seed in range(8):
+                    for outcome in route_outcomes(route_matrix(family, n, seed)):
+                        seen[family, outcome] += 1
+                        seen[outcome] += 1
+        # seen: 45 positive, 39 zero, 38 negative, all from bbt and psd;
+        # T(psi) is never conditionally positive definite, having five zeros
+        for outcome, floor in (("positive", 30), ("zero", 25),
+                               ("negative", 25)):
+            assert seen[outcome] >= floor, seen
+
+    def test_pair_screen_turns_away_a_zero_on_a_pair(self):
+        # Horn's matrix and every census class with a -1 have one
+        assert not _pair_screen(horn_matrix().integer_form[0])
+        assert _convex(horn_matrix()) is None
+
+    def test_orders_outside_the_route(self):
+        # order 1 is a vertex, and order 17 is left to the scan's guard
+        assert _convex(identity(1)) is None
+        assert _convex(identity(17)) is None
+        assert _convex(identity(16)).simplex_minimum == F(1, 16)
 
 
 class TestSubdivisionFalsifier:

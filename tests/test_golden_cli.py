@@ -16,10 +16,11 @@ directory.  A speedup must leave all of it unchanged.
 
 ``order16/bbt16.txt`` is a strictly copositive B B^T + N of order 16 on
 which every support is conditionally positive definite, the support scan's
-worst case; ``order16/bbt16.COMMAND.out`` holds the stdout of ``zeros``,
-``extremal`` and ``graph`` on it, written before those commands skipped
-the scan, and ``bbt16.check.out`` that of ``check``, which CI compares.
-The three must now come out the same without a single support solved.
+worst case; ``order16/bbt16.COMMAND.out`` holds the stdout of ``check``,
+``zeros``, ``extremal`` and ``graph`` on it, written before those commands
+skipped the scan.  The four must now come out the same without a single
+support solved: ``zeros``, ``extremal`` and ``graph`` through the strict
+certificate, ``check`` through the convex route.
 """
 
 from pathlib import Path
@@ -73,7 +74,8 @@ def test_golden_dot(capsys, monkeypatch, tmp_path, name):
 
 
 @pytest.mark.parametrize("command,code",
-                         [("zeros", 0), ("extremal", 1), ("graph", 1)])
+                         [("check", 0), ("zeros", 0), ("extremal", 1),
+                          ("graph", 1)])
 def test_order_16_strictly_copositive_without_a_scan(capsys, monkeypatch,
                                                      command, code):
     def no_scan(*args):

@@ -378,7 +378,9 @@ class TestCopositivity:
     def test_stationary_point_off_the_simplex(self, monkeypatch):
         # every support "solved" to the point (1, ..., 1) with D = -1, which
         # sums to 1 only on singletons; f[0] = 1 gives each singleton its
-        # true value M_ii = 1, so only the sum is wrong
+        # true value M_ii = 1, so only the sum is wrong.  The convex route,
+        # which would answer the identity without a scan, is off
+        monkeypatch.setattr(copositivity_mod, "_convex", lambda A: None)
         monkeypatch.setattr(
             copositivity_mod, "_support_state",
             lambda M, support, det, first, second:
@@ -401,7 +403,9 @@ class TestCopositivity:
             "positive-minimum"])
     def test_stationary_value_not_attained(self, monkeypatch, rows, delta):
         # f[0] of the pair (0, 1) off by delta: the value read off it is
-        # not the value at the point read off f[1:]
+        # not the value at the point read off f[1:].  The convex route,
+        # which would answer the identity and diag(2, 3), is off
+        monkeypatch.setattr(copositivity_mod, "_convex", lambda A: None)
         real = copositivity_mod._support_state
 
         def corrupted(M, support, *args):
@@ -413,6 +417,57 @@ class TestCopositivity:
         monkeypatch.setattr(copositivity_mod, "_support_state", corrupted)
         with pytest.raises(InvariantError, match="attained at its point"):
             is_copositive(SymMatrix.from_rows(rows))
+
+    def test_active_set_iteration_cap(self, monkeypatch):
+        # a face "minimizer" negative at the first index of every pair: on
+        # diag(1, 2) the active set drops index 0, lets it in again at e_1,
+        # where (M x)_0 = 0 < 2, and drops it again, forever.  The cap is
+        # n 2^n = 8 steps; past 1000 there is none
+        calls = []
+
+        def cycling(M, support):
+            calls.append(tuple(support))
+            if len(calls) > 1000:
+                raise AssertionError("the active set has no iteration cap")
+            return [1] if len(support) == 1 else [-1, 2], 1
+
+        monkeypatch.setattr(copositivity_mod, "_face_minimizer", cycling)
+        with pytest.raises(InvariantError, match="n 2\\^n steps"):
+            is_copositive(SymMatrix.from_rows([[1, 0], [0, 2]]))
+        assert calls == [(0, 1), (1,)] * 4 + [(0, 1)]
+
+    @pytest.mark.parametrize("point, match", [
+        # off the simplex: a negative coordinate, and a sum that is not Q
+        (([2, -1], 1), "lie on the simplex"),
+        (([1, 1], 3), "lie on the simplex"),
+        # on it, but (M x)_1 = 2 > (M x)_0 = 1 on the support
+        (([1, 1], 2), "KKT conditions"),
+        # the vertex e_1, where (M x)_0 = 0 < 2 off the support
+        (([0, 1], 1), "KKT conditions"),
+    ], ids=["negative", "sum", "support", "off-support"])
+    def test_active_set_point_rechecked(self, monkeypatch, point, match):
+        monkeypatch.setattr(copositivity_mod, "_convex_minimum",
+                            lambda M, rows: point)
+        with pytest.raises(InvariantError, match=match):
+            is_copositive(SymMatrix.from_rows([[1, 0], [0, 2]]))
+
+    def test_face_of_the_convex_route_not_definite(self):
+        # (0, 1) of [[1, 2], [2, 1]] is no conditionally positive definite
+        # face, which a face of a gated matrix never is
+        M = [[1, 2], [2, 1]]
+        assert copositivity_mod._face_minimizer(M, [0, 1]) is None
+        with pytest.raises(InvariantError, match="must be one too"):
+            copositivity_mod._convex_minimum(M, None)
+
+    def test_face_back_substitution_inexact(self, monkeypatch):
+        # "eliminated" rows with R = 3 and y_1 = 1, whose first pivot 2
+        # does not divide R c_0 - U_01 y_1 = 3 * 2 - 1, which no elimination
+        # of an integer system gives
+        monkeypatch.setattr(copositivity_mod, "_eliminate",
+                            lambda rows: [[2, 1, 2], [3, 1]])
+        with pytest.raises(InvariantError, match="back substitution"):
+            copositivity_mod._face_minimizer(identity(3).integer_form[0],
+                                             [0, 1, 2])
 
     def test_support_state_inexact_division(self):
         # on the identity of order 3, X = (0, 1, 2) borders X1 = (0, 1)

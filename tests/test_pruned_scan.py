@@ -7,11 +7,14 @@ applies ``is_copositive``'s decision rule to every support whose system has
 a unique positive solution, each solved by ``solve_affine``.  The two
 verdicts must be equal as a whole (flag, violator, simplex minimum and
 zeros) on families whose support systems are often singular or indefinite
-(``oracles.degenerate_matrix``).
+(``oracles.degenerate_matrix``).  The verdicts are taken with the convex
+route switched off (``oracles.scan_is_copositive``), so that every input
+reaches the scan.
 """
 
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +24,12 @@ import copocert.copositivity as copositivity_mod
 from copocert.copositivity import (
     _negative_components,
     _prefilter_violator,
-    is_copositive,
     stationary_candidates,
 )
+from copocert.cli import parse_matrix_file
 from copocert.errors import InvariantError
 from copocert.linalg import SymMatrix
+from copocert.zeros import minimal_zeros
 
 from oracles import (
     DEGENERATE_FAMILIES,
@@ -33,6 +37,7 @@ from oracles import (
     connected_support,
     degenerate_matrix,
     negative_components,
+    scan_is_copositive,
     scan_visits,
     split_matrix,
     unpruned_is_copositive,
@@ -48,7 +53,7 @@ def test_verdict_equals_the_unpruned_scan(family, data):
     low = 5 if family == "hildebrand" else 2
     n = data.draw(st.integers(min_value=low, max_value=6), label="n")
     A = degenerate_matrix(family, n, data.draw(seeds, label="seed"))
-    assert is_copositive(A) == unpruned_is_copositive(A)
+    assert scan_is_copositive(A) == unpruned_is_copositive(A)
 
 
 def test_families_reach_every_kind_of_verdict():
@@ -57,7 +62,7 @@ def test_families_reach_every_kind_of_verdict():
     for family in DEGENERATE_FAMILIES:
         for seed in range(20):
             A = degenerate_matrix(family, 6, seed)
-            verdict = is_copositive(A)
+            verdict = scan_is_copositive(A)
             assert verdict == unpruned_is_copositive(A), (family, seed)
             kind = ("prefilter" if _prefilter_violator(A) else
                     "zeros" if verdict.zeros else
@@ -150,19 +155,19 @@ def test_labelled_scan_visits_the_supports_inside_one_component(monkeypatch):
 def test_split_matrices_equal_the_unpruned_scan(n, seed):
     A = split_matrix(n, seed)
     assert len(negative_components(A)) >= 2
-    assert is_copositive(A) == unpruned_is_copositive(A)
+    assert scan_is_copositive(A) == unpruned_is_copositive(A)
 
 
 def test_benchmark_dsd_and_refute_equal_the_unpruned_scan():
     for name, A in benchmark_matrices():
         assert _negative_components(A.integer_form[0]) is not None, name
-        assert is_copositive(A) == unpruned_is_copositive(A), name
+        assert scan_is_copositive(A) == unpruned_is_copositive(A), name
 
 
 def test_violators_and_minimal_zeros_are_connected_in_the_negative_graph():
     counts = Counter()
     for name, A in sample_matrices():
-        verdict = is_copositive(A)
+        verdict = scan_is_copositive(A)
         if verdict.violator is not None:
             support = [i for i, x in enumerate(verdict.violator) if x]
             assert connected_support(A, support), name
@@ -179,7 +184,7 @@ def test_split_inputs_reach_every_kind_of_verdict():
     kinds = Counter()
     for seed in range(80):
         A = split_matrix(6, seed)
-        verdict = is_copositive(A)
+        verdict = scan_is_copositive(A)
         assert verdict == unpruned_is_copositive(A), seed
         kind = ("prefilter" if _prefilter_violator(A) else
                 "zeros" if verdict.zeros else
@@ -206,8 +211,32 @@ def test_the_whole_scan_must_not_meet_what_the_split_one_missed(
     # inside them meets neither the zero nor the violator on that pair, and
     # the whole scan that follows must refuse the value <= 0 it then meets
     A = SymMatrix.from_integer_rows(rows)
-    assert is_copositive(A).copositive == (rows[0][1] == -1)
+    assert scan_is_copositive(A).copositive == (rows[0][1] == -1)
     monkeypatch.setattr(copositivity_mod, "_negative_components",
                         lambda M: list(range(len(M))))
     with pytest.raises(InvariantError):
-        is_copositive(A)
+        scan_is_copositive(A)
+
+
+def test_minimal_zeros_takes_the_scan_inside_the_components(monkeypatch):
+    # split_rational.txt is strictly copositive, certified neither by
+    # _strictly_copositive nor by the convex route, and its minimum
+    # straddles the two components of G-: the scan inside them solves 26
+    # supports, which is all minimal_zeros pays, and is_copositive pays the
+    # whole scan's 47 on top for the minimum
+    A = parse_matrix_file(Path(__file__).parent / "fixtures" /
+                          "split_rational.txt")
+    solved = []
+    real = copositivity_mod._support_state
+
+    def counted(M, support, *args):
+        solved.append(support)
+        return real(M, support, *args)
+
+    monkeypatch.setattr(copositivity_mod, "_support_state", counted)
+    assert minimal_zeros(A) == ()
+    assert len(solved) == 26
+    solved.clear()
+    verdict = copositivity_mod.is_copositive(A)
+    assert verdict.copositive and verdict.simplex_minimum == Fraction(248, 11981)
+    assert len(solved) == 26 + 47

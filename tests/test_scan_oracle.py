@@ -6,7 +6,8 @@ in the ``copositivity`` docstring.  ``oracles.lp_is_copositive`` still
 decides positivity on those supports with the exact LP.  The two must agree
 on the verdict, the violator, the simplex minimum and the minimal zeros, and
 the LP scan must never keep a zero from a positive-dimensional support
-(minimal zeros are unique per support).
+(minimal zeros are unique per support).  The scan's verdict is taken with
+the convex route switched off (``oracles.scan_is_copositive``).
 """
 
 import itertools
@@ -15,7 +16,6 @@ import random
 import pytest
 
 from copocert.census import ALPHABET, Candidate, read_records
-from copocert.copositivity import is_copositive
 from copocert.linalg import SymMatrix
 
 from oracles import (
@@ -24,13 +24,14 @@ from oracles import (
     lp_stationary_candidates,
     random_psd,
     random_symmetric,
+    scan_is_copositive,
 )
 
 BASELINE = "tests/baselines/census_n5.txt"
 
 
 def agree(A: SymMatrix) -> None:
-    got = is_copositive(A)
+    got = scan_is_copositive(A)
     ref = lp_is_copositive(A)
     assert got.copositive == ref.copositive, A
     assert got.violator == ref.violator, A

@@ -11,8 +11,8 @@ census class up to order 5 and on the degenerate families of
   minor from ``fraction_det``, after the pair screen;
 - wherever it holds, the scan finds the matrix copositive with no zeros;
 - ``minimal_zeros``, ``extremality_certificate`` and ``build_graph`` give
-  the same results, or raise the same errors, with the certificate
-  switched off.
+  the same results, or raise the same errors, with the certificate and
+  the convex route switched off.
 
 Each outcome (screen rejects, M positive definite, only P, neither) must
 be met a minimum number of times, so a certificate that grows lax or
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import copocert.zeros as zeros_mod
 from copocert.census import Candidate, read_records
-from copocert.copositivity import _strictly_copositive, is_copositive
+from copocert.copositivity import _scan, _strictly_copositive
 from copocert.errors import CopocertError
 from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix
@@ -148,7 +148,7 @@ def test_certified_matrices_are_copositive_without_zeros():
     for label, A in CASES:
         if _strictly_copositive(A.integer_form[0]):
             certified += 1
-            verdict = is_copositive(A)
+            verdict = _scan(A)
             assert verdict.copositive and verdict.zeros == (), label
             assert verdict.simplex_minimum > 0, label
     assert certified >= 150
@@ -168,6 +168,8 @@ def _results(A):
 
 def test_layers_agree_with_the_certificate_switched_off(monkeypatch):
     with_certificate = [_results(A) for _, A in CASES]
+    # the convex route off too, so that the scan answers instead
     monkeypatch.setattr(zeros_mod, "_strictly_copositive", lambda M: False)
+    monkeypatch.setattr(zeros_mod, "_convex", lambda A: None)
     for (label, A), expected in zip(CASES, with_certificate):
         assert _results(A) == expected, label

@@ -8,7 +8,9 @@ positive definite hit serves as a parent as stored, and a hit that is not
 conditionally positive definite prunes its supersets.  A scan
 through a shared cache must report exactly what a scan without one
 reports, every cached system must be what a scan of ``M_S / d`` alone
-finds, and a ``run_census`` call must start from an empty cache.
+finds, and a ``run_census`` call must start from an empty cache.  Verdicts
+are taken with the convex route switched off
+(``oracles.scan_is_copositive``), as the route uses no cache.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import copocert.copositivity as copositivity_mod
 from copocert.census import ALPHABET, Candidate, read_records, run_census
-from copocert.copositivity import is_copositive, stationary_candidates
+from copocert.copositivity import stationary_candidates
 from copocert.linalg import SymMatrix
 
 from oracles import (
@@ -28,6 +30,7 @@ from oracles import (
     from_upper_entries,
     parents_of,
     random_symmetric,
+    scan_is_copositive,
     scan_visits,
 )
 
@@ -36,8 +39,8 @@ BASELINE = "tests/baselines/census_n5.txt"
 
 
 def same_verdict(A: SymMatrix, cache: dict) -> None:
-    shared = is_copositive(A, cache=cache)
-    alone = is_copositive(A)
+    shared = scan_is_copositive(A, cache=cache)
+    alone = scan_is_copositive(A)
     assert shared.copositive == alone.copositive, A
     assert shared.violator == alone.violator, A
     assert shared.simplex_minimum == alone.simplex_minimum, A
@@ -63,9 +66,9 @@ def test_cached_systems_match_a_scan_without_cache():
     cache = {}
     for n in range(1, 5):
         for offdiag in itertools.product(ALPHABET, repeat=n * (n - 1) // 2):
-            is_copositive(Candidate(n, offdiag).matrix(), cache=cache)
+            scan_is_copositive(Candidate(n, offdiag).matrix(), cache=cache)
     for record in read_records(BASELINE):
-        is_copositive(Candidate(5, record.canonical_offdiag).matrix(),
+        scan_is_copositive(Candidate(5, record.canonical_offdiag).matrix(),
                       cache=cache)
     kept = Counter()
     for key, (found, *state) in cache.items():
@@ -142,11 +145,11 @@ def test_key_holds_the_denominator():
         A = SymMatrix.from_rows(rows)
         half = SymMatrix.from_rows([[F(x, 2) for x in row] for row in rows])
         cache = {}
-        whole = is_copositive(A, cache=cache)
-        halved = is_copositive(half, cache=cache)
+        whole = scan_is_copositive(A, cache=cache)
+        halved = scan_is_copositive(half, cache=cache)
         assert whole.simplex_minimum != 0
         assert whole.simplex_minimum == 2 * halved.simplex_minimum
-        assert halved == is_copositive(half)
+        assert halved == scan_is_copositive(half)
 
 
 def test_no_state_between_census_calls(monkeypatch):
