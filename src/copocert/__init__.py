@@ -12,17 +12,17 @@ The names below are the README quick start and the function behind each
 command of ``copocert.cli``; everything else is reached through its module.
 """
 
-# No library path uses lp; it is imported so that the benchmark tracer,
-# which looks up ``copocert.lp`` by module name, finds it loaded.
-from . import lp  # noqa: F401
+# No library path uses lp or zeros; they are imported so that the
+# benchmark tracer, which looks up ``copocert.lp`` and ``copocert.zeros``
+# by module name, finds them loaded.
+from . import lp, zeros  # noqa: F401
 from .census import run_census, verify_pair_scaling_equivalence
-from .copositivity import is_copositive
+from .copositivity import is_copositive, minimal_zeros
 from .errors import CopocertError
 from .extremality import extremality_certificate
 from .linalg import SymMatrix, horn_matrix
 from .scaling import extract_pattern
 from .structure_graph import build_graph, component_analysis
-from .zeros import minimal_zeros
 
 __all__ = [
     "CopocertError",

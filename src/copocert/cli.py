@@ -25,7 +25,7 @@ from .census import (
     verify_pair_scaling_equivalence,
     write_records,
 )
-from .copositivity import is_copositive
+from .copositivity import is_copositive, minimal_zeros
 from .errors import (
     CopocertError,
     MatrixFormatError,
@@ -41,7 +41,6 @@ from .structure_graph import (
     reconstruct_pattern,
     to_dot,
 )
-from .zeros import minimal_zeros
 
 _TOKEN = re.compile(r"\S+")
 _ENTRY = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")

@@ -112,11 +112,11 @@ copositive matrix it yields the same zeros in the same order.  A positive
 minimum is another matter.  It may sit on a support that is not connected
 (on the identity, at the barycentre, with every vertex a component of its
 own), so when G- has more than one component and the scan inside them
-meets neither a violator nor a zero, ``is_copositive`` runs the whole scan
-once more for the exact minimum.  By the two points above that scan can
-meet no value ``<= 0``; meeting one is an InvariantError.  Only a split
-matrix with no zero pays for the second scan: when G- is connected there
-are no labels and a single scan.
+meets neither a violator nor a zero, the dispatch (``_decide``) runs the
+whole scan once more where the exact minimum is asked for.  By the two
+points above that scan can meet no value ``<= 0``; meeting one is an
+InvariantError.  Only a split matrix with no zero pays for the second scan:
+when G- is connected there are no labels and a single scan.
 
 The scan keeps 2k + 2 integers for each PD support Y of size k:
 ``D_Y = det K_Y``; ``f_Y``, the first column of ``adj K_Y``, whose tail
@@ -171,7 +171,7 @@ Where a verdict reports a value, at each ``total <= 0`` (every zero and
 violator) and at a positive minimum, ``p^T M_S p`` is also summed in
 O(k^2) and must equal ``f[0] q``, which cross-checks ``f[0]`` against
 ``f[1:]``: every reported value is attained at the reported point.
-``is_copositive`` decides on the signs of those numerators and compares
+``_scan`` decides on the signs of those numerators and compares
 values by cross-multiplying.  ``Fraction``s are built only for what it
 returns: the violator and its value, and the minimum.  A zero it keeps is
 the primitive integer multiple of ``p``.
@@ -179,9 +179,9 @@ the primitive integer multiple of ``p``.
 Membership testing is co-NP-complete in general; the support scan, up to
 2^n - 1 supports, is deliberate and fine for the orders this package
 targets (n <= 8).  The states kept per level grow like C(n, n/2) n,
-and a full scan visits all 2^n - 1 supports, so the scan refuses orders
-above ``MAX_SCAN_ORDER``: a scan at order 16 that visits every support
-takes seconds, and each order above it doubles the supports.  The tests
+and a full scan visits all 2^n - 1 supports, so the dispatch refuses
+orders above ``MAX_SCAN_ORDER``: a scan at order 16 that visits every
+support takes seconds, and each order above it doubles the supports.  The tests
 cross-check it against the general elimination and sign check it replaced,
 against the unpruned scan and the exact LP on every feasible support, and
 against an independent one-sided falsifier that bisects the simplex
@@ -209,10 +209,10 @@ simplex, with ``v = z - x``, ``v^T A x = sum_i z_i (A x)_i - mu >= 0``, so
     scan's first negative stationary point, which need not be x, so the
     scan runs; it stops at that point.
 
-``_convex`` is this route, for orders 2 to ``MAX_SCAN_ORDER``.  Its gate is
-``_pair_screen`` and then one fraction-free elimination of ``Z^T M Z`` for
-the basis ``Z = [e_i - e_n]`` of {v : sum(v) = 0}: positive definite iff
-the whole index set is PD, the property the scan reads off bordered
+``_convex`` is this route.  It is asked only once ``_pair_screen`` has
+passed, and its gate is then one fraction-free elimination of ``Z^T M Z``
+for the basis ``Z = [e_i - e_n]`` of {v : sum(v) = 0}: positive definite
+iff the whole index set is PD, the property the scan reads off bordered
 minors.  A pair that fails the screen has a value ``<= 0``, so the inputs
 with a zero on a pair (the census classes with a -1, the Horn matrix, the
 D S D scalings) are turned away there, with no elimination.  x comes from
@@ -225,14 +225,13 @@ primitive zero.
 A strictly copositive matrix has no zeros, yet the scan finds that out only
 by visiting every support whose parents are PD, all 2^n - 1 of them when
 every support is PD.  ``_strictly_copositive`` certifies strict
-copositivity exactly in O(n^3): a pair screen, then one fraction-free
-elimination for M and, if that fails, one for its Z-part (the proof is in
-its docstring).  ``minimal_zeros`` asks it first and returns no zeros
-without a scan when it holds, then asks the convex route, then scans; it
-asks only up to ``MAX_SCAN_ORDER``, so larger orders are still refused.
-``is_copositive`` asks the convex route and then scans, but never the
-certificate, which says nothing of the minimum it reports.  The scan stays
-the oracle that both are tested against.
+copositivity exactly in O(n^3), once the pair screen has passed: one
+fraction-free elimination for M and, if that fails, one for its Z-part
+(the proof is in its docstring).  Where it holds there are no zeros and no
+scan, but it says nothing of the minimum.  Which question asks which of
+these routes, in which order, and where each gate runs is stated once, in
+``_decide``, which ``is_copositive`` and ``minimal_zeros`` both call.  The
+scan stays the oracle that both routes are tested against.
 """
 
 from __future__ import annotations
@@ -243,7 +242,7 @@ from itertools import combinations
 from math import gcd
 from operator import itemgetter, mul
 
-from .errors import InvariantError, OrderTooLargeError
+from .errors import InvariantError, NotCopositiveError, OrderTooLargeError
 from .linalg import ONE, ZERO, SymMatrix, Vector, unknowns, upper_size
 from .records import record
 
@@ -445,8 +444,8 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None,
     ``sum(p) == q`` is checked, and so is ``total == p^T M_S p`` wherever
     ``total <= 0``, at every zero and every violator (InvariantError):
     each value a verdict reports is attained at its point (a positive
-    minimum is checked by ``is_copositive``).  Raises OrderTooLargeError
-    for orders above ``MAX_SCAN_ORDER`` when the scan starts.
+    minimum is checked by ``_scan``).  The order is left to the caller
+    (``_decide`` refuses orders above ``MAX_SCAN_ORDER``).
 
     The system of support S, its point and its value depend only on
     ``A_S = M_S / d``, and so do ``D``, ``f`` and ``v``.  A caller that
@@ -469,9 +468,6 @@ def stationary_candidates(A: SymMatrix, *, cache: dict | None = None,
     always the positive minimum (Lemma C in the module docstring).
     """
     n = A.n
-    if n > MAX_SCAN_ORDER:
-        raise OrderTooLargeError(
-            f"order {n} exceeds the support scan's limit of {MAX_SCAN_ORDER}")
     M, d = A.integer_form
     if cache is not None:
         flat = (*[M[i][j] for i, j in unknowns(n)[0]], d)
@@ -583,9 +579,11 @@ def _pair_screen(M) -> bool:
     ``M_ij^2 >= M_ii M_jj``, in O(n^2).  A pair that fails is a 2 x 2
     principal minor that is not positive, on which the form takes a value
     ``<= 0`` (at ``e_i``, or at a multiple of ``M_jj e_i - M_ij e_j``).
-    ``_strictly_copositive`` and the convex route both ask it first.  It
-    reads row by row and stops at the first pair that fails, so a diagonal
-    entry ``M_jj <= 0`` is met at row j unless a pair fails before it."""
+    ``_decide`` runs it once, before the certificate of strict
+    copositivity and the convex route: a pair that fails rules out both.
+    It reads row by row and stops at the first pair that fails, so a
+    diagonal entry ``M_jj <= 0`` is met at row j unless a pair fails
+    before it."""
     n = len(M)
     for i, row in enumerate(M):
         mii = row[i]
@@ -612,14 +610,15 @@ def _strictly_copositive(M) -> bool:
     ``u^T N u >= 0`` for ``u >= 0``; then
     ``u^T M u >= u^T P u > 0`` for every ``u >= 0``, ``u != 0``.
 
-    ``_pair_screen`` runs first: a pair that fails it is a 2 x 2 principal
-    minor that is not positive in both M and P, so neither is positive
-    definite and the certificate fails without an elimination.  It turns
-    away every matrix with a zero on a pair.  Each test of definiteness is
-    one O(n^3) elimination (``_positive_definite``)."""
-    return _pair_screen(M) and (_positive_definite(M) or _positive_definite(
+    It is asked only once ``_pair_screen`` has passed (``_decide``): a
+    pair that fails the screen is a 2 x 2 principal minor that is not
+    positive in both M and P, so neither is positive definite, and the
+    certificate would fail after an elimination.  The screen turns away
+    every matrix with a zero on a pair.  Each test of definiteness is one
+    O(n^3) elimination (``_positive_definite``)."""
+    return _positive_definite(M) or _positive_definite(
         [[x if x < 0 or i == j else 0 for j, x in enumerate(row)]
-         for i, row in enumerate(M)]))
+         for i, row in enumerate(M)])
 
 
 def _face_minimizer(M, support):
@@ -722,23 +721,19 @@ def _convex_minimum(M, face):
 
 def _convex(A: SymMatrix) -> CopositivityVerdict | None:
     """The convex route: the verdict on a conditionally positive definite
-    A of order 2 to ``MAX_SCAN_ORDER`` whose simplex minimum is ``>= 0``,
-    without the scan; None on any other input (see the module docstring).
+    A whose simplex minimum is ``>= 0``, without the scan; None on any
+    other input (see the module docstring).  ``_decide`` asks it only at
+    orders 2 and above and after ``_pair_screen`` has passed.
 
-    The gate is ``_pair_screen`` and then ``_face_minimizer`` of every
-    index, one elimination of ``Z^T M Z``, which is also the first step's
-    solve.  The point that ``_convex_minimum`` returns is re-checked in
-    integers in O(n^2) before anything is answered: ``P >= 0``,
-    ``sum(P) = Q``, ``(M P)_i Q = total`` on its support and ``>= total``
-    off it, and ``_check_attained`` (InvariantError).  With
-    ``sum(P) = Q`` and ``gcd(P, Q) = 1``, P is primitive, the ``Zero`` the
-    scan would keep."""
+    The gate is ``_face_minimizer`` of every index, one elimination of
+    ``Z^T M Z``, which is also the first step's solve.  The point that
+    ``_convex_minimum`` returns is re-checked in integers in O(n^2) before
+    anything is answered: ``P >= 0``, ``sum(P) = Q``, ``(M P)_i Q = total``
+    on its support and ``>= total`` off it, and ``_check_attained``
+    (InvariantError).  With ``sum(P) = Q`` and ``gcd(P, Q) = 1``, P is
+    primitive, the ``Zero`` the scan would keep."""
     n = A.n
-    if not 2 <= n <= MAX_SCAN_ORDER:
-        return None
     M, d = A.integer_form
-    if not _pair_screen(M):
-        return None
     face = _face_minimizer(M, range(n))
     if face is None:
         return None
@@ -761,16 +756,14 @@ def _convex(A: SymMatrix) -> CopositivityVerdict | None:
     return CopositivityVerdict(True, None, ZERO, (Zero(tuple(P)),))
 
 
-def _scan(A: SymMatrix, cache: dict | None = None, *,
-          whole: bool = False) -> CopositivityVerdict:
-    """The verdict of ``_prefilter_violator`` and of the scan inside the
-    components of G- (``_negative_components``), or of the whole scan when
-    ``whole`` is set.  The violator and the zeros are those of the whole
-    scan (Lemma C in the module docstring).  When G- has more than one
+def _scan(A: SymMatrix, cache: dict | None,
+          labels: list | None) -> CopositivityVerdict:
+    """The verdict of the scan inside the components that ``labels``
+    names (``_negative_components``), or of the whole scan when ``labels``
+    is None.  The violator and the zeros are those of the whole scan
+    (Lemma C in the module docstring).  When G- has more than one
     component and the scan inside them meets neither, ``simplex_minimum``
-    is the least value inside one component, which may exceed the minimum:
-    ``is_copositive`` completes it, and ``minimal_zeros`` needs only the
-    zeros.
+    is the least value inside one component, which may exceed the minimum.
 
     Stops at the first negative stationary value (census throughput).
     Values ``total / (q^2 d)`` share ``d``, so their signs are those of
@@ -780,12 +773,8 @@ def _scan(A: SymMatrix, cache: dict | None = None, *,
     checks ``total`` against ``p^T M_S p`` at every zero and violator it
     solves; a positive minimum is checked once, before it is returned
     (InvariantError).  ``cache`` is handed to ``stationary_candidates``."""
-    hit = _prefilter_violator(A)
-    if hit is not None:
-        return CopositivityVerdict(False, hit[0], hit[1], ())
     n = A.n
     M, d = A.integer_form
-    labels = None if whole else _negative_components(M)
     least = None  # (total, q^2, support, p) of the least value so far
     zeros = []
     for support, p, q, total in stationary_candidates(A, cache=cache,
@@ -809,32 +798,90 @@ def _scan(A: SymMatrix, cache: dict | None = None, *,
     return CopositivityVerdict(True, None, Fraction(total, qq * d), ())
 
 
-def is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVerdict:
-    """Exact membership test with a witness on failure.
+def _decide(A: SymMatrix, cache: dict | None,
+            minimum: bool) -> CopositivityVerdict:
+    """The one dispatch behind ``is_copositive`` (``minimum`` set: the
+    exact simplex minimum is wanted) and ``minimal_zeros`` (``minimum``
+    unset: only the verdict and the zeros).  It asks, in this order:
 
-    The convex route (``_convex``) answers a conditionally positive
-    definite input whose minimum is ``>= 0``; every other input goes to
-    ``_scan``.  When the matrix is copositive the reported minimum is exact
-    and the minimal zeros are collected on the way.  Pruning the supports
-    that cannot hold a local minimum changes none of these: the verdict
-    equals that of a scan of every support with a unique positive solution
-    (see the module docstring).  ``cache`` is handed to the scan.
+      1. ``_prefilter_violator``: a negative diagonal entry, or a zero
+         diagonal pair with a negative coupling, refutes A at any order;
+      2. the order gate: above ``MAX_SCAN_ORDER`` OrderTooLargeError, the
+         one place it is raised;
+      3. ``_pair_screen``, once: where it fails, steps 4 and 5 are
+         skipped, as a pair that fails rules out both;
+      4. ``_strictly_copositive``, only when ``minimum`` is unset, as it
+         says nothing of the minimum: where it holds, A has no zeros;
+      5. ``_convex``, at orders 2 and above: the verdict on a conditionally
+         positive definite A with minimum ``>= 0``;
+      6. ``_negative_components``, once, and the scan inside the
+         components of G- (``_scan``), whose violator and zeros are the
+         whole scan's;
+      7. the whole scan, only when ``minimum`` is set and G- is split and
+         step 6 met neither a violator nor a zero, as the minimum may then
+         straddle two components.  It must meet no value ``<= 0``, which
+         step 6 would have met too (InvariantError).
 
-    When G- has more than one component and the scan inside them ends with
-    neither a violator nor a zero, the least value it saw need not be the
-    minimum, and the whole scan runs once more for it.  That scan must
-    meet no value ``<= 0``, which the first would have met too
-    (InvariantError).
-    """
-    verdict = _convex(A)
-    if verdict is not None:
+    Each step's proof is in the module docstring.  ``cache`` is handed to
+    the scan (``stationary_candidates``).  When ``minimum`` is unset the
+    caller reads only ``copositive``, ``violator`` and ``zeros``:
+    ``simplex_minimum`` is then None where step 4 answers, and may exceed
+    the minimum where step 6 does."""
+    hit = _prefilter_violator(A)
+    if hit is not None:
+        return CopositivityVerdict(False, hit[0], hit[1], ())
+    n = A.n
+    if n > MAX_SCAN_ORDER:
+        raise OrderTooLargeError(
+            f"order {n} exceeds the support scan's limit of {MAX_SCAN_ORDER}")
+    M = A.integer_form[0]
+    if _pair_screen(M):
+        if not minimum and _strictly_copositive(M):
+            return CopositivityVerdict(True, None, None, ())
+        verdict = _convex(A) if n > 1 else None
+        if verdict is not None:
+            return verdict
+    labels = _negative_components(M)
+    verdict = _scan(A, cache, labels)
+    if (not minimum or labels is None or not verdict.copositive
+            or verdict.zeros):
         return verdict
-    verdict = _scan(A, cache)
-    if (not verdict.copositive or verdict.zeros
-            or _negative_components(A.integer_form[0]) is None):
-        return verdict
-    verdict = _scan(A, cache, whole=True)
+    verdict = _scan(A, cache, None)
     if not verdict.copositive or verdict.zeros:
         raise InvariantError("a value <= 0 missed inside the components of "
                              "the negative graph contradicts Lemma C")
     return verdict
+
+
+def is_copositive(A: SymMatrix) -> CopositivityVerdict:
+    """Exact membership test with a witness on failure.
+
+    When the matrix is copositive the reported minimum is exact and the
+    minimal zeros are collected on the way.  Pruning the supports that
+    cannot hold a local minimum changes none of these: the verdict equals
+    that of a scan of every support with a unique positive solution (see
+    the module docstring).  The routes it takes, and in which order, are
+    those of ``_decide``.
+    """
+    return _decide(A, None, True)
+
+
+def minimal_zeros(A: SymMatrix, *, cache: dict | None = None) -> tuple[Zero, ...]:
+    """All minimal zeros of a copositive matrix, in scan order: by support
+    cardinality, then lexicographically; NotCopositiveError, with a
+    violator, when A is not copositive.
+
+    They are the value-0 points of the copositivity scan, each of which is
+    minimal (see the module docstring), so their supports form an
+    antichain, and every zero of A has its support containing one of
+    them.  The scan's points are taken as they are: it yields only points
+    positive on their support, and checks on integers that their
+    coordinates sum to 1.  The routes it takes, and in which order, are
+    those of ``_decide`` without the minimum: it may skip the scan where A
+    is certified strictly copositive or convex.  ``cache`` is handed to
+    the scan (see ``stationary_candidates``).
+    """
+    verdict = _decide(A, cache, False)
+    if not verdict.copositive:
+        raise NotCopositiveError(violator=verdict.violator)
+    return verdict.zeros

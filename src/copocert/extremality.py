@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+from .copositivity import Zero, minimal_zeros
 from .errors import InvariantError
 from .linalg import (
     SymMatrix,
@@ -45,7 +46,6 @@ from .linalg import (
     upper_size,
 )
 from .records import record
-from .zeros import Zero, minimal_zeros
 
 
 @record

@@ -23,6 +23,7 @@ entries to +1 recovers the unit-diagonal {-1,0,1} matrix itself.
 
 from __future__ import annotations
 
+from .copositivity import Zero
 from .errors import (
     AmbiguousPatternError,
     InconsistentDiagonalError,
@@ -33,7 +34,6 @@ from .errors import (
 from .extremality import _TwoTermSolutions, build_system
 from .linalg import SymMatrix, unknowns
 from .records import record
-from .zeros import Zero
 
 Vertex = tuple[int, int]
 

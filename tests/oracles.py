@@ -17,9 +17,11 @@ solution set: the exact LP decides positivity on every feasible support.
 supports with a parent that is not conditionally positive definite, which
 ``conditionally_positive_definite`` decides from leading minors instead of
 bordered determinants; ``degenerate_matrix`` draws the seeded families that
-the two are compared on.  ``scan_is_copositive`` is ``is_copositive`` with
-its convex route switched off, and ``shifted`` moves every simplex value
-of a matrix by one constant.
+the two are compared on.  ``routes_off`` is the one way to switch routes
+of the dispatch (``copositivity._decide``) off, ``through`` asks one route
+alone, ``scan_is_copositive`` is ``is_copositive`` with every route but the
+prefilter and the scan switched off, and ``shifted`` moves every simplex
+value of a matrix by one constant.
 ``fraction_build_graph`` and ``bfs_component_analysis`` are the entry graph
 as it was built before it was read off the extremality system: the gate
 ``(A u)_k = 0`` tested again in ``Fraction`` arithmetic (``matrix_apply``,
@@ -47,6 +49,7 @@ on.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import importlib.util
 import itertools
@@ -62,8 +65,8 @@ import copocert.copositivity as copositivity_mod
 from copocert.census import ALPHABET, MAX_ORDER, Candidate
 from copocert.copositivity import (
     CopositivityVerdict,
+    Zero,
     _prefilter_violator,
-    is_copositive,
     stationary_candidates,
 )
 from copocert.linalg import (
@@ -90,7 +93,6 @@ from copocert.structure_graph import (
     GraphComponent,
     StructureGraph,
 )
-from copocert.zeros import Zero
 
 
 def simplex_grid(n: int, denom: int):
@@ -675,14 +677,61 @@ def unpruned_is_copositive(A: SymMatrix) -> CopositivityVerdict:
     return CopositivityVerdict(True, None, best, tuple(zeros))
 
 
+class RouteDeclined(Exception):
+    """Raised in place of the scan where ``routes_off`` switched it off."""
+
+
+def _declined(*args):
+    raise RouteDeclined
+
+
+# each route of ``copositivity._decide``, in its order: the name the
+# dispatch looks it up by, and what stands in for it once switched off
+ROUTES = {
+    "prefilter": ("_prefilter_violator", lambda A: None),
+    "strict": ("_strictly_copositive", lambda M: False),
+    "convex": ("_convex", lambda A: None),
+    "scan": ("_scan", _declined),
+}
+
+
+@contextlib.contextmanager
+def routes_off(*names):
+    """Switch the routes ``names`` (keys of ``ROUTES``) of the dispatch off
+    where it looks them up, in ``copositivity``, for the ``with`` block: a
+    switched-off prefilter finds no violator, the certificate of strict
+    copositivity never holds, the convex route always declines, and the
+    scan raises RouteDeclined."""
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            attr, off = ROUTES[name]
+            stack.enter_context(mock.patch.object(copositivity_mod, attr, off))
+        yield
+
+
+def through(route: str, A: SymMatrix, *,
+            minimum: bool = True) -> CopositivityVerdict | None:
+    """The dispatch's verdict on A with every route but ``route`` switched
+    off, or None where ``route`` declines.  ``minimum`` is the dispatch's
+    own: set, as ``is_copositive`` asks, or unset, as ``minimal_zeros``
+    asks, when the certificate of strict copositivity is asked and the
+    scan stays inside the components of G-."""
+    with routes_off(*(name for name in ROUTES if name != route)):
+        try:
+            return copositivity_mod._decide(A, None, minimum)
+        except RouteDeclined:
+            return None
+
+
 def scan_is_copositive(A: SymMatrix, *, cache: dict | None = None) -> CopositivityVerdict:
-    """``is_copositive`` with its convex route switched off: the support
-    scan inside the components of G- (``copositivity._scan``) and, for a
-    split input with no zero, the whole scan for the minimum.  The tests
-    that pin the scan call this, as the route answers many of their inputs
-    without one."""
-    with mock.patch.object(copositivity_mod, "_convex", lambda A: None):
-        return is_copositive(A, cache=cache)
+    """``is_copositive`` with the certificate of strict copositivity and the
+    convex route switched off: the prefilter, the support scan inside the
+    components of G- and, for a split input with no zero, the whole scan
+    for the minimum.  The tests that pin the scan call this, as the routes
+    answer many of their inputs without one; ``cache`` is handed to the
+    scan."""
+    with routes_off("strict", "convex"):
+        return copositivity_mod._decide(A, cache, True)
 
 
 def shifted(A: SymMatrix, c) -> SymMatrix:

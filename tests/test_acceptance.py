@@ -18,7 +18,7 @@ import pytest
 
 from copocert.census import Candidate, read_records, \
     verify_pair_scaling_equivalence
-from copocert.copositivity import is_copositive
+from copocert.copositivity import is_copositive, minimal_zeros
 from copocert.errors import AmbiguousPatternError
 from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix, upper_size
@@ -32,7 +32,6 @@ from copocert.structure_graph import (
     component_analysis,
     reconstruct_pattern,
 )
-from copocert.zeros import minimal_zeros
 
 from oracles import (
     all_ones,

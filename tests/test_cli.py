@@ -488,12 +488,39 @@ class TestOrderGuard:
         assert mach["error"] == "OrderTooLarge"
         assert "order 17" in mach["message"]
 
-    def test_prefilter_still_refutes_order_17(self, capsys, write_matrix):
+    @pytest.mark.parametrize("command",
+                             ["check", "zeros", "extremal", "graph", "verify"])
+    @pytest.mark.parametrize("branch, violator", [
+        ("diagonal", "0," * 16 + "1"),
+        ("pair", "0," * 15 + "1/2,1/2"),
+    ], ids=["diagonal", "pair"])
+    def test_prefilter_still_refutes_order_17(self, capsys, monkeypatch,
+                                              write_matrix, command, branch,
+                                              violator):
+        # the prefilter runs ahead of the order gate, so both of its
+        # branches refute an order-17 matrix, with no support solved: a
+        # negative diagonal entry, and a zero-diagonal pair with a negative
+        # coupling
+        def no_scan(*args):
+            raise AssertionError("a support system was solved")
+
+        monkeypatch.setattr(copositivity_mod, "_support_state", no_scan)
         rows = [[int(i == j) for j in range(17)] for i in range(17)]
-        rows[16][16] = -1
-        code, out = run(capsys, ["check", write_matrix(SymMatrix.from_rows(rows))])
+        if branch == "diagonal":
+            rows[16][16] = -1
+        else:
+            rows[15][15] = rows[16][16] = 0
+            rows[15][16] = rows[16][15] = -1
+        code, out = run(capsys, [command,
+                                 write_matrix(SymMatrix.from_rows(rows))])
+        mach = machine_block(out)
         assert code == 1
-        assert machine_block(out)["simplex_minimum"] == "-1"
+        assert mach["violator"] == violator
+        if command == "check":
+            assert mach["simplex_minimum"] == ("-1" if branch == "diagonal"
+                                               else "-1/2")
+        else:
+            assert mach["error"] == "NotCopositive"
 
     def test_order_16_starts_the_scan(self):
         scan = copositivity_mod.stationary_candidates(identity(16))

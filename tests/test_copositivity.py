@@ -6,10 +6,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copocert.copositivity import _convex, _pair_screen, is_copositive
+from copocert.copositivity import _pair_screen, is_copositive
+from copocert.errors import OrderTooLargeError
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix
 
 from oracles import (
@@ -30,6 +32,7 @@ from oracles import (
     shifted,
     simplex_grid,
     subdivision_falsifier,
+    through,
 )
 
 F = Fraction
@@ -236,7 +239,8 @@ class TestStationaryCandidates:
 # ``is_copositive`` answers a conditionally positive definite input whose
 # minimum is >= 0 by an exact active-set solve (``copositivity._convex``),
 # and the scan stays its oracle: ``oracles.scan_is_copositive`` is
-# ``is_copositive`` with the route switched off.  Shifting a matrix by cJ
+# ``is_copositive`` with the route switched off, and
+# ``oracles.through("convex", A)`` the route alone.  Shifting a matrix by cJ
 # keeps it conditionally positive definite and moves every simplex value by
 # c, so one routed draw with minimum mu gives the three outcomes: mu itself,
 # 0 at c = -mu, and below 0 at c = -mu - gap / 2, where gap > 0 keeps every
@@ -269,7 +273,7 @@ def route_outcomes(A):
     the scan names the violator)."""
     scanned = scan_is_copositive(A)
     assert is_copositive(A) == scanned, A
-    verdict = _convex(A)
+    verdict = through("convex", A)
     if verdict is None:
         return []
     assert verdict == scanned, A
@@ -286,11 +290,12 @@ def route_outcomes(A):
         scanned = scan_is_copositive(B)
         assert is_copositive(B) == scanned, (A, c)
         if c == -mu:
-            assert _convex(B) == scanned, (A, c)
+            assert through("convex", B) == scanned, (A, c)
             assert scanned.simplex_minimum == 0 and len(scanned.zeros) == 1
             outcomes.append("zero")
         else:
-            assert _convex(B) is None and not scanned.copositive, (A, c)
+            assert through("convex", B) is None and not scanned.copositive, \
+                (A, c)
             assert scanned.simplex_minimum < 0
             outcomes.append("negative")
     return outcomes
@@ -321,13 +326,15 @@ class TestConvexRoute:
     def test_pair_screen_turns_away_a_zero_on_a_pair(self):
         # Horn's matrix and every census class with a -1 have one
         assert not _pair_screen(horn_matrix().integer_form[0])
-        assert _convex(horn_matrix()) is None
+        assert through("convex", horn_matrix()) is None
 
     def test_orders_outside_the_route(self):
-        # order 1 is a vertex, and order 17 is left to the scan's guard
-        assert _convex(identity(1)) is None
-        assert _convex(identity(17)) is None
-        assert _convex(identity(16)).simplex_minimum == F(1, 16)
+        # order 1 is a vertex, left to the scan, and order 17 is refused
+        # before any route is asked
+        assert through("convex", identity(1)) is None
+        with pytest.raises(OrderTooLargeError):
+            through("convex", identity(17))
+        assert through("convex", identity(16)).simplex_minimum == F(1, 16)
 
 
 class TestSubdivisionFalsifier:

@@ -8,7 +8,7 @@ import pytest
 
 import copocert.extremality as extremality_mod
 from copocert.cli import parse_matrix_file
-from copocert.copositivity import is_copositive
+from copocert.copositivity import is_copositive, minimal_zeros
 from copocert.errors import NotCopositiveError
 from copocert.extremality import (
     _TwoTermSolutions,
@@ -22,7 +22,6 @@ from copocert.linalg import (
     kernel_basis,
     upper_size,
 )
-from copocert.zeros import minimal_zeros
 
 from oracles import (
     all_ones,

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from copocert.census import Candidate, read_records
+from copocert.copositivity import minimal_zeros
 from copocert.errors import NotCopositiveError
 from copocert.extremality import build_system
 from copocert.linalg import (
@@ -29,7 +30,6 @@ from copocert.linalg import (
     upper_size,
 )
 from copocert.lp import strictly_positive_point
-from copocert.zeros import minimal_zeros
 
 from oracles import (
     fraction_candidates,

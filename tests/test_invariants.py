@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,13 +24,19 @@ import copocert.lp as lp_mod
 import copocert.scaling as scaling_mod
 import copocert.structure_graph as structure_graph_mod
 from copocert.census import CensusRecord, run_census
-from copocert.cli import main
+from copocert.cli import main, parse_matrix_file
 from copocert.copositivity import (
     _positive_definite,
     _support_state,
     is_copositive,
+    minimal_zeros,
 )
-from copocert.errors import CensusInvariantError, CopocertError, InvariantError
+from copocert.errors import (
+    CensusInvariantError,
+    CopocertError,
+    InvariantError,
+    NotCopositiveError,
+)
 from copocert.extremality import (
     ExtremalitySystem,
     _TwoTermSolutions,
@@ -44,12 +51,18 @@ from copocert.linalg import (
 from copocert.lp import simplex_maximize, strictly_positive_point
 from copocert.scaling import extract_pattern
 from copocert.structure_graph import build_graph
-from copocert.zeros import minimal_zeros
 
-from oracles import identity, subspace, zero_from_coordinates
+from oracles import (
+    benchmark_families,
+    identity,
+    routes_off,
+    subspace,
+    zero_from_coordinates,
+)
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src" / "copocert"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 PAIR = SymMatrix.from_rows([[1, -1], [-1, 1]])
 # positive semidefinite with kernel (1, 1, 1): its one minimal zero sits on
@@ -96,9 +109,15 @@ def _scopes(node, scope, hit):
         yield from _scopes(child, scope, hit)
 
 
+def _hits(hit, skip=None):
+    """The scope of each node of the library, but for the file ``skip``,
+    for which ``hit`` holds: one entry per node."""
+    return [scope for path in sorted(SRC.glob("*.py")) if path.name != skip
+            for scope in _scopes(ast.parse(path.read_text()), path.stem, hit)]
+
+
 def _outside_linalg(hit):
-    return {scope for path in SRC.glob("*.py") if path.name != "linalg.py"
-            for scope in _scopes(ast.parse(path.read_text()), path.stem, hit)}
+    return set(_hits(hit, "linalg.py"))
 
 
 def _entry_read(node):
@@ -121,6 +140,53 @@ def test_matrices_built_only_through_the_constructors():
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "SymMatrix")
     assert _outside_linalg(direct) == set()
+
+
+def test_order_too_large_error_is_raised_in_one_place():
+    # one order gate, in the dispatch, after the prefilter and ahead of
+    # every route
+    def built(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "OrderTooLargeError")
+    assert _hits(built) == ["copositivity._decide"]
+
+
+def test_only_the_dispatch_reads_the_scan_order_limit():
+    def read(node):
+        return (isinstance(node, ast.Name) and node.id == "MAX_SCAN_ORDER"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute)
+                and node.attr == "MAX_SCAN_ORDER")
+    assert set(_hits(read)) == {"copositivity._decide"}
+
+
+def _gate_inputs():
+    refute = benchmark_families().generate("refute", 6, 0, (0, 0))
+    return [("split_rational",
+             parse_matrix_file(FIXTURES / "split_rational.txt")),
+            ("horn", horn_matrix()),
+            ("refute", SymMatrix.from_rows(refute.matrix))]
+
+
+@pytest.mark.parametrize("question", [is_copositive, minimal_zeros],
+                         ids=["is_copositive", "minimal_zeros"])
+def test_each_gate_runs_once_per_question(monkeypatch, question):
+    # the pair screen and the components of the negative graph, each once
+    # per call; none of these inputs is answered before the scan, which
+    # needs both
+    counts = Counter()
+    for gate in ("_pair_screen", "_negative_components"):
+        def counted(M, gate=gate, real=getattr(copositivity_mod, gate)):
+            counts[gate] += 1
+            return real(M)
+        monkeypatch.setattr(copositivity_mod, gate, counted)
+    for label, A in _gate_inputs():
+        counts.clear()
+        try:
+            question(A)
+        except NotCopositiveError:
+            pass
+        assert counts == {"_pair_screen": 1, "_negative_components": 1}, label
 
 
 # defined in the library but used nowhere in it, each with its reason
@@ -380,12 +446,12 @@ class TestCopositivity:
         # sums to 1 only on singletons; f[0] = 1 gives each singleton its
         # true value M_ii = 1, so only the sum is wrong.  The convex route,
         # which would answer the identity without a scan, is off
-        monkeypatch.setattr(copositivity_mod, "_convex", lambda A: None)
         monkeypatch.setattr(
             copositivity_mod, "_support_state",
             lambda M, support, det, first, second:
                 (-1, [1] + [-1] * len(support), [1] * len(support)))
-        with pytest.raises(InvariantError, match="sum 1"):
+        with routes_off("convex"), \
+                pytest.raises(InvariantError, match="sum 1"):
             is_copositive(identity(2))
 
     @pytest.mark.parametrize("rows, delta", [
@@ -405,7 +471,6 @@ class TestCopositivity:
         # f[0] of the pair (0, 1) off by delta: the value read off it is
         # not the value at the point read off f[1:].  The convex route,
         # which would answer the identity and diag(2, 3), is off
-        monkeypatch.setattr(copositivity_mod, "_convex", lambda A: None)
         real = copositivity_mod._support_state
 
         def corrupted(M, support, *args):
@@ -415,7 +480,8 @@ class TestCopositivity:
             return D, f, v
 
         monkeypatch.setattr(copositivity_mod, "_support_state", corrupted)
-        with pytest.raises(InvariantError, match="attained at its point"):
+        with routes_off("convex"), \
+                pytest.raises(InvariantError, match="attained at its point"):
             is_copositive(SymMatrix.from_rows(rows))
 
     def test_active_set_iteration_cap(self, monkeypatch):

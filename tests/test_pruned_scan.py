@@ -24,12 +24,12 @@ import copocert.copositivity as copositivity_mod
 from copocert.copositivity import (
     _negative_components,
     _prefilter_violator,
+    minimal_zeros,
     stationary_candidates,
 )
 from copocert.cli import parse_matrix_file
 from copocert.errors import InvariantError
 from copocert.linalg import SymMatrix
-from copocert.zeros import minimal_zeros
 
 from oracles import (
     DEGENERATE_FAMILIES,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from copocert.census import Candidate
+from copocert.copositivity import minimal_zeros
 from copocert.errors import ScalingConditionError
 from copocert.linalg import SymMatrix, horn_matrix
 from copocert.scaling import (
@@ -13,7 +14,6 @@ from copocert.scaling import (
     extract_pattern,
     has_sign_pattern_scaling,
 )
-from copocert.zeros import minimal_zeros
 
 from oracles import (
     all_ones,

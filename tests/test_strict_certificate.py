@@ -24,20 +24,20 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import copocert.zeros as zeros_mod
 from copocert.census import Candidate, read_records
-from copocert.copositivity import _scan, _strictly_copositive
+from copocert.copositivity import _strictly_copositive, minimal_zeros
 from copocert.errors import CopocertError
 from copocert.extremality import extremality_certificate
 from copocert.linalg import SymMatrix
 from copocert.structure_graph import build_graph
-from copocert.zeros import minimal_zeros
 
 from oracles import (
     DEGENERATE_FAMILIES,
     bbt_plus_nonnegative,
     degenerate_matrix,
     positive_definite_by_minors,
+    routes_off,
+    scan_is_copositive,
 )
 
 F = Fraction
@@ -148,7 +148,7 @@ def test_certified_matrices_are_copositive_without_zeros():
     for label, A in CASES:
         if _strictly_copositive(A.integer_form[0]):
             certified += 1
-            verdict = _scan(A)
+            verdict = scan_is_copositive(A)
             assert verdict.copositive and verdict.zeros == (), label
             assert verdict.simplex_minimum > 0, label
     assert certified >= 150
@@ -166,10 +166,9 @@ def _results(A):
             attempt(lambda: build_graph(A, minimal_zeros(A))))
 
 
-def test_layers_agree_with_the_certificate_switched_off(monkeypatch):
+def test_layers_agree_with_the_certificate_switched_off():
     with_certificate = [_results(A) for _, A in CASES]
     # the convex route off too, so that the scan answers instead
-    monkeypatch.setattr(zeros_mod, "_strictly_copositive", lambda M: False)
-    monkeypatch.setattr(zeros_mod, "_convex", lambda A: None)
-    for (label, A), expected in zip(CASES, with_certificate):
-        assert _results(A) == expected, label
+    with routes_off("strict", "convex"):
+        for (label, A), expected in zip(CASES, with_certificate):
+            assert _results(A) == expected, label

@@ -8,6 +8,7 @@ import pytest
 
 from copocert.census import Candidate
 from copocert.cli import parse_matrix_file
+from copocert.copositivity import minimal_zeros
 from copocert.errors import (
     AmbiguousPatternError,
     CopocertError,
@@ -26,7 +27,6 @@ from copocert.structure_graph import (
     reconstruct_pattern,
     to_dot,
 )
-from copocert.zeros import minimal_zeros
 
 from oracles import (
     bfs_component_analysis,
