@@ -164,6 +164,10 @@ def _supports(supports) -> str:
 
 
 def _rows(A: SymMatrix) -> str:
+    M, d = A.integer_form
+    if d == 1:
+        # an integer entry prints as its Fraction does
+        return ";".join(",".join(map(str, row)) for row in M)
     return ";".join(",".join(str(A.get(i, j)) for j in range(A.n))
                     for i in range(A.n))
 
@@ -259,9 +263,9 @@ def cmd_graph(args) -> int:
              ("bipartite", report.bipartite_count),
              ("dimension", report.bipartite_count)]
     if report.bipartite_count == 1:
-        pattern = reconstruct_pattern(report)
-        machine.append(("pattern", _rows(pattern)))
-        human.append(("pattern", _rows(pattern)))
+        pattern = _rows(reconstruct_pattern(report))
+        machine.append(("pattern", pattern))
+        human.append(("pattern", pattern))
     if args.dot:
         with _writing(args.dot), open(args.dot, "w") as handle:
             handle.write(to_dot(graph, report))
@@ -274,10 +278,10 @@ def cmd_graph(args) -> int:
 def cmd_normalize(args) -> int:
     A = parse_matrix_file(args.path)
     dec = extract_pattern(A)
+    pattern = _rows(dec.pattern)
     machine = [("command", "normalize"), ("order", A.n),
-               ("pattern", _rows(dec.pattern)),
-               ("explicit", _yn(dec.explicit))]
-    human = [("order", A.n), ("pattern", _rows(dec.pattern)),
+               ("pattern", pattern), ("explicit", _yn(dec.explicit))]
+    human = [("order", A.n), ("pattern", pattern),
              ("scaling", "explicit" if dec.explicit else "implicit (irrational)")]
     if dec.explicit:
         machine.append(("scaling", _vec(dec.scaling.entries)))

@@ -24,8 +24,14 @@ every equation inside the component either holds for every root value or
 (a single-term row, or a cycle whose ratios multiply to something else)
 forces the root to 0.  The nullity is therefore the number of components
 not forced to 0, and a weighted union-find on integer ratio pairs counts
-them without elimination; for nullity 1 the ratios of the one free
-component are the kernel vector.  A system with a longer row (a zero with
+them without elimination.  Its ``find`` is O(1) on a root and on a node
+one step below its root, which is what compression leaves behind, so
+most lookups cost two list reads.  For nullity 1 the ratios of the one
+free component are the kernel vector, and "the line is spanned by A" is
+checked on them directly: with ``x_v = num/den x_root``, A's entry at v
+times ``den`` equals A's entry at the root times ``num`` on the free
+component, A is 0 on every forced component, and A is nonzero at the
+root.  No kernel vector is built.  A system with a longer row (a zero with
 support of size 3 or more, as in Hildebrand's T-matrices) goes to
 ``kernel_basis`` instead, and the nullity is the size of the basis.  Either
 way a one-dimensional solution space must be spanned by A.
@@ -33,13 +39,12 @@ way a one-dimensional solution space must be spanned by A.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .copositivity import Zero, minimal_zeros
 from .errors import InvariantError
 from .linalg import (
     SymMatrix,
-    canonical_vector,
     is_proportional,
     kernel_basis,
     unknowns,
@@ -88,7 +93,11 @@ class ExtremalityCertificate:
 
 def build_system(A: SymMatrix, zeros: tuple[Zero, ...]) -> ExtremalitySystem:
     """Rows ``(X u^j)_k = 0`` for every j, k with ``(A u^j)_k = 0`` exactly,
-    read off each zero's integer ``point``."""
+    read off each zero's integer ``point``.
+
+    A zero on a pair {l, m} tests each gate in closed form,
+    ``M_kl p_l + M_km p_m = 0``, and builds its row directly; a zero on
+    one index or on three or more sums over its support."""
     n = A.n
     M, _ = A.integer_form
     columns = unknowns(n)[1]
@@ -99,6 +108,17 @@ def build_system(A: SymMatrix, zeros: tuple[Zero, ...]) -> ExtremalitySystem:
         if len(p) != n:
             raise ValueError("zero order does not match matrix order")
         support = zero.support
+        if len(support) == 2:
+            l, m = support
+            a, b = p[l], p[m]
+            for k, row in enumerate(M):
+                if row[l] * a + row[m] * b:
+                    continue
+                gates.append((j, k))
+                column = columns[k]
+                # l < m gives ascending columns X_kl, X_km
+                rows.append(((column[l], a), (column[m], b)))
+            continue
         for k in range(n):
             # (A u)_k = 0 exactly iff (M p)_k = 0
             if sum(M[k][l] * p[l] for l in support):
@@ -127,35 +147,45 @@ class _TwoTermSolutions:
     """
 
     def __init__(self, rows, ncols):
-        self.parent = list(range(ncols))
-        self.num = [1] * ncols
-        self.den = [1] * ncols
+        self.parent = parent = list(range(ncols))
+        self.num = num = [1] * ncols
+        self.den = den = [1] * ncols
+        find = self.find
         forced = [False] * ncols  # read at roots only
         for row in rows:
             if len(row) == 1:
-                forced[self.find(row[0][0])] = True
+                forced[find(row[0][0])] = True
                 continue
             (p, a), (q, b) = row
-            rp, rq = self.find(p), self.find(q)
+            rp, rq = find(p), find(q)
             # a x_p + b x_q is a positive multiple of cp x_rp + cq x_rq
-            cp = a * self.num[p] * self.den[q]
-            cq = b * self.num[q] * self.den[p]
+            cp = a * num[p] * den[q]
+            cq = b * num[q] * den[p]
             if rp == rq:
                 forced[rp] = forced[rp] or cp + cq != 0
                 continue
-            num, den = (-cp, cq) if cq > 0 else (cp, -cq)
-            g = gcd(num, den)
-            self.parent[rq] = rp
-            self.num[rq], self.den[rq] = num // g, den // g
+            top, bottom = (-cp, cq) if cq > 0 else (cp, -cq)
+            g = gcd(top, bottom)
+            parent[rq] = rp
+            num[rq], den[rq] = top // g, bottom // g
             forced[rp] = forced[rp] or forced[rq]
         self.free = [v for v in range(ncols)
-                     if self.parent[v] == v and not forced[v]]
+                     if parent[v] == v and not forced[v]]
 
     def find(self, v):
         """Root of v's component; on return ``x_v = num[v] / den[v] x_root``
-        (``1 / 1`` at a root)."""
-        parent, num, den = self.parent, self.num, self.den
-        path = []
+        (``1 / 1`` at a root).
+
+        O(1) for a root and for a node whose parent is a root, whose ratio
+        is already relative to it; a longer path is walked once, and each
+        node on it is moved onto the root with its ratio reduced by gcd."""
+        parent = self.parent
+        up = parent[v]
+        if parent[up] == up:
+            return up
+        num, den = self.num, self.den
+        path = [v]
+        v = up
         while parent[v] != v:
             path.append(v)
             v = parent[v]
@@ -171,17 +201,18 @@ class _TwoTermSolutions:
     def nullity(self) -> int:
         return len(self.free)
 
-    def kernel(self) -> list:
-        """One canonical vector per free component, in order of its root."""
-        ncols = len(self.parent)
-        roots = [self.find(v) for v in range(ncols)]
-        vectors = []
-        for r in self.free:
-            scale = lcm(*(self.den[v] for v in range(ncols) if roots[v] == r))
-            vectors.append(canonical_vector(
-                [self.num[v] * (scale // self.den[v]) if roots[v] == r else 0
-                 for v in range(ncols)]))
-        return vectors
+    def spans(self, vector) -> bool:
+        """Whether ``vector`` spans the solution line of a system of
+        nullity 1: nonzero at the free root, ``vector[v] = num[v] / den[v]
+        vector[root]`` on the free component, and 0 on every component
+        forced to 0."""
+        root, = self.free
+        x = vector[root]
+        num, den, find = self.num, self.den, self.find
+        return x != 0 and all(
+            vector[v] * den[v] == x * num[v] if find(v) == root
+            else vector[v] == 0
+            for v in range(len(self.parent)))
 
 
 def extremality_certificate(A: SymMatrix, *,
@@ -190,10 +221,14 @@ def extremality_certificate(A: SymMatrix, *,
 
     When no row of the system has more than two terms (every minimal zero
     has a support of size at most 2), the nullity is counted by a weighted
-    union-find (``_TwoTermSolutions``), and a vector is built from it only
-    for a one-dimensional solution space, to check that it is spanned by A
-    (``kernel_basis(cert.system.dense_rows())`` recovers a larger basis).
-    Otherwise the nullity is the size of the system's ``kernel_basis``.
+    union-find (``_TwoTermSolutions``, whose ``find`` is O(1) on compressed
+    nodes).  For a one-dimensional solution space, that A spans it is
+    checked on the union-find's ratios (``_TwoTermSolutions.spans``): A's
+    upper triangle in the ratio ``num/den`` to its entry at the free root,
+    which is nonzero, and 0 off the free component.  No kernel vector is
+    built (``kernel_basis(cert.system.dense_rows())`` recovers a basis).
+    Otherwise the nullity is the size of the system's ``kernel_basis``, and
+    the one basis vector of a nullity-1 system must be proportional to A.
     ``cache`` is handed to the copositivity scan (see
     ``stationary_candidates``).
     Raises NotCopositiveError (from ``minimal_zeros``) when A is not
@@ -201,24 +236,30 @@ def extremality_certificate(A: SymMatrix, *,
     """
     zeros = minimal_zeros(A, cache=cache)
     system = build_system(A, zeros)
+    rows = system.rows
+    lengths = set(map(len, rows))
     n = A.n
     M, _ = A.integer_form
     # A = M / d, so A solves the system exactly when upper(M) does
     upper = [M[i][j] for i, j in unknowns(n)[0]]
-    if any(sum(upper[c] * a for c, a in row) for row in system.rows):
+    # every row two-term (the paper's class): each sum written out
+    if (any(upper[p] * a + upper[q] * b for (p, a), (q, b) in rows)
+            if lengths == {2} else
+            any(sum(upper[c] * a for c, a in row) for row in rows)):
         raise InvariantError("input matrix must satisfy its own system")
     ncols = upper_size(n)
-    if all(len(row) <= 2 for row in system.rows):
-        solutions = _TwoTermSolutions(system.rows, ncols)
+    if lengths <= {1, 2}:
+        solutions = _TwoTermSolutions(rows, ncols)
         nullity = solutions.nullity
-        basis = solutions.kernel() if nullity == 1 else ()
+        spanned = nullity == 1 and solutions.spans(upper)
     else:
         basis = kernel_basis(system.dense_rows(), ncols)
         nullity = len(basis)
+        spanned = nullity == 1 and is_proportional(basis[0], upper)
     if nullity == 0 and not A.is_zero():
         raise InvariantError("a nonzero matrix lies in its own solution space")
     extremal = nullity == 1
-    if extremal and not is_proportional(basis[0], upper):
+    if extremal and not spanned:
         raise InvariantError("one-dimensional solution space must be "
                              "spanned by a multiple of the matrix")
     return ExtremalityCertificate(nullity, extremal, system, zeros)

@@ -43,7 +43,14 @@ recomputes the state that the scan keeps per support from determinants
 minor from ``fraction_det``, the reference for the fraction-free
 elimination of the strict-copositivity certificate, and
 ``bbt_plus_nonnegative`` draws the seeded B B^T + N matrices it is tested
-on.
+on.  ``two_term_kernel`` is the canonical kernel vector per free component
+that the extremality certificate built from its union-find before it
+checked the span on the ratios; ``walk_find`` follows every parent link
+without compressing, the reference for the union-find's ``find``; and
+``two_term_disagreements`` holds the certificate's two-term path (nullity,
+flag, span check) against the elimination of its own system, on seeded
+triangle-free graph matrices (``graph_matrix``, ``scaled_graph_matrix``)
+among others.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ from copocert.copositivity import (
     _prefilter_violator,
     stationary_candidates,
 )
+from copocert.extremality import _TwoTermSolutions, extremality_certificate
 from copocert.linalg import (
     AffineSolutionSet,
     SymMatrix,
@@ -76,9 +84,13 @@ from copocert.linalg import (
     _bareiss_echelon,
     _int_rows,
     _primitive_int_row,
+    canonical_vector,
     eval_quadratic,
+    is_proportional,
     kernel_basis,
     solve_affine,
+    unknowns,
+    upper_size,
 )
 from copocert.errors import (
     InvariantError,
@@ -903,6 +915,109 @@ def positive_definite_by_minors(M) -> bool:
     minor, each from ``fraction_det``, is positive."""
     return all(fraction_det([row[:k] for row in M[:k]]) > 0
                for k in range(1, len(M) + 1))
+
+
+# --- the two-term union-find against the elimination -------------------------
+
+def walk_find(solutions: _TwoTermSolutions, v: int) -> tuple[int, Fraction]:
+    """The root of v and ``x_v / x_root``, by following every parent link
+    and multiplying the stored ratios, without compressing anything."""
+    ratio = Fraction(1)
+    while solutions.parent[v] != v:
+        ratio *= Fraction(solutions.num[v], solutions.den[v])
+        v = solutions.parent[v]
+    return v, ratio
+
+
+def two_term_kernel(solutions: _TwoTermSolutions) -> list[tuple[int, ...]]:
+    """One canonical vector per free component, in order of its root: the
+    component's ratios over the lcm of their denominators, 0 elsewhere."""
+    ncols = len(solutions.parent)
+    roots = [solutions.find(v) for v in range(ncols)]
+    num, den = solutions.num, solutions.den
+    vectors = []
+    for r in solutions.free:
+        scale = math.lcm(*(den[v] for v in range(ncols) if roots[v] == r))
+        vectors.append(canonical_vector(
+            [num[v] * (scale // den[v]) if roots[v] == r else 0
+             for v in range(ncols)]))
+    return vectors
+
+
+def triangle_free_graph(n: int, seed: int) -> tuple[tuple[int, int], ...]:
+    """A seeded triangle-free graph on n vertices: the pairs in a random
+    order, each kept unless it closes a triangle, with probability 1 for
+    an even seed (a maximal triangle-free graph) and 2/3 for an odd one."""
+    rng = random.Random(f"triangle-free/{n}/{seed}")
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    keep = 1 if seed % 2 == 0 else 2 / 3
+    neighbours = [set() for _ in range(n)]
+    for i, j in pairs:
+        if not neighbours[i] & neighbours[j] and rng.random() < keep:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    return tuple(sorted((i, j) for i, j in itertools.combinations(range(n), 2)
+                        if j in neighbours[i]))
+
+
+def graph_matrix(n: int, edges) -> SymMatrix:
+    """``A_G``: unit diagonal, -1 on the edges of G, +1 on the pairs at
+    distance 2 and 0 elsewhere.  Copositive when G is triangle-free, with
+    its minimal zeros ``e_i + e_j`` on the edges."""
+    neighbours = [set() for _ in range(n)]
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    return SymMatrix.from_integer_rows(
+        [[1 if i == j else -1 if j in neighbours[i]
+          else int(bool(neighbours[i] & neighbours[j])) for j in range(n)]
+         for i in range(n)])
+
+
+def scaled_graph_matrix(n: int, seed: int) -> SymMatrix:
+    """``D P A_G P^T D`` for the seeded triangle-free G, a seeded positive
+    rational diagonal D and a seeded permutation P."""
+    rng = random.Random(f"scaled-graph/{n}/{seed}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    A = permuted_matrix(graph_matrix(n, triangle_free_graph(n, seed)), perm)
+    return scale(A, DiagonalScaling(random_positive_diagonal(rng, n)))
+
+
+def two_term_disagreements(A: SymMatrix) -> list[str]:
+    """Where ``extremality_certificate(A)`` disagrees with the elimination
+    of its own system (``kernel_basis``): the nullity, the extremal flag,
+    and, at nullity 1, ``_TwoTermSolutions.spans`` against
+    ``is_proportional`` to the basis vector, on A and on vectors that
+    differ from it at one unknown, by a multiple and by sign.  Empty when
+    they agree; A's system must have no row of more than two terms."""
+    cert = extremality_certificate(A)
+    rows = cert.system.rows
+    if any(len(row) > 2 for row in rows):
+        raise ValueError("the system has a row of more than two terms")
+    ncols = upper_size(A.n)
+    basis = kernel_basis(cert.system.dense_rows(), ncols)
+    found = []
+    if cert.nullity != len(basis):
+        found.append(f"nullity {cert.nullity}, elimination {len(basis)}")
+    if cert.extremal != (len(basis) == 1):
+        found.append(f"extremal {cert.extremal}, elimination nullity {len(basis)}")
+    solutions = _TwoTermSolutions(rows, ncols)
+    if solutions.nullity != len(basis):
+        found.append(f"union-find nullity {solutions.nullity}")
+    elif solutions.nullity == 1:
+        M = A.integer_form[0]
+        upper = [M[i][j] for i, j in unknowns(A.n)[0]]
+        vectors = [upper, list(basis[0]), [-3 * x for x in upper],
+                   [0] * ncols]
+        for c in range(ncols):
+            vectors.append(upper[:c] + [upper[c] + 1] + upper[c + 1:])
+        for vector in vectors:
+            spans = solutions.spans(vector)
+            if spans != (any(vector) and is_proportional(basis[0], vector)):
+                found.append(f"spans {spans} on {vector}")
+    return found
 
 
 # --- former library functions that only tests used ---------------------------

@@ -9,7 +9,7 @@ import pytest
 import copocert.extremality as extremality_mod
 from copocert.cli import parse_matrix_file
 from copocert.copositivity import is_copositive, minimal_zeros
-from copocert.errors import NotCopositiveError
+from copocert.errors import InvariantError, NotCopositiveError
 from copocert.extremality import (
     _TwoTermSolutions,
     build_system,
@@ -32,7 +32,11 @@ from oracles import (
     permuted_matrix,
     random_positive_diagonal,
     rank_one,
+    scaled_graph_matrix,
+    two_term_disagreements,
+    two_term_kernel,
     upper_entries,
+    walk_find,
 )
 
 F = Fraction
@@ -85,6 +89,17 @@ class TestCertificate:
         assert cert.extremal and cert.nullity == 1
         (line,) = kernel_basis(cert.system.dense_rows(), upper_size(2))
         assert is_proportional(line, upper_entries(A))
+
+    def test_every_two_term_row_is_checked_against_the_matrix(self, monkeypatch):
+        # X_11 + X_12 = 0 holds for A, X_11 + X_22 = 0 does not
+        A = SymMatrix.from_rows([[1, -1], [-1, 1]])
+        rows = (((0, 1), (1, 1)), ((0, 1), (2, 1)))
+        monkeypatch.setattr(
+            extremality_mod, "build_system",
+            lambda A, Z: extremality_mod.ExtremalitySystem(
+                2, ((0, 0), (0, 1)), rows))
+        with pytest.raises(InvariantError, match="its own system"):
+            extremality_certificate(A)
 
     def test_identity_and_all_ones_nullities(self):
         for n in (2, 3):
@@ -236,7 +251,8 @@ class TestDecompositionWitness:
 
 
 def _paths_agree(A: SymMatrix) -> int:
-    """The union-find count against the elimination on A's system."""
+    """The union-find count and span check against the elimination on A's
+    system."""
     cert = extremality_certificate(A)
     ncols = upper_size(A.n)
     assert all(len(row) <= 2 for row in cert.system.rows), A
@@ -244,18 +260,20 @@ def _paths_agree(A: SymMatrix) -> int:
     dense = cert.system.dense_rows()
     slow = kernel_basis(dense, ncols)
     assert fast.nullity == len(slow) == cert.nullity, A
-    basis = fast.kernel()
+    basis = two_term_kernel(fast)
     assert len(basis) == fast.nullity, A
     assert all(dot(row, v) == 0 for v in basis for row in dense), A
     if fast.nullity == 1:
         assert basis == slow, A
+    assert two_term_disagreements(A) == [], A
     return fast.nullity
 
 
 class TestTwoTermNullity:
     """The union-find nullity of pair and singleton systems against
-    ``kernel_basis``: the same nullity, a basis of solutions, and for nullity 1
-    the same canonical kernel vector."""
+    ``kernel_basis``: the same nullity, a basis of solutions, for nullity 1
+    the same canonical kernel vector, and the span check on the ratios
+    against proportionality to that vector."""
 
     def test_every_copositive_class_up_to_order_5(self, census):
         from copocert.census import Candidate
@@ -268,14 +286,48 @@ class TestTwoTermNullity:
         assert len(nullities) == 1 + 3 + 8 + 41 + 279
         assert 1 in nullities and max(nullities) > 1
 
-    @pytest.mark.parametrize("family", ["rank1", "dsd"])
+    @pytest.mark.parametrize("family", ["rank1", "dsd", "bbt"])
     def test_seeded_benchmark_families(self, family):
         families = benchmark_families()
-        for n in range(3, 8):
+        for n in range(3, 9):
             for index in range(3):
                 case = families.generate(family, n, 41, index)
                 nullity = _paths_agree(SymMatrix.from_rows(case.matrix))
                 assert (nullity == 1) == case.extremal
+
+    def test_scaled_triangle_free_graph_matrices(self):
+        # D P A_G P^T D: ratios other than +-1 on the union-find's edges
+        nullities = []
+        for n in range(6, 10):
+            for seed in range(4):
+                nullities.append(_paths_agree(scaled_graph_matrix(n, seed)))
+        assert 1 in nullities and max(nullities) > 1
+
+    def test_find_against_the_full_walk(self):
+        # random rows on few unknowns build parent chains longer than one
+        # link; before each find, its answer is read off the chain
+        rng = random.Random(2024)
+        longest = 0
+        for trial in range(200):
+            ncols = rng.randint(2, 12)
+            rows = []
+            for _ in range(rng.randint(1, 2 * ncols)):
+                p, q = sorted(rng.sample(range(ncols), 2))
+                rows.append(((p, rng.choice((-3, -2, -1, 1, 2, 3))),
+                             (q, rng.choice((-2, -1, 1, 3)))))
+            for count in range(len(rows) + 1):
+                solutions = _TwoTermSolutions(rows[:count], ncols)
+                for v in rng.sample(range(ncols), ncols):
+                    root, ratio = walk_find(solutions, v)
+                    chain, u = 0, v
+                    while solutions.parent[u] != u:
+                        chain, u = chain + 1, solutions.parent[u]
+                    longest = max(longest, chain)
+                    assert solutions.find(v) == root
+                    assert F(solutions.num[v], solutions.den[v]) == ratio
+                    assert solutions.parent[v] == root
+                    assert solutions.den[v] > 0
+        assert longest >= 3
 
     @pytest.mark.parametrize("rows,nullity", [
         ([[0, 1], [1, 0]], 1),
@@ -294,7 +346,7 @@ class TestTwoTermNullity:
         dense = [(1, -1, 0, 0), (0, 1, -1, 0), (1, 0, 2, 0)]
         fast = _TwoTermSolutions(rows, 4)
         assert fast.nullity == len(kernel_basis(dense, 4)) == 1
-        assert fast.kernel() == [(F(0), F(0), F(0), F(1))]
+        assert two_term_kernel(fast) == [(F(0), F(0), F(0), F(1))]
 
     def test_longer_rows_are_eliminated(self, monkeypatch):
         # Hildebrand's T has minimal zeros on triples: three-term rows
