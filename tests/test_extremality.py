@@ -91,6 +91,8 @@ class TestCertificate:
         assert is_proportional(line, upper_entries(A))
 
     def test_every_two_term_row_is_checked_against_the_matrix(self, monkeypatch):
+        # every row two-term, so the written-out check runs (a single-term
+        # and a three-term row take the generic sum, test_invariants.py):
         # X_11 + X_12 = 0 holds for A, X_11 + X_22 = 0 does not
         A = SymMatrix.from_rows([[1, -1], [-1, 1]])
         rows = (((0, 1), (1, 1)), ((0, 1), (2, 1)))
