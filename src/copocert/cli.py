@@ -2,8 +2,9 @@
 
 Every subcommand prints a [machine] block of key=value lines that alone
 determines the verdict, followed by a [human] block of aligned text.  Output
-is deterministic: fixed key order, no timestamps, exact rationals rendered by
-Fraction.__str__.  Exit codes: 0 when the queried property holds, 1 when it
+is deterministic: fixed key order, no timestamps, exact rationals rendered as
+Fraction.__str__ renders them (a zero's coordinates straight from its
+integer point).  Exit codes: 0 when the queried property holds, 1 when it
 fails or a precondition is unmet, 2 on input and output errors (a malformed
 matrix file, a matrix too large for the support scan, an output path that
 cannot be written, or bad arguments, the latter reported by argparse).
@@ -18,6 +19,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .census import (
     MAX_ORDER,
@@ -28,12 +30,13 @@ from .census import (
 from .copositivity import is_copositive, minimal_zeros
 from .errors import (
     CopocertError,
+    InvariantError,
     MatrixFormatError,
     OrderTooLargeError,
     OutputError,
 )
 from .extremality import extremality_certificate
-from .linalg import SymMatrix, upper_size
+from .linalg import SymMatrix, unknowns, upper_size
 from .scaling import extract_pattern
 from .structure_graph import (
     build_graph,
@@ -42,9 +45,10 @@ from .structure_graph import (
     to_dot,
 )
 
-_TOKEN = re.compile(r"\S+")
-_ENTRY = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
-_DIGITS = re.compile(r"[0-9]+")
+# a data row's tokens joined by single spaces: each an integer p or p/q,
+# with a nonzero digit in q.  Compiled on first use, through re's cache,
+# like the patterns that only diagnostics need
+_ROW = r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?: [+-]?[0-9]+(?:/0*[1-9][0-9]*)?)*"
 
 # the most digits an integer in a matrix file may have: CPython's default
 # limit on int/str conversion (3.10.7 and later), on every version
@@ -53,7 +57,36 @@ MAX_DIGITS = 4300
 
 def _column(text: str, t: int) -> int:
     """1-based column of the t-th whitespace-separated token of ``text``."""
-    return [m.start() for m in _TOKEN.finditer(text)][t] + 1
+    return [m.start() for m in re.finditer(r"\S+", text)][t] + 1
+
+
+def _overlong(lineno: int, text: str, tokens) -> None:
+    """Raise for the first token of a data line with an integer of more
+    than ``MAX_DIGITS`` digits, if there is one (a long token need not
+    hold one)."""
+    for t, tok in enumerate(tokens):
+        digits = max(map(len, re.findall(r"[0-9]+", tok)), default=0)
+        if digits > MAX_DIGITS:
+            raise MatrixFormatError(
+                f"integer of {digits} digits, more than the "
+                f"{MAX_DIGITS} allowed",
+                line=lineno, column=_column(text, t))
+
+
+def _bad_entry(lineno: int, text: str, tokens) -> None:
+    """Raise for the first token of a row that failed ``_ROW``: one that is
+    not an entry, or has a zero denominator."""
+    for t, tok in enumerate(tokens):
+        match = re.match(r"^([+-]?[0-9]+)(?:/([0-9]+))?$", tok)
+        if not match:
+            raise MatrixFormatError(
+                f"entry {tok!r} is not an integer or p/q rational",
+                line=lineno, column=_column(text, t))
+        den = match[2]
+        if den and not int(den):
+            raise MatrixFormatError(f"zero denominator in {tok!r}",
+                                    line=lineno, column=_column(text, t))
+    raise InvariantError("a row failed its pattern with every entry valid")
 
 
 def parse_matrix_file(path: str) -> SymMatrix:
@@ -62,10 +95,18 @@ def parse_matrix_file(path: str) -> SymMatrix:
     First non-comment line holds the order n, then n rows of n entries,
     each an integer p or a rational p/q with positive q, not necessarily in
     lowest terms, in ASCII digits, no integer longer than ``MAX_DIGITS``.
-    Lines starting with '#' and blank lines are skipped.  Asymmetric input
-    is rejected.  Entries are read as integer pairs (p, q) and compared by
-    cross-multiplying; a ``Fraction`` is built only for a diagnostic, and
-    token columns are found only for one.
+    Lines end at LF, CR or CR LF only, as ``bytes.splitlines`` splits
+    them.  Lines starting with '#' and blank lines are skipped.  Asymmetric
+    input is rejected.
+
+    One pass: each row's tokens are checked by one pattern (``_ROW``), and
+    only a row that fails it is walked token by token, to name the first
+    bad one.  Only the upper triangle is read, as integer pairs (p, q); a
+    lower entry is compared with its mirror as text, and by
+    cross-multiplying only where the two are written differently.  The
+    integer form ``(M, d)`` is built from the n(n+1)/2 upper entries.  A
+    ``Fraction`` is built only for a diagnostic, and token columns are
+    found only for one.
     """
     try:
         with open(path, "rb") as handle:
@@ -83,15 +124,10 @@ def parse_matrix_file(path: str) -> SymMatrix:
                 line=lineno, column=len(line[:exc.start].decode("utf-8")) + 1)
         tokens = text.split()
         if tokens and not tokens[0].startswith("#"):
-            # a token's length bounds the digits of the integers in it
-            if max(map(len, tokens)) > MAX_DIGITS:
-                for t, tok in enumerate(tokens):
-                    digits = max(map(len, _DIGITS.findall(tok)), default=0)
-                    if digits > MAX_DIGITS:
-                        raise MatrixFormatError(
-                            f"integer of {digits} digits, more than the "
-                            f"{MAX_DIGITS} allowed",
-                            line=lineno, column=_column(text, t))
+            # a token's length bounds the digits of the integers in it,
+            # and the line's bounds the token's
+            if len(text) > MAX_DIGITS and max(map(len, tokens)) > MAX_DIGITS:
+                _overlong(lineno, text, tokens)
             data.append((lineno, text, tokens))
     if not data:
         raise MatrixFormatError("no data lines", line=len(raw) + 1, column=1)
@@ -114,37 +150,51 @@ def parse_matrix_file(path: str) -> SymMatrix:
         raise MatrixFormatError(
             f"unexpected content after {n} matrix rows",
             line=extra_line, column=_column(extra_text, 0))
-    entries = []
+    row_ok = re.compile(_ROW).fullmatch
+    nums, dens = [], []  # the upper triangle, row by row
     for r in range(n):
         lineno, text, tokens = data[r + 1]
         if len(tokens) != n:
             raise MatrixFormatError(
                 f"row {r + 1} has {len(tokens)} entries, expected {n}",
                 line=lineno, column=_column(text, min(n, len(tokens) - 1)))
-        row = []
-        for t, tok in enumerate(tokens):
-            match = _ENTRY.match(tok)
-            if not match:
-                raise MatrixFormatError(
-                    f"entry {tok!r} is not an integer or p/q rational",
-                    line=lineno, column=_column(text, t))
-            num, den = match.groups()
-            den = int(den) if den else 1
-            if not den:
-                raise MatrixFormatError(f"zero denominator in {tok!r}",
-                                        line=lineno, column=_column(text, t))
-            row.append((int(num), den))
-        entries.append(row)
-    for i in range(n):
-        for j in range(i + 1, n):
-            (p, q), (r, s) = entries[i][j], entries[j][i]
-            if p * s != r * q:
-                lineno, text, _ = data[j + 1]
-                raise MatrixFormatError(
-                    f"asymmetric entries: ({i + 1},{j + 1}) is "
-                    f"{Fraction(p, q)}, ({j + 1},{i + 1}) is {Fraction(r, s)}",
-                    line=lineno, column=_column(text, i))
-    return SymMatrix.from_ratios(entries)
+        if not row_ok(" ".join(tokens)):
+            _bad_entry(lineno, text, tokens)
+        for tok in tokens[r:]:
+            if "/" in tok:
+                num, den = tok.split("/")
+                nums.append(int(num))
+                dens.append(int(den))
+            else:
+                nums.append(int(tok))
+                dens.append(1)
+    columns = unknowns(n)[1]
+    rows = [tokens for _, _, tokens in data[1:]]
+    if list(map(tuple, rows)) != list(zip(*rows)):
+        for i, row in enumerate(rows):
+            for j in range(i + 1, n):
+                if row[j] == rows[j][i]:
+                    continue
+                c = columns[i][j]
+                p, q = nums[c], dens[c]
+                num, _, den = rows[j][i].partition("/")
+                r, s = int(num), int(den or 1)
+                if p * s != r * q:
+                    lineno, text, _ = data[j + 1]
+                    raise MatrixFormatError(
+                        f"asymmetric entries: ({i + 1},{j + 1}) is "
+                        f"{Fraction(p, q)}, ({j + 1},{i + 1}) is "
+                        f"{Fraction(r, s)}",
+                        line=lineno, column=_column(text, i))
+    d = lcm(*dens)
+    if d > 1:
+        nums = [p * (d // q) for p, q in zip(nums, dens)]
+        g = gcd(d, *nums)
+        if g > 1:
+            d //= g
+            nums = [x // g for x in nums]
+    return SymMatrix.from_integer_rows(
+        [tuple([nums[c] for c in row]) for row in columns], d)
 
 
 def _yn(flag: bool) -> str:
@@ -153,6 +203,17 @@ def _yn(flag: bool) -> str:
 
 def _vec(v) -> str:
     return ",".join(str(c) for c in v)
+
+
+def _point(point) -> str:
+    """The coordinates ``point / sum(point)`` of a zero's primitive integer
+    point, each printed as its ``Fraction`` prints, without building one."""
+    total = sum(point)
+    parts = []
+    for x in point:
+        g = gcd(x, total)
+        parts.append(f"{x // g}/{total // g}" if g != total else str(x // g))
+    return ",".join(parts)
 
 
 def _support(s) -> str:
@@ -224,7 +285,7 @@ def cmd_zeros(args) -> int:
                ("copositive", "yes"), ("zero_count", len(zeros))]
     human = [("order", A.n), ("minimal zeros", len(zeros))]
     for k, zero in enumerate(zeros, start=1):
-        point, support = _vec(zero.coordinates), _support(zero.support)
+        point, support = _point(zero.point), _support(zero.support)
         machine += [(f"zero_{k}", point), (f"support_{k}", support)]
         human.append((f"zero {k}", f"({point})  support {{{support}}}"))
     if not zeros:

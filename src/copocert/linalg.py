@@ -5,8 +5,12 @@ estimates.  The core runs on integers.  A ``SymMatrix`` stores only its
 integer form ``(M, d)``: integer rows over their least common denominator,
 a canonical form, so equal forms are equal matrices.  ``from_ratios`` brings
 rows of integer pairs ``(p, q)`` to it, ``from_rows`` rational rows (through
-``from_ratios``), ``from_integer_rows`` takes integer rows as they are, and
-a ``Fraction`` entry is built only when one is read (``get``).  The
+``from_ratios``), ``from_integer_rows`` takes integer rows, over a
+denominator where the matrix reader has already brought them to the form,
+as they are, and a ``Fraction`` entry is built only when one is read
+(``get``).  Every constructor ends in the one validation of the form, whose
+checks (square, ints, symmetric, lowest terms) run as set, ``zip`` and
+``gcd`` calls, looping in Python only to name an asymmetric pair.  The
 unknowns ``X_ij`` of a symmetric matrix are ordered once, by ``unknowns``.
 Rational rows are scaled to primitive integer rows only where they enter
 ``solve_affine`` or ``kernel_basis``; integer rows go in as given.
@@ -212,14 +216,17 @@ class SymMatrix:
         n = len(M)
         if n < 1:
             raise ValueError("matrix order must be >= 1")
-        if any(len(r) != n for r in M):
+        if set(map(len, M)) != {n}:
             raise ValueError("matrix is not square")
-        if any(type(x) is not int for x in chain.from_iterable(M)):
+        if set(map(type, chain.from_iterable(M))) != {int}:
             raise ValueError("integer rows must hold ints")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if M[i][j] != M[j][i]:
-                    raise ValueError(f"asymmetric entries at ({i},{j})/({j},{i})")
+        # the transpose compared at C speed; the loop only names the pair
+        if tuple(zip(*M)) != M:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if M[i][j] != M[j][i]:
+                        raise ValueError(
+                            f"asymmetric entries at ({i},{j})/({j},{i})")
         if type(d) is not int or d < 1:
             raise ValueError("common denominator must be an int >= 1")
         if d > 1 and gcd(d, *chain.from_iterable(M)) != 1:
@@ -249,10 +256,11 @@ class SymMatrix:
         return cls((tuple(map(tuple, M)), d))
 
     @classmethod
-    def from_integer_rows(cls, rows) -> "SymMatrix":
-        """The matrix of square symmetric integer ``rows``, whose integer
-        form is ``(rows, 1)``."""
-        return cls((tuple(map(tuple, rows)), 1))
+    def from_integer_rows(cls, rows, d: int = 1) -> "SymMatrix":
+        """The matrix ``rows / d`` of square symmetric integer ``rows``,
+        whose integer form is ``(rows, d)``: a ``d > 1`` must share no
+        factor with every entry."""
+        return cls((tuple(map(tuple, rows)), d))
 
     @property
     def n(self) -> int:

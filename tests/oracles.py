@@ -50,7 +50,10 @@ without compressing, the reference for the union-find's ``find``; and
 ``two_term_disagreements`` holds the certificate's two-term path (nullity,
 flag, span check) against the elimination of its own system, on seeded
 triangle-free graph matrices (``graph_matrix``, ``scaled_graph_matrix``)
-among others.
+among others.  ``reference_parse_matrix_file`` is the matrix reader as it
+was before it checked each row with one pattern and read only the upper
+triangle; ``reader_file`` draws the seeded files, valid and broken, that
+the two readers are compared on (``reader_outcome``, ``reader_kind``).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from operator import mul
@@ -70,6 +74,7 @@ from unittest import mock
 
 import copocert.copositivity as copositivity_mod
 from copocert.census import ALPHABET, MAX_ORDER, Candidate
+from copocert.cli import MAX_DIGITS
 from copocert.copositivity import (
     CopositivityVerdict,
     Zero,
@@ -94,6 +99,7 @@ from copocert.linalg import (
 )
 from copocert.errors import (
     InvariantError,
+    MatrixFormatError,
     NotUnitDiagonalError,
     ScalingConditionError,
     SupportCardinalityError,
@@ -1284,3 +1290,256 @@ def iterate_candidates(n: int):
     m = n * (n - 1) // 2
     for off in itertools.product(ALPHABET, repeat=m):
         yield Candidate(n, off)
+
+
+# The matrix reader as it was before it checked each row with one pattern
+# and read only the upper triangle: every entry matched and converted on
+# its own, symmetry by cross-multiplying every pair, and the integer form
+# built from all n^2 pairs by ``SymMatrix.from_ratios``.
+_TOKEN = re.compile(r"\S+")
+_ENTRY = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _column(text: str, t: int) -> int:
+    """1-based column of the t-th whitespace-separated token of ``text``."""
+    return [m.start() for m in _TOKEN.finditer(text)][t] + 1
+
+
+def reference_parse_matrix_file(path: str) -> SymMatrix:
+    """Read a symmetric rational matrix from a UTF-8 text file.
+
+    First non-comment line holds the order n, then n rows of n entries,
+    each an integer p or a rational p/q with positive q, not necessarily in
+    lowest terms, in ASCII digits, no integer longer than ``MAX_DIGITS``.
+    Lines starting with '#' and blank lines are skipped.  Asymmetric input
+    is rejected.  Entries are read as integer pairs (p, q) and compared by
+    cross-multiplying; a ``Fraction`` is built only for a diagnostic, and
+    token columns are found only for one.
+    """
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read().splitlines()
+    except OSError as exc:
+        raise MatrixFormatError(f"cannot read {path}: {exc.strerror}",
+                                line=0, column=0)
+    data = []
+    for lineno, line in enumerate(raw, start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(
+                f"byte 0x{line[exc.start]:02x} is not UTF-8 text",
+                line=lineno, column=len(line[:exc.start].decode("utf-8")) + 1)
+        tokens = text.split()
+        if tokens and not tokens[0].startswith("#"):
+            # a token's length bounds the digits of the integers in it
+            if max(map(len, tokens)) > MAX_DIGITS:
+                for t, tok in enumerate(tokens):
+                    digits = max(map(len, _DIGITS.findall(tok)), default=0)
+                    if digits > MAX_DIGITS:
+                        raise MatrixFormatError(
+                            f"integer of {digits} digits, more than the "
+                            f"{MAX_DIGITS} allowed",
+                            line=lineno, column=_column(text, t))
+            data.append((lineno, text, tokens))
+    if not data:
+        raise MatrixFormatError("no data lines", line=len(raw) + 1, column=1)
+    lineno, text, tokens = data[0]
+    if len(tokens) != 1:
+        raise MatrixFormatError(
+            f"order line must hold a single integer, got {len(tokens)} tokens",
+            line=lineno, column=_column(text, 1))
+    tok = tokens[0]
+    if not (tok.isascii() and tok.isdecimal()) or int(tok) < 1:
+        raise MatrixFormatError(f"order must be a positive integer, got {tok!r}",
+                                line=lineno, column=_column(text, 0))
+    n = int(tok)
+    if len(data) - 1 < n:
+        raise MatrixFormatError(
+            f"expected {n} matrix rows, found {len(data) - 1}",
+            line=len(raw) + 1, column=1)
+    if len(data) - 1 > n:
+        extra_line, extra_text, _ = data[n + 1]
+        raise MatrixFormatError(
+            f"unexpected content after {n} matrix rows",
+            line=extra_line, column=_column(extra_text, 0))
+    entries = []
+    for r in range(n):
+        lineno, text, tokens = data[r + 1]
+        if len(tokens) != n:
+            raise MatrixFormatError(
+                f"row {r + 1} has {len(tokens)} entries, expected {n}",
+                line=lineno, column=_column(text, min(n, len(tokens) - 1)))
+        row = []
+        for t, tok in enumerate(tokens):
+            match = _ENTRY.match(tok)
+            if not match:
+                raise MatrixFormatError(
+                    f"entry {tok!r} is not an integer or p/q rational",
+                    line=lineno, column=_column(text, t))
+            num, den = match.groups()
+            den = int(den) if den else 1
+            if not den:
+                raise MatrixFormatError(f"zero denominator in {tok!r}",
+                                        line=lineno, column=_column(text, t))
+            row.append((int(num), den))
+        entries.append(row)
+    for i in range(n):
+        for j in range(i + 1, n):
+            (p, q), (r, s) = entries[i][j], entries[j][i]
+            if p * s != r * q:
+                lineno, text, _ = data[j + 1]
+                raise MatrixFormatError(
+                    f"asymmetric entries: ({i + 1},{j + 1}) is "
+                    f"{Fraction(p, q)}, ({j + 1},{i + 1}) is {Fraction(r, s)}",
+                    line=lineno, column=_column(text, i))
+    return SymMatrix.from_ratios(entries)
+
+
+def reader_outcome(parse, path):
+    """What ``parse`` makes of the file ``path``: ``("ok", integer form)``,
+    or the class, message, line and column of what it raised."""
+    try:
+        A = parse(path)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return ("ok", A.integer_form)
+
+
+# each diagnostic of the reader by the start of its message, and "valid"
+READER_KINDS = (
+    ("byte ", "utf8"), ("integer of ", "digits"), ("no data", "no_data"),
+    ("order line", "order_tokens"), ("order must", "order_value"),
+    ("expected ", "few_rows"), ("unexpected", "extra_rows"),
+    ("row ", "row_length"), ("entry ", "entry"),
+    ("zero denominator", "zero_denominator"), ("asymmetric", "asymmetric"),
+    ("", "valid"))
+
+
+def reader_kind(outcome) -> str:
+    """The kind of a ``reader_outcome``: "valid" or its diagnostic's."""
+    if outcome[0] == "ok":
+        return "valid"
+    return next(kind for prefix, kind in READER_KINDS[:-1]
+                if outcome[1].startswith(prefix))
+
+
+# what str.split() takes for whitespace but bytes.splitlines() does not
+# take for a line break: tab, vertical tab, form feed, the information
+# separators, NEL, line and paragraph separators, no-break and ideographic
+# spaces, besides one and two spaces
+READER_SPACES = (" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                 "\x1f", "\x85", "\u2028", "\u2029", "\xa0", "\u3000")
+READER_NEWLINES = ("\n", "\r\n", "\r")
+BAD_ENTRIES = ("1/-2", "x", "1.5", "1//2", "\u0663", "1/", "/2", "++1",
+               "1_0", "2/3/4", "-", "1/\uff12", "0b1", "\xbd", "1e3")
+BAD_ORDERS = ("0", "-1", "x", "2.0", "\xb2", "\uff13", "+2", "1e1", "00")
+# the file shapes reader_file draws, one per seed in turn
+READER_MUTATIONS = (
+    "valid", "utf8", "digits", "no_data", "order_tokens", "order_value",
+    "few_rows", "extra_rows", "row_length", "entry", "zero_denominator",
+    "asymmetric", "mirror_forms", "early_utf8", "early_digits")
+
+
+def written_entry(rng, p: int, q: int) -> str:
+    """One of the ways of writing ``p/q``: unreduced, with a sign, zeros
+    in front of either integer, ``/1`` kept or dropped."""
+    k = rng.choice((1, 1, 2, 3))
+    p, q = p * k, q * k
+    sign = "-" if p < 0 else rng.choice(("", "", "+", "-"))
+    num = "0" * rng.choice((0, 0, 0, 1, 2)) + str(abs(p))
+    if p > 0 and sign == "-":
+        sign = ""
+    if q == 1 and rng.random() < 0.7:
+        return sign + num
+    return f"{sign}{num}/{'0' * rng.choice((0, 0, 1))}{q}"
+
+
+def _spaced(rng, tokens) -> str:
+    """``tokens`` separated, led and trailed by drawn whitespace."""
+    out = rng.choice(("", "", rng.choice(READER_SPACES)))
+    for k, tok in enumerate(tokens):
+        out += (rng.choice(READER_SPACES) if k else "") + tok
+    return out + rng.choice(("", "", rng.choice(READER_SPACES)))
+
+
+def _comment(rng) -> str:
+    words = ["#", "row", "1/0", "x", "\xe9", "7"] + list(READER_SPACES)
+    return rng.choice(("", " ", "\x0c")) + "#" + "".join(
+        rng.choice(words) for _ in range(rng.randint(0, 5)))
+
+
+def reader_file(seed: int) -> tuple[bytes, str]:
+    """A seeded matrix file and the shape it was drawn in (a
+    ``READER_MUTATIONS`` entry, ``seed`` modulo their number).
+
+    The valid shape is a symmetric rational matrix of order 1..6 whose
+    mirror entries are written alike or apart (``written_entry``), with
+    drawn separators (``READER_SPACES``), LF, CR LF and CR line ends,
+    comments and blank lines; every other shape breaks it in one way, or,
+    the "early" ones, in two: a non-UTF-8 byte or an overlong integer on
+    one line and a format error on another.  A shape need not give its
+    diagnostic (a bad byte may fall in a comment, a row may come out
+    symmetric); ``reader_kind`` names what the reader made of it.
+    """
+    rng = random.Random(f"reader:{seed}")
+    mutation = READER_MUTATIONS[seed % len(READER_MUTATIONS)]
+    n = rng.randint(1, 6)
+    tokens = [[""] * n for _ in range(n)]
+    apart = 1.0 if mutation == "mirror_forms" else 0.4
+    for i in range(n):
+        for j in range(i, n):
+            p, q = rng.randint(-30, 30), rng.randint(1, 12)
+            tokens[i][j] = written_entry(rng, p, q)
+            tokens[j][i] = (written_entry(rng, p, q) if rng.random() < apart
+                            else tokens[i][j])
+    if mutation in ("row_length", "early_utf8", "early_digits"):
+        row = tokens[rng.randrange(n)]
+        if rng.random() < 0.5:
+            row.append(written_entry(rng, 1, 1))
+        else:
+            row.pop()
+    elif mutation in ("entry", "zero_denominator", "asymmetric", "digits"):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if mutation == "entry":
+            tokens[i][j] = rng.choice(BAD_ENTRIES)
+        elif mutation == "zero_denominator":
+            tokens[i][j] = (rng.choice(("", "+", "-")) + str(rng.randint(0, 9))
+                            + "/" + "0" * rng.randint(1, 3))
+        elif mutation == "asymmetric":
+            if n > 1 and i == j:
+                j = (i + 1) % n
+            tokens[i][j] = written_entry(rng, rng.randint(31, 60),
+                                         rng.randint(1, 5))
+        else:
+            big = "1" + "0" * rng.randint(MAX_DIGITS, MAX_DIGITS + 5)
+            tokens[i][j] = rng.choice((big, f"1/{big}", f"-{big}/3"))
+    order = str(n)
+    if mutation == "order_tokens":
+        order = rng.choice((f"{n} {n}", f"{n} x", f"{n}\x0c{n}", f"{n}\x85#"))
+    elif mutation == "order_value":
+        order = rng.choice(BAD_ORDERS)
+    lines = [_spaced(rng, [order])] + [_spaced(rng, row) for row in tokens]
+    if mutation == "few_rows":
+        del lines[rng.randint(1, n)]
+    elif mutation == "extra_rows":
+        lines.append(_spaced(rng, rng.choice((["1"], tokens[0], ["#"]))))
+    elif mutation == "no_data":
+        lines = [_comment(rng) for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(
+            (_comment(rng), "", rng.choice(READER_SPACES))))
+    raw = [line.encode("utf-8") for line in lines]
+    if mutation in ("utf8", "early_utf8") and raw:
+        k = rng.randrange(len(raw))
+        at = len(lines[k][:rng.randint(0, len(lines[k]))].encode("utf-8"))
+        raw[k] = raw[k][:at] + rng.choice((b"\xff", b"\xc3", b"\x80")) + raw[k][at:]
+    elif mutation == "early_digits":
+        big = b"9" * rng.randint(MAX_DIGITS + 1, MAX_DIGITS + 5)
+        raw.insert(rng.randint(0, len(raw)), rng.choice((big, b"# " + big)))
+    ends = [rng.choice(READER_NEWLINES).encode() for _ in raw]
+    if ends and rng.random() < 0.3:
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(raw, ends)), mutation

@@ -198,6 +198,7 @@ UNREFERENCED = {
     "lp.strictly_positive_point": "a benchmark tracer target",
     "linalg.horn_matrix": "the README quick start",
     "linalg.SymMatrix.from_rows": "the README quick start",
+    "copositivity.Zero.coordinates": "the README quick start",
     "census.read_records": "reads record files for CI and the tests",
 }
 

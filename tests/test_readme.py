@@ -20,7 +20,7 @@ def test_quick_start_prints_its_comments():
     # the value after "# " on each print line, up to any "  ->" remark
     expected = [line.split("  # ", 1)[1].split("  ->")[0].strip()
                 for line in code.splitlines() if line.startswith("print(")]
-    assert len(expected) == 5
+    assert len(expected) == 6
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})

@@ -3,16 +3,20 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from copocert import cli
 from copocert.census import Candidate
+from copocert.copositivity import is_copositive
 from copocert.errors import NotCopositiveError
 from copocert.linalg import SymMatrix, eval_quadratic, horn_matrix, kernel_basis
 from copocert.zeros import minimal_zeros
 
 from oracles import (
     all_ones,
+    benchmark_families,
     fraction_rows,
     identity,
     kernel_minimal_supports,
@@ -26,6 +30,7 @@ from oracles import (
 )
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def supports_of(zeros):
@@ -215,3 +220,52 @@ class TestKernelCrossCheck:
             zl = self.check(A)
             wide += any(len(z.support) >= 3 for z in zl)
         assert wide >= 12
+
+
+class TestPrintedPoint:
+    """``zeros`` prints each zero from its integer point: every coordinate
+    ``x / sum(point)`` as its ``Fraction`` prints, none built."""
+
+    @staticmethod
+    def printed_as_coordinates(zeros):
+        for zero in zeros:
+            assert cli._point(zero.point) == ",".join(
+                map(str, zero.coordinates))
+        return len(zeros)
+
+    def test_fixtures_through_the_cli(self, capsys):
+        printed = 0
+        for path in sorted(FIXTURES.glob("**/*.txt")):
+            if "expected" in path.parts:
+                continue
+            A = cli.parse_matrix_file(path)
+            if not is_copositive(A).copositive:
+                continue
+            zeros = minimal_zeros(A)
+            assert cli.main(["zeros", str(path)]) == 0
+            out = capsys.readouterr().out
+            for k, zero in enumerate(zeros, start=1):
+                assert f"zero_{k}=" + ",".join(
+                    map(str, zero.coordinates)) in out.splitlines()
+            printed += self.printed_as_coordinates(zeros)
+        assert printed == 34
+
+    def test_horn_and_benchmark_families(self):
+        families = benchmark_families()
+        printed = self.printed_as_coordinates(minimal_zeros(horn_matrix()))
+        for family in ("dsd", "rank1"):
+            for n in (6, 7, 8):
+                for seed in (1, 2, 7):
+                    case = families.generate(family, n, seed, 0)
+                    A = SymMatrix.from_rows(case.matrix)
+                    printed += self.printed_as_coordinates(minimal_zeros(A))
+        assert printed == 161
+
+    def test_copositive_census_classes(self, census):
+        printed = 0
+        for n in (1, 2, 3, 4, 5):
+            for record in census(n):
+                if record.copositive:
+                    A = Candidate(n, record.canonical_offdiag).matrix()
+                    printed += self.printed_as_coordinates(minimal_zeros(A))
+        assert printed == 570
